@@ -30,7 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as _student_t
+from scipy.special import stdtrit
 
 from .families import named_scheme
 from .increments import derive_seed, substream
@@ -71,6 +71,12 @@ class FittedOrder:
     scheme: str
     problem: str
     fitted_order: float
+
+
+def _t_quantile_95(df):
+    """The 0.95 quantile of Student's t distribution with df degrees of
+    freedom."""
+    return float(stdtrit(df, 0.95))
 
 
 def _steps_for(prob, h):
@@ -131,7 +137,8 @@ def estimate(scheme, prob, h, M, seed, batches=DEFAULT_BATCHES, threads=1):
         label = tab.name
     n_steps = _steps_for(prob, h)
     sizes = _batch_sizes(M, batches)
-    if not isinstance(threads, (int, np.integer)) or threads < 1:
+    if isinstance(threads, bool) \
+            or not isinstance(threads, (int, np.integer)) or threads < 1:
         raise EstimatorError("threads must be an integer >= 1, got %r"
                              % (threads,))
     exact = float(prob.exact_functional(prob.t_end))
@@ -167,7 +174,7 @@ def estimate(scheme, prob, h, M, seed, batches=DEFAULT_BATCHES, threads=1):
         u = float(weights @ batch_values)
         mu = u - exact
         sigma2 = float(np.var(batch_values, ddof=1) / len(sizes))
-    half = float(_student_t.ppf(0.95, len(sizes) - 1) * math.sqrt(sigma2)) \
+    half = float(_t_quantile_95(len(sizes) - 1) * math.sqrt(sigma2)) \
         if np.isfinite(sigma2) else math.nan
     return WeakErrorReport(scheme=label, problem=prob.name, h=float(h),
                            M=int(M), u_Mh=u, mu_hat=mu, sigma2_mu=sigma2,

@@ -29,18 +29,30 @@ b^k(Hh_i^l) is computed at most once per step, and only when some
 nonzero coefficient actually references it.  Since the first stage
 satisfies H_1^k = Hh_1^l = y with zero nodes, the mixed values of
 stage one are the plain columns b^k(t, y) and are reused rather than
-re-evaluated.  evaluation_cost() reports the per-step evaluation and
-random-variable counts implied by this policy, and the stepper is
+re-evaluated.
+
+Which values a step evaluates, and which coefficients it applies, is
+decided once per (tableau, m): usage_plan() compiles the tableau into
+a frozen StepPlan holding the need flags, the nonzero (j, A_ij, B_ij)
+couplings of each stage and the nonzero alpha/beta weights as Python
+floats, and keeps it in a bounded, thread-safe cache keyed on tableau
+identity.  evaluation_cost() reads the same plan to report the
+per-step evaluation and random-variable counts, and the stepper is
 instrumentable to match them exactly.
 
-All stepping code broadcasts over leading axes of the state, so a
-whole batch of trajectories advances in one call with identical
-results to stepping them one by one.
+The step keeps every diffusion column b^k(H_i^k) and every mixed
+value b^k(Hh_i^l) as an array of its own with the shape of the state,
+and adds each term as value * weight, the weights being per-path
+combinations of Ihat_k and V_kl.  All stepping code broadcasts over
+leading axes of the state, so a whole batch of trajectories advances
+in one call with identical results to stepping them one by one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,68 +139,146 @@ class EvaluationCost:
     random_draws: int
 
 
-@dataclass(frozen=True)
-class _UsagePlan:
-    """Which stage evaluations a tableau actually references.
+#: plans kept by usage_plan; older entries are evicted least recently used
+PLAN_CACHE_SIZE = 64
 
-    need_a[i]: the drift value a(H0_i) is used somewhere.
-    need_b[i]: the m diffusion columns b^k(H_i^k) are used somewhere.
-    need_bhat[i]: the mixed values b^k(Hh_i^l), k != l, are used; for
-      i = 0 they coincide with the stage-one plain columns and are
-      reused at no extra evaluation cost.
+
+@dataclass(frozen=True)
+class StepPlan:
+    """A tableau compiled for m Wiener components: what a step evaluates
+    and how it combines the values.
+
+    Flags, one per stage i:
+      need_a[i]: the drift value a(H0_i) is used somewhere.
+      need_b[i]: the m diffusion columns b^k(H_i^k) are used somewhere.
+      need_bhat[i]: the mixed values b^k(Hh_i^l), k != l, are used; for
+        i = 0 they coincide with the stage-one plain columns and are
+        reused at no extra evaluation cost.
+      need_bdot[i]: sum_r b^r(H_i^r) Ihat_r is used, by beta1 or, through
+        B0, by a needed drift stage.
+
+    Stage terms, one tuple per stage, list the nonzero coefficients on
+    earlier stages j as Python floats: h0_terms[i] holds (j, A0_ij,
+    B0_ij) with at least one of the two nonzero, hk_drift[i] and
+    hk_noise[i] hold (j, A1_ij) and (j, B1_ij), hh_drift[i] and
+    hh_noise[i] hold (j, A2_ij) and (j, B2_ij).  c0, c1 and c2 are the
+    stage nodes.
+
+    Weights list only nonzero entries: alpha, beta1 and beta2 hold
+    (i, weight), beta34 holds (i, beta3_i, beta4_i) for the stages with
+    need_bhat.
     """
 
     m: int
     need_a: tuple
     need_b: tuple
     need_bhat: tuple
+    need_bdot: tuple
     needs_ihat: bool
     needs_offdiag: bool
+    c0: tuple
+    c1: tuple
+    c2: tuple
+    h0_terms: tuple
+    hk_drift: tuple
+    hk_noise: tuple
+    hh_drift: tuple
+    hh_noise: tuple
+    alpha: tuple
+    beta1: tuple
+    beta2: tuple
+    beta34: tuple
 
 
-def usage_plan(tab, m):
-    """Compute the evaluation plan of a tableau for m Wiener components."""
+def _nonzero(values):
+    return tuple((i, v) for i, v in enumerate(values) if v)
+
+
+def _compile(tab, m):
     s = tab.s
-    need_a = [bool(tab.alpha[i]) for i in range(s)]
-    need_b = [bool(tab.beta1[i]) or bool(tab.beta2[i]) for i in range(s)]
+    alpha, beta1, beta2, beta3, beta4 = (
+        getattr(tab, k).tolist()
+        for k in ("alpha", "beta1", "beta2", "beta3", "beta4"))
+    A0, A1, A2, B0, B1, B2 = (
+        getattr(tab, k).tolist()
+        for k in ("A0", "A1", "A2", "B0", "B1", "B2"))
+    need_a = [bool(v) for v in alpha]
+    need_b = [bool(b1) or bool(b2) for b1, b2 in zip(beta1, beta2)]
     mixed = m >= 2
-    need_bhat = [mixed and (bool(tab.beta3[i]) or bool(tab.beta4[i]))
-                 for i in range(s)]
+    need_bhat = [mixed and (bool(b3) or bool(b4))
+                 for b3, b4 in zip(beta3, beta4)]
     # propagate through stage dependencies until stable
     changed = True
     while changed:
         changed = False
         for i in range(s):
-            wants_h0 = need_a[i]
-            wants_hk = need_b[i]
             wants_hhat = need_bhat[i] and i > 0  # stage one needs nothing
-            for j in range(i):
-                if wants_h0:
-                    if tab.A0[i, j] and not need_a[j]:
+            for wanted, A, B in ((need_a[i], A0, B0), (need_b[i], A1, B1),
+                                 (wants_hhat, A2, B2)):
+                if not wanted:
+                    continue
+                for j in range(i):
+                    if A[i][j] and not need_a[j]:
                         need_a[j] = changed = True
-                    if tab.B0[i, j] and not need_b[j]:
-                        need_b[j] = changed = True
-                if wants_hk:
-                    if tab.A1[i, j] and not need_a[j]:
-                        need_a[j] = changed = True
-                    if tab.B1[i, j] and not need_b[j]:
-                        need_b[j] = changed = True
-                if wants_hhat:
-                    if tab.A2[i, j] and not need_a[j]:
-                        need_a[j] = changed = True
-                    if tab.B2[i, j] and not need_b[j]:
+                    if B[i][j] and not need_b[j]:
                         need_b[j] = changed = True
         if need_bhat[0] and not need_b[0]:
             # mixed values of stage one reuse the plain columns
             need_b[0] = changed = True
-    uses_b0 = any(need_a[i] and tab.B0[i, j] and need_b[j]
-                  for i in range(s) for j in range(i))
-    needs_ihat = (any(tab.beta1) or any(tab.beta2) or any(need_bhat)
-                  or uses_b0)
-    needs_offdiag = mixed and any(tab.beta4)
-    return _UsagePlan(m=m, need_a=tuple(need_a), need_b=tuple(need_b),
-                      need_bhat=tuple(need_bhat), needs_ihat=needs_ihat,
-                      needs_offdiag=needs_offdiag)
+    need_bdot = [bool(beta1[j]) or any(need_a[i] and B0[i][j]
+                                       for i in range(j + 1, s))
+                 for j in range(s)]
+    needs_ihat = any(need_bdot) or any(beta2) or any(need_bhat)
+    needs_offdiag = mixed and any(beta4)
+    return StepPlan(
+        m=m, need_a=tuple(need_a), need_b=tuple(need_b),
+        need_bhat=tuple(need_bhat), need_bdot=tuple(need_bdot),
+        needs_ihat=needs_ihat, needs_offdiag=needs_offdiag,
+        c0=tuple(tab.c0.tolist()), c1=tuple(tab.c1v.tolist()),
+        c2=tuple(tab.c2v.tolist()),
+        h0_terms=tuple(tuple((j, A0[i][j], B0[i][j]) for j in range(i)
+                             if A0[i][j] or B0[i][j]) for i in range(s)),
+        hk_drift=tuple(_nonzero(A1[i][:i]) for i in range(s)),
+        hk_noise=tuple(_nonzero(B1[i][:i]) for i in range(s)),
+        hh_drift=tuple(_nonzero(A2[i][:i]) for i in range(s)),
+        hh_noise=tuple(_nonzero(B2[i][:i]) for i in range(s)),
+        alpha=_nonzero(alpha), beta1=_nonzero(beta1),
+        beta2=_nonzero(beta2),
+        beta34=tuple((i, beta3[i], beta4[i]) for i in range(s)
+                     if need_bhat[i]))
+
+
+class _Identity:
+    """Cache key that hashes and compares a tableau by identity.
+
+    Tableaux are immutable, so a plan compiled for one instance stays
+    valid while the key holds that instance alive.
+    """
+
+    __slots__ = ("tab",)
+
+    def __init__(self, tab):
+        self.tab = tab
+
+    def __hash__(self):
+        return id(self.tab)
+
+    def __eq__(self, other):
+        return self.tab is other.tab
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _cached_plan(key, m):
+    return _compile(key.tab, m)
+
+
+def usage_plan(tab, m):
+    """Return the step plan of a tableau for m Wiener components.
+
+    Plans are compiled once and kept in a bounded, thread-safe cache
+    keyed on the identity of the tableau.
+    """
+    return _cached_plan(_Identity(tab), m)
 
 
 def evaluation_cost(tab, m):
@@ -221,6 +311,30 @@ def evaluation_cost(tab, m):
                           random_draws=int(draws))
 
 
+def _stage_points(y, h, sqrth, drift_terms, noise_terms, a_val, b_val, m):
+    """Return the m points y + sum_j A_j a_j h + sum_j B_j b_j^k sqrt(h)."""
+    base = y
+    for j, a in drift_terms:
+        base = base + (a * h) * a_val[j]
+    if not noise_terms:
+        return [base] * m
+    points = []
+    for k in range(m):
+        point = base
+        for j, b in noise_terms:
+            point = point + (b * sqrth) * b_val[j][k]
+        points.append(point)
+    return points
+
+
+def _weighted_sum(terms):
+    """Return sum of value * weight over (value, weight) pairs, in order."""
+    total = None
+    for value, weight in terms:
+        total = value * weight if total is None else total + value * weight
+    return total
+
+
 def srk_step(tab, prob, ctx):
     """Advance the state by one step of the scheme.
 
@@ -244,92 +358,78 @@ def srk_step(tab, prob, ctx):
     if inc.h != ctx.h:
         raise ValueError("increments were drawn for h = %r, step has h = %r"
                          % (inc.h, ctx.h))
-    s = tab.s
+    plan = usage_plan(tab, m)
     t, h = ctx.t, ctx.h
     y = np.asarray(ctx.y, dtype=float)
-    sqrth = np.sqrt(h)
-    plan = usage_plan(tab, m)
-    ihat = inc.Ihat
+    sqrth = math.sqrt(h)
+    ihat = [inc.Ihat[..., k, None] for k in range(m)]  # Ihat_k, (..., 1)
+    s = len(plan.need_a)
 
-    a_val = [None] * s      # a(H0_i), shape (..., d)
-    b_val = [None] * s      # b^k(H_i^k) stacked over k, shape (..., m, d)
-    b_dot_i = [None] * s    # sum_r b^r(H_j^r) Ihat_r, shape (..., d)
-    bhat_val = [None] * s   # b^k(Hh_i^l), shape (..., m, m, d), axes (k, l)
+    a_val = [None] * s  # a(H0_i), shape (..., d)
+    b_val = [None] * s  # b_val[i][k] = b^k(H_i^k), shape (..., d)
+    b_dot = [None] * s  # sum_r b^r(H_i^r) Ihat_r, shape (..., d)
+    bhat = [None] * s   # bhat[i][k][l] = b^k(Hh_i^l) for k != l
 
     for i in range(s):
         if plan.need_a[i]:
             h0 = y
-            for j in range(i):
-                if tab.A0[i, j]:
-                    h0 = h0 + (tab.A0[i, j] * h) * a_val[j]
-                if tab.B0[i, j]:
-                    h0 = h0 + tab.B0[i, j] * b_dot_i[j]
-            a_val[i] = np.asarray(prob.drift(t + tab.c0[i] * h, h0),
+            for j, a, b in plan.h0_terms[i]:
+                if a:
+                    h0 = h0 + (a * h) * a_val[j]
+                if b:
+                    h0 = h0 + b * b_dot[j]
+            a_val[i] = np.asarray(prob.drift(t + plan.c0[i] * h, h0),
                                   dtype=float)
         if plan.need_b[i]:
-            hk = y[..., None, :]
-            for j in range(i):
-                if tab.A1[i, j]:
-                    hk = hk + (tab.A1[i, j] * h) * a_val[j][..., None, :]
-                if tab.B1[i, j]:
-                    hk = hk + (tab.B1[i, j] * sqrth) * b_val[j]
-            hk = np.broadcast_to(hk, hk.shape[:-2] + (m, hk.shape[-1]))
-            tnode = t + tab.c1v[i] * h
-            cols = [np.asarray(prob.diffusion_column(tnode, hk[..., k, :], k),
-                               dtype=float) for k in range(m)]
-            b_val[i] = np.stack(cols, axis=-2)
-            if plan.needs_ihat:
-                b_dot_i[i] = np.einsum("...kd,...k->...d", b_val[i], ihat)
-            else:
-                b_dot_i[i] = 0.0 * b_val[i][..., 0, :]
+            points = _stage_points(y, h, sqrth, plan.hk_drift[i],
+                                   plan.hk_noise[i], a_val, b_val, m)
+            tnode = t + plan.c1[i] * h
+            b_val[i] = [np.asarray(prob.diffusion_column(tnode, points[k], k),
+                                   dtype=float) for k in range(m)]
+            if plan.need_bdot[i]:
+                b_dot[i] = _weighted_sum(zip(b_val[i], ihat))
         if plan.need_bhat[i]:
             if i == 0:
                 # Hh_1^l = H_1^k = y and both node offsets vanish, so
                 # b^k(Hh_1^l) = b^k(t, y) for every l; reuse the columns
-                bhat_val[0] = np.broadcast_to(
-                    b_val[0][..., :, None, :],
-                    b_val[0].shape[:-2] + (m, m, b_val[0].shape[-1]))
+                bhat[0] = [[col] * m for col in b_val[0]]
                 continue
-            hh = y[..., None, :]
-            for j in range(i):
-                if tab.A2[i, j]:
-                    hh = hh + (tab.A2[i, j] * h) * a_val[j][..., None, :]
-                if tab.B2[i, j]:
-                    hh = hh + (tab.B2[i, j] * sqrth) * b_val[j]
-            hh = np.broadcast_to(hh, hh.shape[:-2] + (m, hh.shape[-1]))
-            tnode = t + tab.c2v[i] * h
-            vals = np.zeros(hh.shape[:-2] + (m, m) + hh.shape[-1:])
+            points = _stage_points(y, h, sqrth, plan.hh_drift[i],
+                                   plan.hh_noise[i], a_val, b_val, m)
+            tnode = t + plan.c2[i] * h
+            vals = [[None] * m for _ in range(m)]
             for l in range(m):
-                point = hh[..., l, :]
                 for k in range(m):
                     if k != l:
-                        vals[..., k, l, :] = np.asarray(
-                            prob.diffusion_column(tnode, point, k),
+                        vals[k][l] = np.asarray(
+                            prob.diffusion_column(tnode, points[l], k),
                             dtype=float)
-            bhat_val[i] = vals
+            bhat[i] = vals
 
     out = y
-    for i in range(s):
-        if tab.alpha[i]:
-            out = out + (tab.alpha[i] * h) * a_val[i]
-    if any(tab.beta1):
-        for i in range(s):
-            if tab.beta1[i]:
-                out = out + tab.beta1[i] * b_dot_i[i]
-    if any(tab.beta2):
-        ikk = 0.5 * (ihat ** 2 - h) / sqrth  # Ihat_(k,k)/sqrt(h)
-        for i in range(s):
-            if tab.beta2[i]:
-                out = out + tab.beta2[i] * np.einsum(
-                    "...kd,...k->...d", b_val[i], ikk)
-    if any(plan.need_bhat):
-        pair = inc.ihat_pair() / sqrth  # Ihat_(k,l)/sqrt(h)
-        off = 1.0 - np.eye(m)
-        col = ihat[..., :, None] * np.ones(m)  # Ihat_k along axis k
-        for i in range(s):
-            if plan.need_bhat[i]:
-                w = (tab.beta3[i] * col + tab.beta4[i] * pair) * off
-                out = out + np.einsum("...kld,...kl->...d", bhat_val[i], w)
+    for i, w in plan.alpha:
+        out = out + (w * h) * a_val[i]
+    for i, w in plan.beta1:
+        out = out + w * b_dot[i]
+    if plan.beta2:
+        # Ihat_(k,k)/sqrt(h)
+        ikk = [0.5 * (ih ** 2 - h) / sqrth for ih in ihat]
+        for i, w in plan.beta2:
+            out = out + w * _weighted_sum(zip(b_val[i], ikk))
+    if plan.beta34:
+        pairs = [(k, l) for k in range(m) for l in range(m) if k != l]
+        if plan.needs_offdiag:
+            # Ihat_(k,l)/sqrt(h) = (Ihat_k Ihat_l + V_kl) / (2 sqrt(h))
+            ikl = {(k, l): 0.5 * (ihat[k] * ihat[l] + inc.V[..., k, l, None])
+                   / sqrth for k, l in pairs}
+        for i, w3, w4 in plan.beta34:
+            terms = []
+            for k, l in pairs:
+                weight = w3 * ihat[k]
+                if w4:
+                    weight = weight + w4 * ikl[k, l]
+                terms.append((bhat[i][k][l], weight))
+            out = out + _weighted_sum(terms)
     return out
 
 
@@ -378,11 +478,16 @@ def terminal_values(tab, prob, n_steps, n_paths, stream, t_end=None):
                       raise_on_divergence=False)
 
 
+def _check_count(name, value):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < 1:
+        raise ValueError("%s must be an integer >= 1, got %r" % (name, value))
+
+
 def _run_steps(tab, prob, n_steps, n_paths, stream, t_end,
                raise_on_divergence):
-    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
-        raise ValueError("n_steps must be an integer >= 1, got %r"
-                         % (n_steps,))
+    _check_count("n_steps", n_steps)
+    _check_count("n_paths", n_paths)
     end = prob.t_end if t_end is None else float(t_end)
     if not end > prob.t0:
         raise ValueError("t_end must exceed t0")

@@ -5,8 +5,9 @@ import pytest
 
 from srkweak.estimator import (DEFAULT_BATCHES, ERRORS_HEADER, EXTRAPOLATED,
                                ORDERS_HEADER, EstimatorError, FittedOrder,
-                               WeakErrorReport, estimate, fit_order,
-                               run_study, write_errors_csv, write_orders_csv)
+                               WeakErrorReport, _t_quantile_95, estimate,
+                               fit_order, run_study, write_errors_csv,
+                               write_orders_csv)
 from srkweak.families import UnknownSchemeError, named_scheme
 from srkweak.integrator import SdeProblem, exact_one_step_expectation
 from srkweak.problems import NamedProblem, problem_linear
@@ -153,10 +154,18 @@ def test_argument_validation():
         estimate("EM", prob, 0.25, 10, seed=0, batches=20)
     with pytest.raises(EstimatorError):
         estimate("EM", prob, 0.25, 100, seed=0, threads=0)
+    with pytest.raises(EstimatorError, match="threads must be an integer"):
+        estimate("EM", prob, 0.25, 100, seed=0, threads=True)
     with pytest.raises(EstimatorError):
         estimate("EM", prob, 0.25, 99.5, seed=0)
     with pytest.raises(UnknownSchemeError):
         estimate("SRK9", prob, 0.25, 100, seed=0)
+
+
+def test_t_quantile_values():
+    assert _t_quantile_95(3) == 2.3533634348018233
+    assert _t_quantile_95(7) == 1.8945786050900062
+    assert _t_quantile_95(19) == 1.7291328115213682
 
 
 def test_unnamed_tableau_labelled_custom():

@@ -1,16 +1,20 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
-from srkweak.families import named_scheme
-from srkweak.increments import CountingStream, draw, substream
+from family_sampling import draw_member
+from srkweak import integrator
+from srkweak.families import FAMILY_IDS, named_scheme
+from srkweak.increments import (CountingStream, WeakIncrementBatch, draw,
+                                substream, support_batch)
 from srkweak.integrator import (DivergedTrajectoryError, EvaluationCost,
                                 SdeProblem, StepContext, evaluation_cost,
                                 exact_one_step_expectation, extrapolated_em,
                                 simulate_path, srk_step, terminal_values,
                                 usage_plan)
-from srkweak.problems import problem_linear
+from srkweak.problems import problem_2d, problem_linear, problem_nonlinear
 from srkweak.tableau import CoefficientTableau
 
 KEYS = ("alpha", "beta1", "beta2", "beta3", "beta4",
@@ -322,6 +326,19 @@ def test_invalid_step_counts():
             simulate_path(named_scheme("EM"), prob, bad, substream(0))
 
 
+@pytest.mark.parametrize("n_steps,n_paths,name", [
+    (True, 4, "n_steps"),
+    (2, 0, "n_paths"),
+    (2, -3, "n_paths"),
+    (2, 2.5, "n_paths"),
+    (2, True, "n_paths"),
+])
+def test_terminal_values_rejects_bad_counts(n_steps, n_paths, name):
+    with pytest.raises(ValueError, match="%s must be an integer >= 1" % name):
+        terminal_values(named_scheme("EM"), _ode(), n_steps, n_paths,
+                        substream(0))
+
+
 def _one_step_weak_error(tab, prob, h):
     want = prob.exact_functional(prob.t0 + h)
     got = exact_one_step_expectation(
@@ -340,3 +357,113 @@ def test_one_step_order_gap():
     slope_r2 = math.log2(r2[0] / r2[1]) / 2.0
     assert 1.7 < slope_em < 2.3
     assert 2.7 < slope_r2 < 3.3
+
+
+def _exact_weak_error(tab, prob, h):
+    """E f(Y_T) - E f(X_T) under the discrete increment law, exactly.
+
+    Expands the finite support tree through srk_step, one vectorised
+    step per level: every state is repeated once per support atom, the
+    atoms are tiled over the states and the probabilities multiply.
+    """
+    batch, probs = support_batch(prob.m, h)
+    n_steps = int(round((prob.t_end - prob.t0) / h))
+    y = prob.x0[None, :]
+    weights = np.ones(1)
+    for n in range(n_steps):
+        rows = len(weights)
+        y = np.repeat(y, len(probs), axis=0)
+        inc = WeakIncrementBatch(h=h, Ihat=np.tile(batch.Ihat, (rows, 1)),
+                                 V=np.tile(batch.V, (rows, 1, 1)))
+        y = srk_step(tab, prob, StepContext(t=prob.t0 + n * h, h=h, y=y,
+                                            increments=inc))
+        weights = np.outer(weights, probs).ravel()
+    return float(weights @ prob.f(y)) - prob.exact_functional(prob.t_end)
+
+
+EXACT_WEAK_ERRORS = [
+    # scheme, problem, h, atoms, error
+    ("EM", problem_nonlinear, 0.5, 81, -0.8798797305892897),
+    ("RDI4WM", problem_nonlinear, 0.5, 81, -0.37607125986237366),
+    ("EM", problem_nonlinear, 0.25, 6561, -0.7708964764578139),
+    ("RDI4WM", problem_nonlinear, 0.25, 6561, -0.095059663864980645),
+    ("EM", problem_2d, 1.0, 104976, -0.011782205185790939),
+    ("RDI2WM", problem_2d, 1.0, 104976, 0.0042299715912057362),
+]
+
+
+def test_exact_weak_errors_regression():
+    # the engine's discrete-law bias, free of Monte Carlo noise
+    for name, make, h, atoms, want in EXACT_WEAK_ERRORS:
+        prob = make()
+        steps = int(round((prob.t_end - prob.t0) / h))
+        assert len(support_batch(prob.m, h)[1]) ** steps == atoms
+        got = _exact_weak_error(named_scheme(name), prob, h)
+        assert abs(got - want) <= 1e-12 * abs(want), (name, h, got)
+
+
+def _mixing_problem(m):
+    # no symmetry between components or noises, so any mix-up of the
+    # indices k, l of a column or mixed value changes the step
+    mix = np.arange(1.0, 10.0).reshape(3, 3) / 7.0
+    return SdeProblem(
+        d=3, m=m,
+        drift=lambda t, y: np.sin(y @ mix) + t,
+        diffusion_column=lambda t, y, j: np.cos((j + 1) * y + t)
+        * np.roll(y, j, axis=-1),
+        x0=np.array([0.3, -0.7, 1.1]))
+
+
+@pytest.mark.parametrize("name,m,want", [
+    ("RDI2WM", 2, -0.3650991495477409),
+    ("RDI3WM", 3, -0.42523707138869216),
+    ("PL1WM", 3, -0.377705328750223),
+])
+def test_step_on_every_support_atom_regression(name, m, want):
+    # one step from a fixed state on every atom of the increment
+    # support, checksummed with atom- and component-dependent weights
+    prob = _mixing_problem(m)
+    batch, _ = support_batch(m, 0.25)
+    out = srk_step(named_scheme(name), prob, StepContext(
+        t=0.5, h=0.25, y=prob.x0, increments=batch))
+    weights = np.cos(np.arange(out.size)).reshape(out.shape)
+    got = float(np.sum(weights * out))
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_plan_cache_stays_bounded():
+    rng = np.random.default_rng(3)
+    prob = problem_2d()
+    for i in range(200):
+        tab = draw_member(FAMILY_IDS[i % len(FAMILY_IDS)], rng)
+        terminal_values(tab, prob, 1, 2, substream(i))
+        assert usage_plan(tab, 2) is usage_plan(tab, 2)
+    info = integrator._cached_plan.cache_info()
+    assert info.currsize <= integrator.PLAN_CACHE_SIZE
+
+
+def test_concurrent_steps_match_serial():
+    rng = np.random.default_rng(4)
+    tabs = [draw_member("CASE_A", rng), draw_member("ORD32_212", rng)]
+    prob = problem_2d()
+
+    def run(tab):
+        return [terminal_values(tab, prob, 8, 64, substream(seed))[0]
+                for seed in range(20)]
+
+    # the threads go first, so that they also compile the plans
+    got = [None, None]
+    start = threading.Barrier(2)
+
+    def worker(i):
+        start.wait()
+        got[i] = run(tabs[i])
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    serial = [run(tab) for tab in tabs]
+    for want, have in zip(serial, got):
+        assert all(np.array_equal(a, b) for a, b in zip(want, have))
