@@ -17,7 +17,6 @@ from .tableau import (
     CoefficientTableau,
     OrderClaim,
     Violation,
-    hadamard,
     validate,
     serialize,
     deserialize,
@@ -54,16 +53,13 @@ from .increments import (
     MAX_ENUM_M,
     IncrementError,
     WeakIncrementBatch,
-    SupportAtom,
     CountingStream,
     substream,
     derive_seed,
     draw,
     support_batch,
-    enumerate_support,
 )
 from .integrator import (
-    DivergedTrajectoryError,
     SdeProblem,
     StepContext,
     EvaluationCost,
@@ -71,10 +67,8 @@ from .integrator import (
     usage_plan,
     evaluation_cost,
     srk_step,
-    simulate_path,
     terminal_values,
     exact_one_step_expectation,
-    extrapolated_em,
 )
 from .problems import (
     PROBLEM_IDS,
@@ -99,81 +93,3 @@ from .estimator import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Error",
-    "TableauShapeError",
-    "TableauValueError",
-    "TableauFormatError",
-    "CoefficientTableau",
-    "OrderClaim",
-    "Violation",
-    "hadamard",
-    "validate",
-    "serialize",
-    "deserialize",
-    "DEFAULT_TOL",
-    "UnknownConditionError",
-    "ConditionSpec",
-    "ConditionReport",
-    "CONDITIONS",
-    "WEAK_ORDER1_IDS",
-    "WEAK_ORDER2_IDS",
-    "DET_ORDER3_IDS",
-    "DET_ORDER4_IDS",
-    "NODE_IDS",
-    "condition_ids",
-    "evaluate",
-    "evaluate_all",
-    "infer_orders",
-    "FAMILY_IDS",
-    "NAMED_SCHEMES",
-    "UnknownFamilyError",
-    "UnknownSchemeError",
-    "FamilyParameterError",
-    "ConstraintViolation",
-    "FamilyParams",
-    "family_id_from_cli",
-    "make_family",
-    "named_scheme",
-    "MAX_ENUM_M",
-    "IncrementError",
-    "WeakIncrementBatch",
-    "SupportAtom",
-    "CountingStream",
-    "substream",
-    "derive_seed",
-    "draw",
-    "support_batch",
-    "enumerate_support",
-    "DivergedTrajectoryError",
-    "SdeProblem",
-    "StepContext",
-    "EvaluationCost",
-    "StepPlan",
-    "usage_plan",
-    "evaluation_cost",
-    "srk_step",
-    "simulate_path",
-    "terminal_values",
-    "exact_one_step_expectation",
-    "extrapolated_em",
-    "PROBLEM_IDS",
-    "UnknownProblemError",
-    "NamedProblem",
-    "problem_nonlinear",
-    "problem_2d",
-    "problem_linear",
-    "problem_from_cli",
-    "DEFAULT_BATCHES",
-    "EXTRAPOLATED",
-    "EstimatorError",
-    "WeakErrorReport",
-    "FittedOrder",
-    "estimate",
-    "fit_order",
-    "run_study",
-    "write_errors_csv",
-    "write_orders_csv",
-    "__version__",
-]

@@ -25,7 +25,7 @@ from .estimator import (DEFAULT_BATCHES, EstimatorError, run_study,
 from .families import (ConstraintViolation, FamilyParameterError,
                        FamilyParams, UnknownFamilyError, UnknownSchemeError,
                        family_id_from_cli, make_family, named_scheme)
-from .integrator import DivergedTrajectoryError, evaluation_cost
+from .integrator import evaluation_cost
 from .problems import UnknownProblemError, problem_from_cli
 from .tableau import (Error, TableauFormatError, TableauValueError,
                       deserialize, serialize, validate)
@@ -184,15 +184,15 @@ def _cmd_study(args):
 
 
 def _cmd_enumerate(args):
-    atoms = increments.enumerate_support(args.m, args.h)
+    batch, probs = increments.support_batch(args.m, args.h)
     pairs = [(k, l) for k in range(args.m) for l in range(k)]
     header = ["p"] + ["I%d" % (k + 1) for k in range(args.m)]
     header += ["V%d%d" % (k + 1, l + 1) for k, l in pairs]
     print(",".join(header))
-    for atom in atoms:
-        row = ["%.17g" % atom.probability]
-        row += ["%.17g" % v for v in atom.increments.Ihat]
-        row += ["%.17g" % atom.increments.V[k, l] for k, l in pairs]
+    for p, ihat, v in zip(probs, batch.Ihat, batch.V):
+        row = ["%.17g" % p]
+        row += ["%.17g" % x for x in ihat]
+        row += ["%.17g" % v[k, l] for k, l in pairs]
         print(",".join(row))
     return 0
 
@@ -289,9 +289,6 @@ def main(argv=None):
     except ConstraintViolation as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except DivergedTrajectoryError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

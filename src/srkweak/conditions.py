@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tableau import Error, OrderClaim, hadamard
+from .tableau import Error, OrderClaim
 
 DEFAULT_TOL = 1e-12
 
@@ -108,9 +108,9 @@ _cond("W22", "weak2", 0, "beta2^T (A1 e) = 0",
 _cond("W23", "weak2", 0, "beta4^T (A2 e) = 0",
       lambda t, e: t.beta4 @ (t.A2 @ e))
 _cond("W24", "weak2", 0, "beta1^T ((A1 e)(B1 e)) = 0",
-      lambda t, e: t.beta1 @ hadamard(t.A1 @ e, t.B1 @ e))
+      lambda t, e: t.beta1 @ ((t.A1 @ e) * (t.B1 @ e)))
 _cond("W25", "weak2", 0, "beta3^T ((A2 e)(B2 e)) = 0",
-      lambda t, e: t.beta3 @ hadamard(t.A2 @ e, t.B2 @ e))
+      lambda t, e: t.beta3 @ ((t.A2 @ e) * (t.B2 @ e)))
 _cond("W26", "weak2", 0, "beta4^T (A2 (B0 e)) = 0",
       lambda t, e: t.beta4 @ (t.A2 @ (t.B0 @ e)))
 _cond("W27", "weak2", 0, "beta2^T (A1 (B0 e)) = 0",
@@ -140,11 +140,11 @@ _cond("W38", "weak2", 0, "beta1^T (B1 (B1 e)^2) = 0",
 _cond("W39", "weak2", 0, "beta3^T (B2 (B1 e)^2) = 0",
       lambda t, e: t.beta3 @ (t.B2 @ _q(t.B1 @ e)))
 _cond("W40", "weak2", 0, "alpha^T ((B0 e)(B0 (B1 e))) = 0",
-      lambda t, e: t.alpha @ hadamard(t.B0 @ e, t.B0 @ (t.B1 @ e)))
+      lambda t, e: t.alpha @ ((t.B0 @ e) * (t.B0 @ (t.B1 @ e))))
 _cond("W41", "weak2", 0, "beta1^T ((A1 (B0 e))(B1 e)) = 0",
-      lambda t, e: t.beta1 @ hadamard(t.A1 @ (t.B0 @ e), t.B1 @ e))
+      lambda t, e: t.beta1 @ ((t.A1 @ (t.B0 @ e)) * (t.B1 @ e)))
 _cond("W42", "weak2", 0, "beta3^T ((A2 (B0 e))(B2 e)) = 0",
-      lambda t, e: t.beta3 @ hadamard(t.A2 @ (t.B0 @ e), t.B2 @ e))
+      lambda t, e: t.beta3 @ ((t.A2 @ (t.B0 @ e)) * (t.B2 @ e)))
 _cond("W43", "weak2", 0, "beta1^T (A1 (B0 (B1 e))) = 0",
       lambda t, e: t.beta1 @ (t.A1 @ (t.B0 @ (t.B1 @ e))))
 _cond("W44", "weak2", 0, "beta3^T (A2 (B0 (B1 e))) = 0",
@@ -154,9 +154,9 @@ _cond("W45", "weak2", 0, "beta1^T (B1 (A1 (B0 e))) = 0",
 _cond("W46", "weak2", 0, "beta3^T (B2 (A1 (B0 e))) = 0",
       lambda t, e: t.beta3 @ (t.B2 @ (t.A1 @ (t.B0 @ e))))
 _cond("W47", "weak2", 0, "beta1^T ((B1 e)(B1 (B1 e))) = 0",
-      lambda t, e: t.beta1 @ hadamard(t.B1 @ e, t.B1 @ (t.B1 @ e)))
+      lambda t, e: t.beta1 @ ((t.B1 @ e) * (t.B1 @ (t.B1 @ e))))
 _cond("W48", "weak2", 0, "beta3^T ((B2 e)(B2 (B1 e))) = 0",
-      lambda t, e: t.beta3 @ hadamard(t.B2 @ e, t.B2 @ (t.B1 @ e)))
+      lambda t, e: t.beta3 @ ((t.B2 @ e) * (t.B2 @ (t.B1 @ e))))
 _cond("W49", "weak2", 0, "beta1^T (B1 (B1 (B1 e))) = 0",
       lambda t, e: t.beta1 @ (t.B1 @ (t.B1 @ (t.B1 @ e))))
 _cond("W50", "weak2", 0, "beta3^T (B2 (B1 (B1 e))) = 0",
@@ -168,11 +168,11 @@ _cond("D3B", "det3", 1.0 / 6.0, "alpha^T (A0 (A0 e)) = 1/6",
 _cond("D4A", "det4", 1.0 / 12.0, "alpha^T (A0 (A0 e)^2) = 1/12",
       lambda t, e: t.alpha @ (t.A0 @ _q(t.A0 @ e)))
 _cond("D4B", "det4", 1.0 / 8.0, "alpha^T ((A0 e)(A0 (A0 e))) = 1/8",
-      lambda t, e: t.alpha @ hadamard(t.A0 @ e, t.A0 @ (t.A0 @ e)))
+      lambda t, e: t.alpha @ ((t.A0 @ e) * (t.A0 @ (t.A0 @ e))))
 _cond("D4C", "det4", 0.25, "alpha^T (A0 e)^3 = 1/4",
       lambda t, e: t.alpha @ (t.A0 @ e) ** 3)
 _cond("T1", "node", 2.0 / 3.0, "beta2^T ((A1 e)(B1 e)) (beta1^T e)^2 = 2/3",
-      lambda t, e: (t.beta2 @ hadamard(t.A1 @ e, t.B1 @ e)) * (t.beta1 @ e) ** 2)
+      lambda t, e: (t.beta2 @ ((t.A1 @ e) * (t.B1 @ e))) * (t.beta1 @ e) ** 2)
 _cond("T2", "node", 1, "(beta1^T e) (beta3^T (B2 e)^4) = 1",
       lambda t, e: (t.beta1 @ e) * (t.beta3 @ (t.B2 @ e) ** 4))
 
@@ -184,6 +184,11 @@ WEAK_ORDER2_IDS = tuple(c.cid for c in CONDITIONS if c.group == "weak2")
 DET_ORDER3_IDS = ("D3A", "D3B")
 DET_ORDER4_IDS = ("D4A", "D4B", "D4C")
 NODE_IDS = ("T1", "T2")
+
+
+def _residual(spec, t, e):
+    """Return L(t) - r for one condition, e being np.ones(t.s)."""
+    return float(spec.lhs(t, e)) - spec.rhs
 
 
 def condition_ids():
@@ -211,8 +216,7 @@ def evaluate(t, cid):
         raise UnknownConditionError(
             "unknown condition id %r; known ids are W1..W50, D3A, D3B, "
             "D4A..D4C, T1, T2" % (cid,)) from None
-    e = np.ones(t.s)
-    return float(spec.lhs(t, e)) - spec.rhs
+    return _residual(spec, t, np.ones(t.s))
 
 
 def infer_orders(satisfied):
@@ -313,7 +317,7 @@ def evaluate_all(t, tol=DEFAULT_TOL):
     residuals = {}
     satisfied = {}
     for spec in CONDITIONS:
-        res = float(spec.lhs(t, e)) - spec.rhs
+        res = _residual(spec, t, e)
         residuals[spec.cid] = res
         satisfied[spec.cid] = abs(res) <= tol
     inferred = infer_orders({cid for cid, ok in satisfied.items() if ok})

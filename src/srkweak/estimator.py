@@ -80,6 +80,9 @@ def _t_quantile_95(df):
 
 
 def _steps_for(prob, h):
+    if not (math.isfinite(h) and h > 0.0):
+        raise EstimatorError("step size h must be a finite positive number, "
+                             "got %r" % (h,))
     span = prob.t_end - prob.t0
     n = span / h
     n_int = int(round(n))

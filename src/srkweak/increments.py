@@ -24,8 +24,8 @@ which keeps the random-variable count equal to what the step actually
 needs; V then carries zeros off the diagonal.
 
 The joint support is finite, of size 3^m 2^(m(m-1)/2), so one-step
-expectations can be computed exactly by enumeration; this is exposed
-by enumerate_support() for m <= 4.
+expectations can be computed exactly by enumeration; support_batch()
+returns it as one stacked batch with its probabilities for m <= 4.
 """
 
 from __future__ import annotations
@@ -115,7 +115,8 @@ class WeakIncrementBatch:
 def _check_m_h(m, h):
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
         raise IncrementError("m must be an integer >= 1, got %r" % (m,))
-    if not (isinstance(h, (int, float, np.floating)) and np.isfinite(h)
+    if isinstance(h, bool) or not (
+            isinstance(h, (int, float, np.floating)) and np.isfinite(h)
             and h > 0.0):
         raise IncrementError("h must be a finite positive number, got %r"
                              % (h,))
@@ -163,14 +164,6 @@ def draw(m, h, stream, size=None, with_offdiag=True):
     return WeakIncrementBatch(h=h, Ihat=ihat, V=v)
 
 
-@dataclass(frozen=True)
-class SupportAtom:
-    """One point of the joint increment support with its probability."""
-
-    increments: WeakIncrementBatch
-    probability: float
-
-
 def support_batch(m, h):
     """Return the full joint support as one stacked batch.
 
@@ -216,24 +209,3 @@ def support_batch(m, h):
     v.setflags(write=False)
     probs.setflags(write=False)
     return WeakIncrementBatch(h=h, Ihat=ihat, V=v), probs
-
-
-def enumerate_support(m, h):
-    """Enumerate the joint support of the increments of one step.
-
-    Args:
-      m: number of driving Wiener components, 1 <= m <= MAX_ENUM_M
-      h: step size, > 0
-
-    Returns:
-      list of SupportAtom covering all 3^m 2^(m(m-1)/2) outcomes;
-      probabilities sum to 1
-    """
-    batch, probs = support_batch(m, h)
-    atoms = []
-    for i in range(len(probs)):
-        atoms.append(SupportAtom(
-            increments=WeakIncrementBatch(h=batch.h, Ihat=batch.Ihat[i],
-                                          V=batch.V[i]),
-            probability=float(probs[i])))
-    return atoms

@@ -57,21 +57,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .increments import WeakIncrementBatch, draw, support_batch
-from .tableau import Error
 
 
-class DivergedTrajectoryError(Error):
-    """A trajectory left the representable range (NaN or infinity)."""
-
-    def __init__(self, t, y=None, count=None, total=None):
-        if count is None:
-            msg = "trajectory diverged at t = %r" % (t,)
-        else:
-            msg = "%d of %d trajectories diverged by t = %r" % (count, total, t)
-        super().__init__(msg)
-        self.t = t
-        self.y = y
-        self.count = count
+def _check_count(name, value):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < 1:
+        raise ValueError("%s must be an integer >= 1, got %r" % (name, value))
 
 
 @dataclass(frozen=True)
@@ -99,10 +90,7 @@ class SdeProblem:
     def __post_init__(self):
         for key in ("d", "m"):
             val = getattr(self, key)
-            if isinstance(val, bool) or not isinstance(val, (int, np.integer)) \
-                    or val < 1:
-                raise ValueError("%s must be an integer >= 1, got %r"
-                                 % (key, val))
+            _check_count(key, val)
             object.__setattr__(self, key, int(val))
         if not callable(self.drift) or not callable(self.diffusion_column):
             raise ValueError("drift and diffusion_column must be callable")
@@ -116,6 +104,9 @@ class SdeProblem:
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "t0", float(self.t0))
         object.__setattr__(self, "t_end", float(self.t_end))
+        if not (math.isfinite(self.t0) and math.isfinite(self.t_end)):
+            raise ValueError("t0 and t_end must be finite, got %r and %r"
+                             % (self.t0, self.t_end))
         if not self.t_end > self.t0:
             raise ValueError("t_end must exceed t0")
 
@@ -297,8 +288,7 @@ def evaluation_cost(tab, m):
     Returns:
       EvaluationCost
     """
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError("m must be an integer >= 1, got %r" % (m,))
+    _check_count("m", m)
     plan = usage_plan(tab, int(m))
     drift = sum(plan.need_a)
     diff = m * sum(plan.need_b)
@@ -433,26 +423,6 @@ def srk_step(tab, prob, ctx):
     return out
 
 
-def simulate_path(tab, prob, n_steps, stream, t_end=None):
-    """Simulate one trajectory on a uniform grid and return its endpoint.
-
-    Args:
-      tab: CoefficientTableau
-      prob: SdeProblem
-      n_steps: number of uniform steps over [t0, t_end], >= 1
-      stream: generator for the increment draws
-      t_end: end of the simulated interval, defaults to prob.t_end
-
-    Returns:
-      state at t_end, shape (d,)
-
-    Raises:
-      DivergedTrajectoryError: if the state leaves the finite range
-    """
-    y = _run_steps(tab, prob, n_steps, 1, stream, t_end, raise_on_divergence=True)[0]
-    return y[0]
-
-
 def terminal_values(tab, prob, n_steps, n_paths, stream, t_end=None):
     """Simulate a batch of independent trajectories to the interval end.
 
@@ -474,21 +444,11 @@ def terminal_values(tab, prob, n_steps, n_paths, stream, t_end=None):
       mask of shape (n_paths,) marking trajectories that left the
       finite range
     """
-    return _run_steps(tab, prob, n_steps, n_paths, stream, t_end,
-                      raise_on_divergence=False)
-
-
-def _check_count(name, value):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < 1:
-        raise ValueError("%s must be an integer >= 1, got %r" % (name, value))
-
-
-def _run_steps(tab, prob, n_steps, n_paths, stream, t_end,
-               raise_on_divergence):
     _check_count("n_steps", n_steps)
     _check_count("n_paths", n_paths)
     end = prob.t_end if t_end is None else float(t_end)
+    if not math.isfinite(end):
+        raise ValueError("t_end must be finite, got %r" % (end,))
     if not end > prob.t0:
         raise ValueError("t_end must exceed t0")
     h = (end - prob.t0) / n_steps
@@ -509,13 +469,7 @@ def _run_steps(tab, prob, n_steps, n_paths, stream, t_end,
             y = srk_step(tab, prob, StepContext(t=t, h=h, y=y,
                                                 increments=inc))
             t = prob.t0 + (n + 1) * h
-            bad = ~np.all(np.isfinite(y), axis=-1)
-            fresh = bad & ~diverged
-            if fresh.any():
-                if raise_on_divergence:
-                    idx = int(np.argmax(fresh))
-                    raise DivergedTrajectoryError(t=t, y=y[idx])
-                diverged |= fresh
+            diverged |= ~np.all(np.isfinite(y), axis=-1)
             if diverged.any():
                 y[diverged] = prob.x0  # freeze, the mask keeps the record
     return y, diverged
@@ -547,52 +501,3 @@ def exact_one_step_expectation(tab, prob, f, h, t=None, y=None):
                                           increments=batch))
     vals = np.asarray(f(out), dtype=float)
     return float(probs @ vals)
-
-
-def extrapolated_em(prob, f, n_steps, stream_coarse, stream_fine, n_paths,
-                    chunk=65536, t_end=None):
-    """Estimate E f(X_t) by extrapolating two Euler-Maruyama levels.
-
-    Runs the one-stage order-(1,1) scheme with n_steps and with
-    2 n_steps steps on independent streams and combines the Monte
-    Carlo means as 2 u_fine - u_coarse, which cancels the leading
-    error term.
-
-    Args:
-      prob: SdeProblem
-      f: functional mapping states (..., d) to values (...)
-      n_steps: steps of the coarse level, >= 1
-      stream_coarse: generator for the coarse level
-      stream_fine: independent generator for the fine level
-      n_paths: trajectories per level
-      chunk: batch size used internally
-      t_end: end of the simulated interval, defaults to prob.t_end
-
-    Returns:
-      float
-
-    Raises:
-      DivergedTrajectoryError: if any trajectory of either level
-        diverges
-    """
-    from .families import named_scheme
-
-    tab = named_scheme("EM")
-    means = []
-    for steps, stream in ((n_steps, stream_coarse),
-                          (2 * n_steps, stream_fine)):
-        total = 0.0
-        done = 0
-        while done < n_paths:
-            n = min(chunk, n_paths - done)
-            values, diverged = terminal_values(tab, prob, steps, n, stream,
-                                               t_end=t_end)
-            if diverged.any():
-                raise DivergedTrajectoryError(
-                    t=prob.t_end if t_end is None else t_end,
-                    count=int(diverged.sum()), total=n)
-            total += float(np.sum(np.asarray(f(values), dtype=float)))
-            done += n
-        means.append(total / n_paths)
-    u_coarse, u_fine = means
-    return 2.0 * u_fine - u_coarse

@@ -53,26 +53,6 @@ class TableauFormatError(Error):
     pass
 
 
-def hadamard(u, *vs):
-    """Component-wise product of vectors of equal length.
-
-    The order conditions for stochastic Runge-Kutta schemes are stated
-    in terms of component-wise vector products, so the operation gets a
-    name instead of being spelled inline everywhere.
-
-    Args:
-      u: first vector
-      *vs: further vectors, each of the same length as u
-
-    Returns:
-      array of the same length, the entry-wise product of all arguments
-    """
-    out = np.asarray(u, dtype=float)
-    for v in vs:
-        out = out * np.asarray(v, dtype=float)
-    return out
-
-
 def _as_vector(value, s, key):
     arr = np.asarray(value, dtype=float)
     if arr.shape != (s,):

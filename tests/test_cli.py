@@ -243,6 +243,15 @@ def test_study_malformed_step_list(capsys):
     assert "malformed step size list" in err
 
 
+@pytest.mark.parametrize("h", ["0", "nan"])
+def test_study_rejects_bad_step_size(capsys, h):
+    code = main(["study", "--problem", "nonlinear16", "--schemes", "em",
+                 "--h", h])
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert "error: step size h must be a finite positive number" in err
+
+
 def test_study_empty_scheme_list(capsys):
     code = main(["study", "--problem", "nonlinear16", "--schemes", ",",
                  "--h", "0.5"])

@@ -107,6 +107,27 @@ def test_total_divergence_yields_nan():
     assert math.isnan(rep.u_Mh) and math.isnan(rep.mu_hat)
 
 
+def test_exem_counts_divergence_of_both_levels():
+    prob = NamedProblem(
+        d=1, m=1,
+        drift=lambda t, y: 1e200 * y,
+        diffusion_column=lambda t, y, j: np.zeros_like(y),
+        x0=np.array([1.0]), exact_functional=lambda t: 0.0,
+        name="blowup", f=lambda y: y[..., 0] - 1.0)
+    # both EXEM levels diverge and both count
+    rep = estimate("EXEM", prob, 0.25, 40, seed=0, batches=4)
+    assert rep.diverged == 80
+    assert math.isnan(rep.u_Mh)
+
+
+def test_exem_on_ode():
+    # without noise both levels are deterministic, so the combination
+    # is exactly 2 (1 + h/2)^(2n) - (1 + h)^n
+    prob = problem_linear(a=1.0, b=0.0, power=1)
+    rep = estimate("EXEM", prob, 0.5, 16, seed=1, batches=2)
+    assert rep.u_Mh == 2.0 * 1.25 ** 4 - 1.5 ** 2
+
+
 def test_fit_order_exact_slope():
     hs = [0.5, 0.25, 0.125, 0.0625]
     errs = [0.032 * h ** 2 for h in hs]
@@ -148,6 +169,9 @@ def test_argument_validation():
     prob = problem_linear()
     with pytest.raises(EstimatorError, match="does not divide the interval"):
         estimate("EM", prob, 0.3, 100, seed=0)
+    for h in (0.0, -0.25, math.nan, math.inf):
+        with pytest.raises(EstimatorError, match="step size h must be"):
+            estimate("EM", prob, h, 100, seed=0)
     with pytest.raises(EstimatorError):
         estimate("EM", prob, 0.25, 100, seed=0, batches=1)
     with pytest.raises(EstimatorError):

@@ -5,7 +5,7 @@ import pytest
 
 from srkweak.increments import (MAX_ENUM_M, CountingStream, IncrementError,
                                 WeakIncrementBatch, derive_seed, draw,
-                                enumerate_support, substream, support_batch)
+                                substream, support_batch)
 
 
 def _close(got, want, scale):
@@ -53,16 +53,6 @@ def test_support_values():
                           - 2.0 * h * np.eye(3))
     offdiag = batch.V[:, 1, 0]
     assert set(np.unique(offdiag)) == {-h, h}
-
-
-def test_enumerate_support_matches_batch():
-    atoms = enumerate_support(2, 0.25)
-    batch, probs = support_batch(2, 0.25)
-    assert len(atoms) == 18
-    assert atoms[3].probability == probs[3]
-    assert np.array_equal(atoms[3].increments.Ihat, batch.Ihat[3])
-    assert np.array_equal(atoms[3].increments.V, batch.V[3])
-    assert abs(sum(a.probability for a in atoms) - 1.0) <= 1e-15
 
 
 def test_ihat_pair_diagonal():
@@ -133,6 +123,7 @@ def test_draw_frequencies():
 @pytest.mark.parametrize("m,h", [
     (0, 1.0), (-1, 1.0), (1.5, 1.0), (True, 1.0), ("2", 1.0),
     (1, 0.0), (1, -0.5), (1, float("nan")), (1, float("inf")), (1, "h"),
+    (1, True),
 ])
 def test_invalid_arguments(m, h):
     with pytest.raises(IncrementError):
@@ -146,8 +137,6 @@ def test_enumeration_size_limit():
     with pytest.raises(IncrementError) as exc:
         support_batch(5, 1.0)
     assert "m <= 4" in str(exc.value)
-    with pytest.raises(IncrementError):
-        enumerate_support(5, 1.0)
 
 
 def test_substream_and_seed_derivation():

@@ -9,11 +9,9 @@ from srkweak import integrator
 from srkweak.families import FAMILY_IDS, named_scheme
 from srkweak.increments import (CountingStream, WeakIncrementBatch, draw,
                                 substream, support_batch)
-from srkweak.integrator import (DivergedTrajectoryError, EvaluationCost,
-                                SdeProblem, StepContext, evaluation_cost,
-                                exact_one_step_expectation, extrapolated_em,
-                                simulate_path, srk_step, terminal_values,
-                                usage_plan)
+from srkweak.integrator import (EvaluationCost, SdeProblem, StepContext,
+                                evaluation_cost, exact_one_step_expectation,
+                                srk_step, terminal_values, usage_plan)
 from srkweak.problems import problem_2d, problem_linear, problem_nonlinear
 from srkweak.tableau import CoefficientTableau
 
@@ -213,17 +211,6 @@ def test_terminal_values_reproducible():
     assert not d1.any()
 
 
-def test_simulate_path_raises_on_divergence():
-    prob = SdeProblem(
-        d=1, m=1,
-        drift=lambda t, y: 1e200 * y,
-        diffusion_column=lambda t, y, j: np.zeros_like(y),
-        x0=np.array([1.0]))
-    with pytest.raises(DivergedTrajectoryError) as exc:
-        simulate_path(named_scheme("EM"), prob, 4, substream(0))
-    assert exc.value.t == 0.5
-
-
 def test_terminal_values_freeze_diverged_paths():
     prob = SdeProblem(
         d=1, m=1,
@@ -280,26 +267,6 @@ def test_increment_mismatch_rejected():
                                                        prob.x0, inc))
 
 
-def test_extrapolated_em_on_ode():
-    # without noise both levels are deterministic, so the combination
-    # is exactly 2 (1 + h/2)^(2n) - (1 + h)^n
-    prob = _ode()
-    got = extrapolated_em(prob, lambda x: x[..., 0], 2,
-                          substream(1), substream(2), n_paths=16)
-    assert got == 2.0 * 1.25 ** 4 - 1.5 ** 2
-
-
-def test_extrapolated_em_raises_on_divergence():
-    prob = SdeProblem(
-        d=1, m=1,
-        drift=lambda t, y: 1e200 * y,
-        diffusion_column=lambda t, y, j: np.zeros_like(y),
-        x0=np.array([1.0]))
-    with pytest.raises(DivergedTrajectoryError):
-        extrapolated_em(prob, lambda x: x[..., 0], 4,
-                        substream(1), substream(2), n_paths=4)
-
-
 @pytest.mark.parametrize("kwargs,match", [
     (dict(d=0), "d must be"),
     (dict(m=0), "m must be"),
@@ -308,6 +275,8 @@ def test_extrapolated_em_raises_on_divergence():
     (dict(x0=np.array([np.nan])), "x0 must be finite"),
     (dict(t_end=0.0), "t_end must exceed"),
     (dict(drift=None), "must be callable"),
+    (dict(t_end=math.inf), "t0 and t_end must be finite"),
+    (dict(t0=-math.inf), "t0 and t_end must be finite"),
 ])
 def test_problem_validation(kwargs, match):
     fields = dict(d=1, m=1,
@@ -322,8 +291,8 @@ def test_problem_validation(kwargs, match):
 def test_invalid_step_counts():
     prob = _ode()
     for bad in (0, -1, 2.0):
-        with pytest.raises(ValueError):
-            simulate_path(named_scheme("EM"), prob, bad, substream(0))
+        with pytest.raises(ValueError, match="n_steps must be an integer >= 1"):
+            terminal_values(named_scheme("EM"), prob, bad, 4, substream(0))
 
 
 @pytest.mark.parametrize("n_steps,n_paths,name", [
@@ -337,6 +306,12 @@ def test_terminal_values_rejects_bad_counts(n_steps, n_paths, name):
     with pytest.raises(ValueError, match="%s must be an integer >= 1" % name):
         terminal_values(named_scheme("EM"), _ode(), n_steps, n_paths,
                         substream(0))
+
+
+def test_terminal_values_rejects_infinite_t_end():
+    with pytest.raises(ValueError, match="t_end must be finite"):
+        terminal_values(named_scheme("EM"), _ode(), 2, 4, substream(0),
+                        t_end=math.inf)
 
 
 def _one_step_weak_error(tab, prob, h):

@@ -5,7 +5,7 @@ import pytest
 
 from srkweak.families import NAMED_SCHEMES, named_scheme
 from srkweak.tableau import (CoefficientTableau, TableauFormatError,
-                             TableauShapeError, TableauValueError, hadamard,
+                             TableauShapeError, TableauValueError,
                              deserialize, serialize, validate)
 
 
@@ -174,8 +174,3 @@ def test_deserialize_result_not_prevalidated():
     t = deserialize(json.dumps(doc))
     assert [v.kind for v in validate(t)] == ["explicitness"]
 
-
-def test_hadamard():
-    out = hadamard([1.0, 2.0], [3.0, 4.0], [1.0, 0.5])
-    assert np.array_equal(out, [3.0, 4.0])
-    assert np.array_equal(hadamard([2.0, 5.0]), [2.0, 5.0])
