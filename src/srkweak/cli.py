@@ -20,15 +20,13 @@ import sys
 import numpy as np
 
 from . import conditions, families, increments, problems
-from .estimator import (DEFAULT_BATCHES, EstimatorError, run_study,
-                        write_errors_csv, write_orders_csv)
-from .families import (ConstraintViolation, FamilyParameterError,
-                       FamilyParams, UnknownFamilyError, UnknownSchemeError,
-                       family_id_from_cli, make_family, named_scheme)
+from .estimator import (DEFAULT_BATCHES, run_study, write_errors_csv,
+                        write_orders_csv)
+from .families import (ConstraintViolation, FamilyParams, family_id_from_cli,
+                       make_family, named_scheme)
 from .integrator import evaluation_cost
-from .problems import UnknownProblemError, problem_from_cli
-from .tableau import (Error, TableauFormatError, TableauValueError,
-                      deserialize, serialize, validate)
+from .problems import problem_from_cli
+from .tableau import Error, deserialize, serialize, validate
 
 
 class UsageError(Error):
@@ -99,6 +97,14 @@ def _resolve_tableau(args):
     raise UsageError("one of --scheme, --family or --file is required")
 
 
+def _checked(func, *args, **kwargs):
+    """Call func; a ValueError (a bad option value) becomes a UsageError."""
+    try:
+        return func(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _parse_claim(text):
     inner = text.strip().strip("()")
     parts = inner.split(",")
@@ -123,7 +129,7 @@ def _parse_floats(text, what):
 
 def _cmd_check(args):
     tab = _resolve_tableau(args)
-    report = conditions.evaluate_all(tab, tol=args.tol)
+    report = _checked(conditions.evaluate_all, tab, tol=args.tol)
     sys.stdout.write(report.as_csv() if args.csv else report.as_text())
     if args.claim is not None:
         want_det, want_stoch = _parse_claim(args.claim)
@@ -140,16 +146,17 @@ def _cmd_family(args):
     tab = make_family(_family_params(args, fid))
     if args.name:
         tab = tab.with_name(args.name)
+    if args.verify:
+        report = _checked(conditions.evaluate_all, tab, tol=args.tol)
     sys.stdout.write(serialize(tab))
     if args.verify:
-        report = conditions.evaluate_all(tab, tol=args.tol)
         sys.stderr.write(report.as_text())
     return 0
 
 
 def _cmd_cost(args):
     tab = _resolve_tableau(args)
-    cost = evaluation_cost(tab, args.m)
+    cost = _checked(evaluation_cost, tab, args.m)
     print("drift_evals,diffusion_column_evals,random_draws")
     print("%d,%d,%d" % (cost.drift_evals, cost.diffusion_column_evals,
                         cost.random_draws))
@@ -277,18 +284,12 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except (UnknownSchemeError, UnknownFamilyError, UnknownProblemError,
-            conditions.UnknownConditionError, FamilyParameterError,
-            TableauFormatError, TableauValueError, EstimatorError,
-            increments.IncrementError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
     except ConstraintViolation as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Error as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

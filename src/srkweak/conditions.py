@@ -179,11 +179,9 @@ _cond("T2", "node", 1, "(beta1^T e) (beta3^T (B2 e)^4) = 1",
 CONDITIONS = tuple(_REGISTRY)
 _BY_ID = {c.cid: c for c in CONDITIONS}
 
-WEAK_ORDER1_IDS = tuple(c.cid for c in CONDITIONS if c.group == "weak1")
-WEAK_ORDER2_IDS = tuple(c.cid for c in CONDITIONS if c.group == "weak2")
-DET_ORDER3_IDS = ("D3A", "D3B")
-DET_ORDER4_IDS = ("D4A", "D4B", "D4C")
-NODE_IDS = ("T1", "T2")
+WEAK_ORDER1_IDS, WEAK_ORDER2_IDS, DET_ORDER3_IDS, DET_ORDER4_IDS, NODE_IDS = (
+    tuple(c.cid for c in CONDITIONS if c.group == group)
+    for group in ("weak1", "weak2", "det3", "det4", "node"))
 
 
 def _residual(spec, t, e):
@@ -238,7 +236,7 @@ def infer_orders(satisfied):
         p_det = 1
         if "W8" in satisfied:
             p_det = 2
-            if "D3A" in satisfied and "D3B" in satisfied:
+            if all(cid in satisfied for cid in DET_ORDER3_IDS):
                 p_det = 3
     return OrderClaim(p_det=p_det, p_stoch=p_stoch)
 
@@ -312,7 +310,8 @@ def evaluate_all(t, tol=DEFAULT_TOL):
       ConditionReport
     """
     if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValueError("tol must be a finite non-negative number")
+        raise ValueError("tol must be a finite non-negative number, got %r"
+                         % (tol,))
     e = np.ones(t.s)
     residuals = {}
     satisfied = {}

@@ -80,7 +80,7 @@ def _t_quantile_95(df):
 
 
 def _steps_for(prob, h):
-    if not (math.isfinite(h) and h > 0.0):
+    if isinstance(h, bool) or not (math.isfinite(h) and h > 0.0):
         raise EstimatorError("step size h must be a finite positive number, "
                              "got %r" % (h,))
     span = prob.t_end - prob.t0
@@ -93,14 +93,28 @@ def _steps_for(prob, h):
     return n_int
 
 
+def _check_int(name, value, low):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < low:
+        raise EstimatorError("%s must be an integer >= %d, got %r"
+                             % (name, low, value))
+
+
 def _batch_sizes(M, batches):
-    if not isinstance(batches, (int, np.integer)) or batches < 2:
-        raise EstimatorError("need at least 2 batches, got %r" % (batches,))
-    if not isinstance(M, (int, np.integer)) or M < batches:
-        raise EstimatorError("M must be an integer >= batches, got %r"
-                             % (M,))
+    _check_int("batches", batches, 2)
+    _check_int("M", M, batches)
     base, extra = divmod(int(M), int(batches))
     return [base + (1 if b < extra else 0) for b in range(batches)]
+
+
+def _resolve(scheme):
+    """(label, tableau) for a tableau, a scheme name or "EXEM" (None)."""
+    if isinstance(scheme, str) and scheme.upper() == EXTRAPOLATED:
+        return EXTRAPOLATED, None
+    if isinstance(scheme, CoefficientTableau):
+        return scheme.name or "custom", scheme
+    tab = named_scheme(scheme)
+    return tab.name, tab
 
 
 def _mean_over_valid(prob, values, diverged):
@@ -122,7 +136,7 @@ def estimate(scheme, prob, h, M, seed, batches=DEFAULT_BATCHES, threads=1):
       prob: NamedProblem (must carry f and exact_functional)
       h: step size; must divide the problem interval
       M: total number of trajectories
-      seed: integer seed; all randomness is derived from it
+      seed: non-negative integer seed; all randomness is derived from it
       batches: number of batches for the variance estimate, >= 2
       threads: worker threads; the result does not depend on it
 
@@ -130,20 +144,11 @@ def estimate(scheme, prob, h, M, seed, batches=DEFAULT_BATCHES, threads=1):
       WeakErrorReport; diverged trajectories are excluded from the
       means and counted in the report
     """
-    if isinstance(scheme, str) and scheme.upper() == EXTRAPOLATED:
-        label, tab = EXTRAPOLATED, None
-    elif isinstance(scheme, CoefficientTableau):
-        tab = scheme
-        label = tab.name or "custom"
-    else:
-        tab = named_scheme(scheme)
-        label = tab.name
+    label, tab = _resolve(scheme)
+    _check_int("seed", seed, 0)
     n_steps = _steps_for(prob, h)
     sizes = _batch_sizes(M, batches)
-    if isinstance(threads, bool) \
-            or not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise EstimatorError("threads must be an integer >= 1, got %r"
-                             % (threads,))
+    _check_int("threads", threads, 1)
     exact = float(prob.exact_functional(prob.t_end))
 
     if tab is not None:
@@ -231,7 +236,7 @@ def run_study(schemes, prob, hs, M, seed, batches=DEFAULT_BATCHES,
       prob: NamedProblem
       hs: step sizes, each dividing the problem interval
       M: trajectories per scheme and step size
-      seed: master seed
+      seed: non-negative integer master seed
       batches: batches per estimate
       threads: worker threads per estimate
 
@@ -239,24 +244,18 @@ def run_study(schemes, prob, hs, M, seed, batches=DEFAULT_BATCHES,
       (reports, orders): lists of WeakErrorReport and FittedOrder in
       input order
     """
-    resolved = []
-    for item in schemes:
-        if isinstance(item, str):
-            if item.upper() == EXTRAPOLATED:
-                resolved.append((EXTRAPOLATED, EXTRAPOLATED))
-            else:
-                tab = named_scheme(item)
-                resolved.append((tab.name, tab))
-        else:
-            label, tab = item
-            resolved.append((str(label), tab.with_name(str(label))))
+    _check_int("seed", seed, 0)
+    resolved = [_resolve(item) if isinstance(item, str)
+                else (str(item[0]), item[1].with_name(str(item[0])))
+                for item in schemes]
     hs = [float(h) for h in hs]
     reports = []
     orders = []
-    for si, (label, scheme) in enumerate(resolved):
+    for si, (label, tab) in enumerate(resolved):
         rows = []
         for hi, h in enumerate(hs):
-            rep = estimate(scheme, prob, h, M, derive_seed(seed, si, hi),
+            rep = estimate(EXTRAPOLATED if tab is None else tab, prob, h, M,
+                           derive_seed(seed, si, hi),
                            batches=batches, threads=threads)
             rows.append(dataclasses.replace(rep, scheme=label))
         reports.extend(rows)

@@ -59,38 +59,8 @@ from .tableau import CoefficientTableau, Error
 DEFAULT_C3 = math.sqrt(2.0 / 3.0)
 DEFAULT_C4 = math.sqrt(2.0)
 
-FAMILY_IDS = (
-    "ORD11", "ORD21",
-    "CASE_A", "CASE_211", "CASE_212", "CASE_221", "CASE_222", "CASE_223",
-    "ORD32_212", "ORD32_221A", "ORD32_221B", "ORD32_221C",
-    "ORD32_223A", "ORD32_223C",
-)
-
-NAMED_SCHEMES = ("EM", "RDI1WM", "PL1WM", "RDI2WM", "RDI3WM", "RDI4WM")
-
 _PARAM_NAMES = ("c2", "c3", "c4", "c5", "c6", "c7", "c8", "c9", "c10",
                 "c11", "lam")
-
-# free parameters per family, excluding c1 and sign_branch
-_FREE = {
-    "ORD11": (),
-    "ORD21": ("c2", "c3", "c4", "c5", "c6", "c7", "c8", "c9", "c10", "c11"),
-    "CASE_A": ("c3", "c4"),
-    "CASE_211": ("c2", "c3", "c4", "c5", "c6", "c7"),
-    "CASE_212": ("c2", "c3", "c4", "c5", "c6", "c7", "c8"),
-    "CASE_221": ("c3", "c4", "c6", "c7", "c8", "c9"),
-    "CASE_222": ("c3", "c4", "c6", "c7", "c8"),
-    "CASE_223": ("c3", "c4", "c6", "c7", "c8"),
-    "ORD32_212": ("c2", "c3", "c4", "c5", "c6"),
-    "ORD32_221A": ("c3", "c4", "c9"),
-    "ORD32_221B": ("c3", "c4", "c9"),
-    "ORD32_221C": ("c3", "c4", "c8", "lam"),
-    "ORD32_223A": ("c3", "c4"),
-    "ORD32_223C": ("c3", "c4", "c7"),
-}
-
-_BRANCHING = ("CASE_221", "ORD32_212", "ORD32_221A", "ORD32_221B",
-              "ORD32_221C")
 
 
 class UnknownFamilyError(Error):
@@ -104,7 +74,8 @@ class UnknownSchemeError(Error):
 
 
 class FamilyParameterError(Error):
-    """A parameter was supplied that the family does not leave free."""
+    """A parameter was supplied that the family does not leave free, or
+    a free parameter is not finite."""
     pass
 
 
@@ -164,9 +135,8 @@ def family_id_from_cli(token):
     return fid
 
 
-def _effective(p, fid):
-    """Fill in family defaults and reject non-free parameters."""
-    free = _FREE[fid]
+def _effective(p, fid, free):
+    """Fill in family defaults; reject non-free and non-finite values."""
     values = {}
     for key in _PARAM_NAMES:
         supplied = getattr(p, key)
@@ -179,6 +149,9 @@ def _effective(p, fid):
         else:
             default = 0.0
         values[key] = float(supplied) if supplied is not None else default
+        if not math.isfinite(values[key]):
+            raise FamilyParameterError(
+                "parameter %s must be finite, got %r" % (key, values[key]))
     return values
 
 
@@ -443,22 +416,38 @@ def _ord32_223c(fid, c1, v, sb):
     return _case_223(fid, c1, sub, sb)
 
 
-_BUILDERS = {
-    "ORD11": _ord11,
-    "ORD21": _ord21,
-    "CASE_A": _case_a,
-    "CASE_211": _case_211,
-    "CASE_212": _case_212,
-    "CASE_221": _case_221,
-    "CASE_222": _case_222,
-    "CASE_223": _case_223,
-    "ORD32_212": _ord32_212,
-    "ORD32_221A": _ord32_221a,
-    "ORD32_221B": _ord32_221b,
-    "ORD32_221C": _ord32_221c,
-    "ORD32_223A": _ord32_223a,
-    "ORD32_223C": _ord32_223c,
+# builder and free parameters (excluding c1 and sign_branch) per family;
+# the key order is that of FAMILY_IDS
+_FAMILIES = {
+    "ORD11": (_ord11, ()),
+    "ORD21": (_ord21, ("c2", "c3", "c4", "c5", "c6", "c7", "c8", "c9", "c10",
+                       "c11")),
+    "CASE_A": (_case_a, ("c3", "c4")),
+    "CASE_211": (_case_211, ("c2", "c3", "c4", "c5", "c6", "c7")),
+    "CASE_212": (_case_212, ("c2", "c3", "c4", "c5", "c6", "c7", "c8")),
+    "CASE_221": (_case_221, ("c3", "c4", "c6", "c7", "c8", "c9")),
+    "CASE_222": (_case_222, ("c3", "c4", "c6", "c7", "c8")),
+    "CASE_223": (_case_223, ("c3", "c4", "c6", "c7", "c8")),
+    "ORD32_212": (_ord32_212, ("c2", "c3", "c4", "c5", "c6")),
+    "ORD32_221A": (_ord32_221a, ("c3", "c4", "c9")),
+    "ORD32_221B": (_ord32_221b, ("c3", "c4", "c9")),
+    "ORD32_221C": (_ord32_221c, ("c3", "c4", "c8", "lam")),
+    "ORD32_223A": (_ord32_223a, ("c3", "c4")),
+    "ORD32_223C": (_ord32_223c, ("c3", "c4", "c7")),
 }
+
+FAMILY_IDS = tuple(_FAMILIES)
+
+_NAMED = {
+    "EM": FamilyParams("ORD11"),
+    "RDI1WM": FamilyParams("ORD21", c2=2.0 / 3.0, c3=2.0 / 3.0),
+    "PL1WM": FamilyParams("CASE_A", c3=1.0, c4=1.0),
+    "RDI2WM": FamilyParams("CASE_A"),
+    "RDI3WM": FamilyParams("ORD32_221C", lam=0.75, c8=0.5),
+    "RDI4WM": FamilyParams("ORD32_221C", lam=1.0, c8=0.5),
+}
+
+NAMED_SCHEMES = tuple(_NAMED)
 
 
 def make_family(params):
@@ -472,18 +461,19 @@ def make_family(params):
 
     Raises:
       UnknownFamilyError: if params.family is not a known id
-      FamilyParameterError: if a non-free parameter was supplied
+      FamilyParameterError: if a non-free parameter was supplied or a
+        free one is not finite
       ConstraintViolation: if a free parameter value is inadmissible
     """
     fid = params.family
-    if fid not in _BUILDERS:
+    if fid not in _FAMILIES:
         raise UnknownFamilyError(
             "unknown family %r; known families: %s"
             % (fid, ", ".join(FAMILY_IDS)))
     c1 = _check_c1(fid, params.c1)
     sb = _check_sign_branch(fid, params.sign_branch)
-    values = _effective(params, fid)
-    return _BUILDERS[fid](fid, c1, values, sb)
+    builder, free = _FAMILIES[fid]
+    return builder(fid, c1, _effective(params, fid, free), sb)
 
 
 def named_scheme(name):
@@ -500,20 +490,8 @@ def named_scheme(name):
       UnknownSchemeError: if the name is not known
     """
     key = str(name).upper()
-    if key == "EM":
-        p = FamilyParams("ORD11")
-    elif key == "RDI1WM":
-        p = FamilyParams("ORD21", c2=2.0 / 3.0, c3=2.0 / 3.0)
-    elif key == "PL1WM":
-        p = FamilyParams("CASE_A", c3=1.0, c4=1.0)
-    elif key == "RDI2WM":
-        p = FamilyParams("CASE_A")
-    elif key == "RDI3WM":
-        p = FamilyParams("ORD32_221C", lam=0.75, c8=0.5)
-    elif key == "RDI4WM":
-        p = FamilyParams("ORD32_221C", lam=1.0, c8=0.5)
-    else:
+    if key not in _NAMED:
         raise UnknownSchemeError(
             "unknown scheme %r; known schemes: %s"
             % (name, ", ".join(NAMED_SCHEMES)))
-    return make_family(p).with_name(key)
+    return make_family(_NAMED[key]).with_name(key)

@@ -20,9 +20,6 @@ class UnknownProblemError(Error):
     """Raised for an unrecognised problem name."""
 
 
-#: CLI names of the built-in problems.
-PROBLEM_IDS = ("nonlinear16", "system18", "linear")
-
 _CONSISTENCY_TOL = 1e-12
 
 
@@ -138,17 +135,23 @@ def problem_linear(a=1.0, b=1.0, power=2, x0=1.0, t_end=1.0):
     it is x0^2 exp((2 a + b^2) t).
 
     Args:
-      a: drift coefficient
-      b: diffusion coefficient
+      a: drift coefficient, finite
+      b: diffusion coefficient, finite
       power: moment order, 1 or 2
-      x0: initial value
+      x0: initial value, finite
       t_end: end of the time interval
 
     Returns:
       NamedProblem
+
+    Raises:
+      ValueError: for a non-finite a, b or x0, or a power other than 1, 2
     """
     a = float(a)
     b = float(b)
+    for key, val in (("a", a), ("b", b)):
+        if not math.isfinite(val):
+            raise ValueError("%s must be finite, got %r" % (key, val))
     if power not in (1, 2):
         raise ValueError("power must be 1 or 2, got %r" % (power,))
     x0 = float(x0)
@@ -167,6 +170,16 @@ def problem_linear(a=1.0, b=1.0, power=2, x0=1.0, t_end=1.0):
         f_description="x^%d" % power)
 
 
+# command-line names of the problems without parameters
+_CLI_PROBLEMS = {"nonlinear16": problem_nonlinear, "system18": problem_2d}
+
+#: CLI names of the built-in problems.
+PROBLEM_IDS = tuple(_CLI_PROBLEMS) + ("linear",)
+
+# "linear:" parameter -> (problem_linear keyword, type)
+_LINEAR_KEYS = {"a": ("a", float), "b": ("b", float), "p": ("power", int)}
+
+
 def problem_from_cli(token):
     """Build a problem from its command-line name.
 
@@ -175,41 +188,35 @@ def problem_from_cli(token):
     a=1, b=1, p=2; "linear" alone uses the defaults).
 
     Raises:
-      UnknownProblemError: for an unrecognised name or malformed
-        parameter list
+      UnknownProblemError: for an unrecognised name, a malformed
+        parameter list or parameter values problem_linear rejects
     """
     if not isinstance(token, str):
         raise UnknownProblemError("problem name must be a string, got %r"
                                   % (token,))
-    if token == "nonlinear16":
-        return problem_nonlinear()
-    if token == "system18":
-        return problem_2d()
+    if token in _CLI_PROBLEMS:
+        return _CLI_PROBLEMS[token]()
     if token == "linear" or token.startswith("linear:"):
-        kwargs = {"a": 1.0, "b": 1.0, "power": 2}
-        spec = token[len("linear:"):] if ":" in token else ""
-        for part in filter(None, spec.split(",")):
+        kwargs = {}
+        for part in filter(None, token[len("linear:"):].split(",")):
             key, sep, val = part.partition("=")
             if not sep:
                 raise UnknownProblemError(
                     "malformed problem parameter %r in %r" % (part, token))
+            if key not in _LINEAR_KEYS:
+                raise UnknownProblemError(
+                    "unknown problem parameter %r in %r" % (key, token))
+            name, kind = _LINEAR_KEYS[key]
             try:
-                if key == "a":
-                    kwargs["a"] = float(val)
-                elif key == "b":
-                    kwargs["b"] = float(val)
-                elif key == "p":
-                    kwargs["power"] = int(val)
-                else:
-                    raise UnknownProblemError(
-                        "unknown problem parameter %r in %r" % (key, token))
+                kwargs[name] = kind(val)
             except ValueError:
                 raise UnknownProblemError(
                     "bad value %r for problem parameter %r" % (val, key))
-        if kwargs["power"] not in (1, 2):
-            raise UnknownProblemError("p must be 1 or 2, got %r"
-                                      % (kwargs["power"],))
-        return problem_linear(**kwargs)
+        try:
+            return problem_linear(**kwargs)
+        except ValueError as exc:
+            raise UnknownProblemError(
+                "bad problem %r: %s" % (token, exc)) from None
     raise UnknownProblemError(
         "unknown problem %r; available: %s and linear:a=..,b=..,p=.."
         % (token, ", ".join(PROBLEM_IDS[:-1])))

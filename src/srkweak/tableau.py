@@ -15,13 +15,14 @@ stage i may only reference stages j < i.
 Tableaux are immutable plain data.  Construction normalises all entries
 to read-only float arrays and recomputes the node vectors from the
 stage matrices, so stored nodes can never disagree with the matrices.
-Structural defects (explicitness, node consistency, non-finite entries)
-are reported by validate() as a list of descriptors instead of being
-raised, so that a defective tableau can still be inspected.
+Structural defects (explicitness, non-finite entries) are reported by
+validate() as a list of descriptors instead of being raised, so that a
+defective tableau can still be inspected.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -53,21 +54,11 @@ class TableauFormatError(Error):
     pass
 
 
-def _as_vector(value, s, key):
+def _as_array(value, shape, key):
     arr = np.asarray(value, dtype=float)
-    if arr.shape != (s,):
+    if arr.shape != shape:
         raise TableauShapeError(
-            "%s must have shape (%d,), got %r" % (key, s, arr.shape))
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
-
-
-def _as_matrix(value, s, key):
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (s, s):
-        raise TableauShapeError(
-            "%s must have shape (%d, %d), got %r" % (key, s, s, arr.shape))
+            "%s must have shape %r, got %r" % (key, shape, arr.shape))
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
@@ -113,10 +104,9 @@ class CoefficientTableau:
                 "stage count s must satisfy 1 <= s <= %d, got %d"
                 % (MAX_STAGES, s))
         object.__setattr__(self, "s", s)
-        for key in _VECTOR_KEYS:
-            object.__setattr__(self, key, _as_vector(getattr(self, key), s, key))
-        for key in _MATRIX_KEYS:
-            object.__setattr__(self, key, _as_matrix(getattr(self, key), s, key))
+        for key in _VECTOR_KEYS + _MATRIX_KEYS:
+            shape = (s,) if key in _VECTOR_KEYS else (s, s)
+            object.__setattr__(self, key, _as_array(getattr(self, key), shape, key))
         if self.name is not None and not isinstance(self.name, str):
             raise TableauShapeError("name must be a string or None")
         e = np.ones(s)
@@ -136,22 +126,18 @@ class CoefficientTableau:
 
     def with_name(self, name):
         """Return a copy of this tableau carrying the given name."""
-        return CoefficientTableau(
-            s=self.s, alpha=self.alpha, beta1=self.beta1, beta2=self.beta2,
-            beta3=self.beta3, beta4=self.beta4, A0=self.A0, A1=self.A1,
-            A2=self.A2, B0=self.B0, B1=self.B1, B2=self.B2, name=name)
+        return dataclasses.replace(self, name=name)
 
 
 @dataclass(frozen=True)
 class Violation:
     """One structural defect found by validate().
 
-    Indices are 1-based.  For vector defects and per-stage defects the
-    column index j is 0.  The array field names the offending block,
-    e.g. "A0" or "beta3".
+    Indices are 1-based.  For vector defects the column index j is 0.
+    The array field names the offending block, e.g. "A0" or "beta3".
     """
 
-    kind: str   # "explicitness", "node-consistency" or "non-finite"
+    kind: str   # "explicitness" or "non-finite"
     array: str
     i: int
     j: int
@@ -173,56 +159,41 @@ class OrderClaim:
         return "(%d, %d)" % (self.p_det, self.p_stoch)
 
 
-NODE_TOL = 1e-14
-
-
 def validate(t):
     """Check the structural invariants of a tableau.
 
     Verified invariants:
       * every entry of every array is finite,
-      * all six stage matrices are strictly lower triangular,
-      * each node vector agrees with the row sums of its stage matrix
-        to within NODE_TOL.
+      * all six stage matrices are strictly lower triangular.
 
     Args:
       t: CoefficientTableau
 
     Returns:
-      list of Violation, empty iff the tableau is structurally valid
+      list of Violation, empty iff the tableau is structurally valid;
+      vectors come before matrices, each array in row-major order
     """
     out = []
     for key in _VECTOR_KEYS:
         vec = getattr(t, key)
-        for i in range(t.s):
-            if not np.isfinite(vec[i]):
-                out.append(Violation("non-finite", key, i + 1, 0,
-                                     "%s[%d] = %r" % (key, i + 1, vec[i])))
+        for i in np.flatnonzero(~np.isfinite(vec)).tolist():
+            out.append(Violation("non-finite", key, i + 1, 0,
+                                 "%s[%d] = %r" % (key, i + 1, vec[i])))
+    on_or_above = ~np.tri(t.s, k=-1, dtype=bool)
     for key in _MATRIX_KEYS:
         mat = getattr(t, key)
-        for i in range(t.s):
-            for j in range(t.s):
-                if not np.isfinite(mat[i, j]):
-                    out.append(Violation(
-                        "non-finite", key, i + 1, j + 1,
-                        "%s[%d][%d] = %r" % (key, i + 1, j + 1, mat[i, j])))
-                elif j >= i and mat[i, j] != 0.0:
-                    out.append(Violation(
-                        "explicitness", key, i + 1, j + 1,
-                        "%s[%d][%d] = %r must be 0 in an explicit scheme"
-                        % (key, i + 1, j + 1, mat[i, j])))
-    e = np.ones(t.s)
-    for node_key, mat_key in (("c0", "A0"), ("c1v", "A1"), ("c2v", "A2")):
-        node = getattr(t, node_key)
-        rows = getattr(t, mat_key) @ e
-        for i in range(t.s):
-            with np.errstate(invalid="ignore"):
-                err = node[i] - rows[i]
-            if not (np.isfinite(err) and abs(err) <= NODE_TOL):
+        finite = np.isfinite(mat)
+        bad = ~finite | (on_or_above & (mat != 0.0))
+        for i, j in np.argwhere(bad).tolist():
+            if not finite[i, j]:
                 out.append(Violation(
-                    "node-consistency", mat_key, i + 1, 0,
-                    "%s[%d] differs from row sum of %s by %r"
-                    % (node_key, i + 1, mat_key, err)))
+                    "non-finite", key, i + 1, j + 1,
+                    "%s[%d][%d] = %r" % (key, i + 1, j + 1, mat[i, j])))
+            else:
+                out.append(Violation(
+                    "explicitness", key, i + 1, j + 1,
+                    "%s[%d][%d] = %r must be 0 in an explicit scheme"
+                    % (key, i + 1, j + 1, mat[i, j])))
     return out
 
 
@@ -248,10 +219,8 @@ def serialize(t):
             "refusing to serialize a tableau with %d structural violation(s); "
             "first: %s" % (len(violations), violations[0].detail))
     doc = {"s": t.s}
-    for key in _VECTOR_KEYS:
-        doc[key] = [float(x) for x in getattr(t, key)]
-    for key in _MATRIX_KEYS:
-        doc[key] = [[float(x) for x in row] for row in getattr(t, key)]
+    for key in _VECTOR_KEYS + _MATRIX_KEYS:
+        doc[key] = getattr(t, key).tolist()
     if t.name is not None:
         doc["name"] = t.name
     return json.dumps(doc, indent=2) + "\n"

@@ -2,11 +2,13 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import srkweak
 from srkweak.cli import main
 from srkweak.families import named_scheme
 from srkweak.tableau import deserialize, serialize
@@ -97,6 +99,25 @@ def test_check_unknown_scheme(capsys):
     assert "unknown scheme" in err
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_check_rejects_bad_tolerance(capsys, tol):
+    code = main(["check", "--scheme", "em", "--tol", tol])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == ("error: tol must be a finite non-negative number, "
+                   "got %r\n" % float(tol))
+
+
+def test_check_rejects_non_finite_family_parameter(capsys):
+    code = main(["check", "--family", "case-221", "--c6", "nan",
+                 "--c7", "0.5"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: parameter c6 must be finite, got nan\n"
+
+
 def test_family_prints_tableau_json(capsys):
     code = main(["family", "ord32-221c", "--lambda", "0.75", "--c8", "0.5"])
     out, err = capsys.readouterr()
@@ -144,6 +165,15 @@ def test_family_unknown_id_exits_1(capsys):
     assert "unknown family" in err
 
 
+def test_family_verify_rejects_bad_tolerance(capsys):
+    code = main(["family", "ord11", "--verify", "--tol", "-1"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""  # nothing is printed before the error
+    assert err == ("error: tol must be a finite non-negative number, "
+                   "got -1.0\n")
+
+
 @pytest.mark.parametrize("scheme, m, triple", [
     ("em", 1, "1,1,1"),
     ("rdi2wm", 2, "2,10,3"),
@@ -154,6 +184,15 @@ def test_cost_output(scheme, m, triple, capsys):
     out, _ = capsys.readouterr()
     assert code == 0
     assert out == "drift_evals,diffusion_column_evals,random_draws\n%s\n" % triple
+
+
+@pytest.mark.parametrize("m", ["0", "-2"])
+def test_cost_rejects_bad_component_count(capsys, m):
+    code = main(["cost", "--scheme", "em", "--m", m])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: m must be an integer >= 1, got %s\n" % m
 
 
 def test_enumerate_two_components(capsys):
@@ -252,6 +291,27 @@ def test_study_rejects_bad_step_size(capsys, h):
     assert "error: step size h must be a finite positive number" in err
 
 
+def test_study_rejects_negative_seed(tmp_path, capsys):
+    code = main(["study", "--problem", "nonlinear16", "--schemes", "em",
+                 "--h", "0.5", "--seed", "-1", "--out-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: seed must be an integer >= 0, got -1\n"
+    assert not (tmp_path / "errors.csv").exists()
+
+
+def test_study_rejects_non_finite_problem_parameter(tmp_path, capsys):
+    code = main(["study", "--problem", "linear:a=nan", "--schemes", "em",
+                 "--h", "0.5", "--out-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == ("error: bad problem 'linear:a=nan': a must be finite, "
+                   "got nan\n")
+    assert not (tmp_path / "errors.csv").exists()
+
+
 def test_study_empty_scheme_list(capsys):
     code = main(["study", "--problem", "nonlinear16", "--schemes", ",",
                  "--h", "0.5"])
@@ -268,8 +328,12 @@ def test_unknown_command(capsys):
 
 
 def test_module_entry_point():
+    # the child process imports the same package as this test
+    src = os.path.dirname(os.path.dirname(srkweak.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "srkweak", "check",
                            "--scheme", "em", "--csv"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "id,residual,satisfied"

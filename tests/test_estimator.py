@@ -169,7 +169,7 @@ def test_argument_validation():
     prob = problem_linear()
     with pytest.raises(EstimatorError, match="does not divide the interval"):
         estimate("EM", prob, 0.3, 100, seed=0)
-    for h in (0.0, -0.25, math.nan, math.inf):
+    for h in (0.0, -0.25, math.nan, math.inf, True):
         with pytest.raises(EstimatorError, match="step size h must be"):
             estimate("EM", prob, h, 100, seed=0)
     with pytest.raises(EstimatorError):
@@ -184,6 +184,10 @@ def test_argument_validation():
         estimate("EM", prob, 0.25, 99.5, seed=0)
     with pytest.raises(UnknownSchemeError):
         estimate("SRK9", prob, 0.25, 100, seed=0)
+    for seed in (-1, 2.5, True):
+        with pytest.raises(EstimatorError,
+                           match="seed must be an integer >= 0"):
+            estimate("EM", prob, 0.25, 100, seed=seed)
 
 
 def test_t_quantile_values():
@@ -215,6 +219,17 @@ def test_run_study_order_and_labels():
     # what else is studied
     alone, _ = run_study(["EM"], prob, hs, M=200, seed=42, batches=5)
     assert alone == reports[:2]
+
+
+def test_run_study_checks_arguments_before_running():
+    prob = problem_linear()
+    with pytest.raises(EstimatorError, match="seed must be an integer >= 0"):
+        run_study(["EM"], prob, [0.25], M=100, seed=-1)
+    # the first scheme is valid; the unknown one must fail before any
+    # cell runs, so a tiny M that would otherwise fail in estimate
+    # cannot be reached either
+    with pytest.raises(UnknownSchemeError):
+        run_study(["EM", "SRK9"], prob, [0.25], M=1, seed=0)
 
 
 def test_csv_rendering(tmp_path):

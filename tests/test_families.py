@@ -151,6 +151,24 @@ def test_exclusions_raise_named_constraint(fid, kwargs, constraint):
     assert constraint in str(exc.value)
 
 
+@pytest.mark.parametrize("fid,key", [
+    ("CASE_221", "c6"), ("ORD21", "c2"), ("ORD21", "c11"),
+    ("CASE_A", "c3"), ("ORD32_221C", "lam"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(fid, key, value):
+    with pytest.raises(FamilyParameterError,
+                       match="parameter %s must be finite" % key):
+        make_family(FamilyParams(fid, **{key: value}))
+
+
+@pytest.mark.parametrize("c1", [math.nan, math.inf])
+def test_non_finite_c1_is_a_constraint_violation(c1):
+    with pytest.raises(ConstraintViolation) as exc:
+        make_family(FamilyParams("ORD11", c1=c1))
+    assert exc.value.constraint == "c1 in {-1, 1}"
+
+
 def test_non_free_parameters_rejected():
     with pytest.raises(FamilyParameterError) as exc:
         make_family(FamilyParams("ORD11", c2=0.5))

@@ -101,6 +101,13 @@ def test_linear_problem_closed_forms():
         problem_linear(power=3)
 
 
+@pytest.mark.parametrize("key", ["a", "b", "x0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_linear_problem_rejects_non_finite(key, value):
+    with pytest.raises(ValueError, match="%s must be finite" % key):
+        problem_linear(**{key: value})
+
+
 def test_consistency_check_rejects_bad_functional():
     with pytest.raises(ValueError, match="inconsistent problem"):
         NamedProblem(
@@ -130,6 +137,7 @@ def test_problem_from_cli():
 
 @pytest.mark.parametrize("token", [
     "bogus", "linear:q=1", "linear:a=xx", "linear:p=3", "linear:a", 17,
+    "linear:a=nan", "linear:b=inf", "linear:a=-inf,p=1",
 ])
 def test_problem_from_cli_rejects(token):
     with pytest.raises(UnknownProblemError):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from srkweak.families import NAMED_SCHEMES, named_scheme
-from srkweak.tableau import (CoefficientTableau, TableauFormatError,
-                             TableauShapeError, TableauValueError,
-                             deserialize, serialize, validate)
+from srkweak.tableau import (_MATRIX_KEYS, _VECTOR_KEYS, CoefficientTableau,
+                             TableauFormatError, TableauShapeError,
+                             TableauValueError, deserialize, serialize,
+                             validate)
 
 
 def _fields(s, **over):
@@ -108,6 +109,67 @@ def test_validate_reports_non_finite():
     kinds = {(v.kind, v.array) for v in validate(t)}
     assert ("non-finite", "beta3") in kinds
     assert ("non-finite", "A1") in kinds
+
+
+def test_validate_lists_each_defect_once_in_row_major_order():
+    # a row holding a non-finite entry is reported for that entry only,
+    # not a second time for its node value
+    t = CoefficientTableau(**_fields(
+        2, beta3=[0.0, np.inf],
+        A0=[[0.5, np.nan], [1.0, -np.inf]], B1=[[0.0, 2.0], [0.0, 0.0]]))
+    vs = validate(t)
+    assert [(v.kind, v.array, v.i, v.j) for v in vs] == [
+        ("non-finite", "beta3", 2, 0),
+        ("explicitness", "A0", 1, 1),
+        ("non-finite", "A0", 1, 2),
+        ("non-finite", "A0", 2, 2),
+        ("explicitness", "B1", 1, 2),
+    ]
+    assert all(type(v.i) is int and type(v.j) is int for v in vs)
+
+
+def _validate_by_loops(t):
+    """Entry-by-entry reference for validate()."""
+    out = []
+    for key in _VECTOR_KEYS:
+        vec = getattr(t, key)
+        for i in range(t.s):
+            if not np.isfinite(vec[i]):
+                out.append(("non-finite", key, i + 1, 0,
+                            "%s[%d] = %r" % (key, i + 1, vec[i])))
+    for key in _MATRIX_KEYS:
+        mat = getattr(t, key)
+        for i in range(t.s):
+            for j in range(t.s):
+                if not np.isfinite(mat[i, j]):
+                    out.append(("non-finite", key, i + 1, j + 1,
+                                "%s[%d][%d] = %r"
+                                % (key, i + 1, j + 1, mat[i, j])))
+                elif j >= i and mat[i, j] != 0.0:
+                    out.append(("explicitness", key, i + 1, j + 1,
+                                "%s[%d][%d] = %r must be 0 in an explicit "
+                                "scheme" % (key, i + 1, j + 1, mat[i, j])))
+    return out
+
+
+def test_validate_matches_entrywise_reference():
+    rng = np.random.default_rng(11)
+    specials = [np.nan, np.inf, -np.inf, 0.0, -0.0]
+    for _ in range(300):
+        s = int(rng.integers(1, 6))
+        fields = {"s": s}
+        for key in _VECTOR_KEYS + _MATRIX_KEYS:
+            shape = (s,) if key in _VECTOR_KEYS else (s, s)
+            arr = rng.normal(size=shape)
+            if key in _MATRIX_KEYS and rng.random() < 0.5:
+                arr = np.tril(arr, -1)
+            hit = rng.random(shape) < 0.15
+            arr[hit] = rng.choice(specials, size=int(hit.sum()))
+            fields[key] = arr
+        with np.errstate(invalid="ignore"):  # node rows summing inf - inf
+            t = CoefficientTableau(**fields)
+        got = [(v.kind, v.array, v.i, v.j, v.detail) for v in validate(t)]
+        assert got == _validate_by_loops(t)
 
 
 @pytest.mark.parametrize("name", NAMED_SCHEMES)
