@@ -38,8 +38,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_PARAM_OPTS = ("c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8", "c9",
-               "c10", "c11")
+# one --<name> option per family parameter; lam is spelt --lambda below
+_PARAM_OPTS = ("c1",) + tuple(name for name in families._PARAM_NAMES
+                              if name != "lam")
 
 
 def _add_param_options(p):
@@ -82,9 +83,9 @@ def _resolve_tableau(args):
         return make_family(_family_params(args, fid))
     if args.file:
         try:
-            with open(args.file) as fh:
+            with open(args.file, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError("cannot read %s: %s" % (args.file, exc))
         tab = deserialize(text)
         violations = validate(tab)
@@ -128,11 +129,13 @@ def _parse_floats(text, what):
 
 
 def _cmd_check(args):
+    # a malformed claim is rejected before anything is written
+    claim = None if args.claim is None else _parse_claim(args.claim)
     tab = _resolve_tableau(args)
     report = _checked(conditions.evaluate_all, tab, tol=args.tol)
     sys.stdout.write(report.as_csv() if args.csv else report.as_text())
-    if args.claim is not None:
-        want_det, want_stoch = _parse_claim(args.claim)
+    if claim is not None:
+        want_det, want_stoch = claim
         got = report.inferred
         if got.p_det < want_det or got.p_stoch < want_stoch:
             print("claim (%d, %d) not met: inferred %s"

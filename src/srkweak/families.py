@@ -52,15 +52,12 @@ Named schemes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .tableau import CoefficientTableau, Error
 
 DEFAULT_C3 = math.sqrt(2.0 / 3.0)
 DEFAULT_C4 = math.sqrt(2.0)
-
-_PARAM_NAMES = ("c2", "c3", "c4", "c5", "c6", "c7", "c8", "c9", "c10",
-                "c11", "lam")
 
 
 class UnknownFamilyError(Error):
@@ -118,6 +115,11 @@ class FamilyParams:
     c10: float | None = None
     c11: float | None = None
     lam: float | None = None
+
+
+# the optional free parameters, in field order: c2..c11 and lam
+_PARAM_NAMES = tuple(f.name for f in fields(FamilyParams)
+                     if f.default is None)
 
 
 def family_id_from_cli(token):

@@ -23,6 +23,12 @@ off-diagonal Ihat_(k,l) can skip the sign draws (with_offdiag=False),
 which keeps the random-variable count equal to what the step actually
 needs; V then carries zeros off the diagonal.
 
+draw() returns Ihat and V in Fortran order, so that with a leading
+path axis each Ihat[..., k] and each V[..., k, l] is contiguous over
+the paths; the stepper multiplies them into path-contiguous states.
+The uniforms themselves are drawn in C order, so the layout does not
+change which uniform feeds which variate.
+
 The joint support is finite, of size 3^m 2^(m(m-1)/2), so one-step
 expectations can be computed exactly by enumeration; support_batch()
 returns it as one stacked batch with its probabilities for m <= 4.
@@ -90,9 +96,10 @@ class WeakIncrementBatch:
     """The random input of one scheme step.
 
     Ihat has shape (..., m) and V shape (..., m, m); leading axes, if
-    any, enumerate independent realisations.  V has -h on the diagonal
-    and is antisymmetric off it (or zero there when the off-diagonal
-    part was not drawn).
+    any, enumerate independent realisations.  draw() stores both in
+    Fortran order; any layout gives the same steps.  V has -h on the
+    diagonal and is antisymmetric off it (or zero there when the
+    off-diagonal part was not drawn).
     """
 
     h: float
@@ -146,19 +153,26 @@ def draw(m, h, stream, size=None, with_offdiag=True):
     """
     m, h = _check_m_h(m, h)
     shape = () if size is None else tuple(int(n) for n in size)
-    root3h = math.sqrt(3.0 * h)
     u = stream.random(shape + (m,))
-    ihat = np.where(u < 1.0 / 6.0, -root3h,
-                    np.where(u >= 5.0 / 6.0, root3h, 0.0))
-    v = np.zeros(shape + (m, m))
-    idx = np.arange(m)
-    v[..., idx, idx] = -h
+    # 1 for u >= 5/6, -1 for u < 1/6, else +0.0 (never -0.0), scaled
+    ihat = np.empty(shape + (m,), order="F")
+    np.subtract(u >= 5.0 / 6.0, u < 1.0 / 6.0, out=ihat, dtype=float)
+    ihat *= math.sqrt(3.0 * h)
+    signs = None
     if with_offdiag and m > 1:
-        rows, cols = np.tril_indices(m, -1)
-        w = stream.random(shape + (len(rows),))
+        w = stream.random(shape + (m * (m - 1) // 2,))
         signs = np.where(w < 0.5, h, -h)
-        v[..., rows, cols] = signs
-        v[..., cols, rows] = -signs
+    v = np.empty(shape + (m, m), order="F")
+    pair = 0
+    for k in range(m):
+        v[..., k, k] = -h
+        for l in range(k):  # the strict lower triangle in row-major order
+            if signs is None:
+                v[..., k, l] = v[..., l, k] = 0.0
+            else:
+                v[..., k, l] = signs[..., pair]
+                np.negative(signs[..., pair], out=v[..., l, k])
+            pair += 1
     ihat.setflags(write=False)
     v.setflags(write=False)
     return WeakIncrementBatch(h=h, Ihat=ihat, V=v)

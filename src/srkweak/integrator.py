@@ -46,6 +46,15 @@ and adds each term as value * weight, the weights being per-path
 combinations of Ihat_k and V_kl.  All stepping code broadcasts over
 leading axes of the state, so a whole batch of trajectories advances
 in one call with identical results to stepping them one by one.
+
+terminal_values() stores a batch of M states as an (M, d) array in
+Fortran order, so each state component is contiguous over the paths,
+as are the Ihat_k and V_kl that draw() returns.  Every value * weight
+product then runs over contiguous memory, and numpy's elementwise
+operations carry the layout from one stage to the next.  The drift
+and diffusion callbacks receive these path-contiguous states; one
+that returns an np.empty_like(y)-shaped array keeps the layout, and
+any layout gives identical numbers.
 """
 
 from __future__ import annotations
@@ -72,7 +81,11 @@ class SdeProblem:
     drift(t, y) and diffusion_column(t, y, j) map a state array of
     shape (..., d) to an array of the same shape; j is the 0-based
     index of the driving Wiener component.  Both callables must
-    broadcast over leading axes of y.
+    broadcast over leading axes of y.  Batched states arrive
+    path-contiguous, as Fortran-ordered (M, d) arrays; a callback that
+    returns an array laid out like y (np.empty_like(y)) keeps the
+    stepper on contiguous memory.  Any returned layout gives identical
+    numbers.
 
     exact_functional, when present, maps t to the exact value of
     E f(X_t) for the functional f the problem is studied with.
@@ -440,9 +453,9 @@ def terminal_values(tab, prob, n_steps, n_paths, stream, t_end=None):
       t_end: end of the simulated interval, defaults to prob.t_end
 
     Returns:
-      (values, diverged): states of shape (n_paths, d) and a boolean
-      mask of shape (n_paths,) marking trajectories that left the
-      finite range
+      (values, diverged): Fortran-ordered states of shape (n_paths, d)
+      and a boolean mask of shape (n_paths,) marking trajectories that
+      left the finite range
     """
     _check_count("n_steps", n_steps)
     _check_count("n_paths", n_paths)
@@ -453,19 +466,21 @@ def terminal_values(tab, prob, n_steps, n_paths, stream, t_end=None):
         raise ValueError("t_end must exceed t0")
     h = (end - prob.t0) / n_steps
     plan = usage_plan(tab, prob.m)
-    y = np.broadcast_to(prob.x0, (n_paths, prob.d)).copy()
+    # path-contiguous: each component y[:, k] is one contiguous run
+    y = np.array(np.broadcast_to(prob.x0, (n_paths, prob.d)), order="F")
     diverged = np.zeros(n_paths, dtype=bool)
     t = prob.t0
+    if not plan.needs_ihat:
+        # a scheme that reads no increment gets the same zeros each step
+        v = np.zeros((n_paths, prob.m, prob.m), order="F")
+        v[:, np.arange(prob.m), np.arange(prob.m)] = -h
+        inc = WeakIncrementBatch(
+            h=h, Ihat=np.zeros((n_paths, prob.m), order="F"), V=v)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in range(n_steps):
             if plan.needs_ihat:
                 inc = draw(prob.m, h, stream, size=(n_paths,),
                            with_offdiag=plan.needs_offdiag)
-            else:
-                zeros_i = np.zeros((n_paths, prob.m))
-                v = np.zeros((n_paths, prob.m, prob.m))
-                v[:, np.arange(prob.m), np.arange(prob.m)] = -h
-                inc = WeakIncrementBatch(h=h, Ihat=zeros_i, V=v)
             y = srk_step(tab, prob, StepContext(t=t, h=h, y=y,
                                                 increments=inc))
             t = prob.t0 + (n + 1) * h

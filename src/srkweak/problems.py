@@ -103,19 +103,30 @@ def problem_2d():
     f22 = -785.0 / 512.0 + sqrt2 / 8.0
     g1_22 = (1.0 - 2.0 * sqrt2) / 4.0
 
+    # each callback writes its components into an array laid out like
+    # y, so a path-contiguous batch stays path-contiguous
     def drift(t, y):
         x1 = y[..., 0]
         x2 = y[..., 1]
-        return np.stack([f11 * x1, f21 * x1 + f22 * x2], axis=-1)
+        out = np.empty_like(y, dtype=float)
+        out[..., 0] = f11 * x1
+        out[..., 1] = f21 * x1 + f22 * x2
+        return out
 
     def diffusion_column(t, y, j):
+        if j not in (0, 1):
+            raise IndexError("column index %r out of range for m = 2"
+                             % (j,))
         x1 = y[..., 0]
         x2 = y[..., 1]
+        out = np.empty_like(y, dtype=float)
         if j == 0:
-            return np.stack([0.25 * x1, g1_22 * x2], axis=-1)
-        if j == 1:
-            return np.stack([x1 / 16.0, x1 / 10.0 + x2 / 16.0], axis=-1)
-        raise IndexError("column index %r out of range for m = 2" % (j,))
+            out[..., 0] = 0.25 * x1
+            out[..., 1] = g1_22 * x2
+        else:
+            out[..., 0] = x1 / 16.0
+            out[..., 1] = x1 / 10.0 + x2 / 16.0
+        return out
 
     def f(y):
         return y[..., 0] ** 2

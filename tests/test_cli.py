@@ -49,6 +49,15 @@ def test_check_malformed_claim(capsys):
     assert "claim must look like" in err
 
 
+def test_check_malformed_claim_writes_no_report(capsys):
+    code = main(["check", "--scheme", "em", "--claim", "9,9,9"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == ("error: claim must look like '2,1' or '(2,1)', "
+                   "got '9,9,9'\n")
+
+
 def test_check_reads_tableau_file(tmp_path, capsys):
     path = tmp_path / "rdi1wm.json"
     path.write_text(serialize(named_scheme("RDI1WM")))
@@ -76,6 +85,17 @@ def test_check_unreadable_file(tmp_path, capsys):
     _, err = capsys.readouterr()
     assert code == 1
     assert "cannot read" in err
+
+
+def test_check_file_not_utf8(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe")
+    code = main(["check", "--file", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot read %s: " % path)
+    assert err.count("\n") == 1
 
 
 def test_check_requires_a_source(capsys):

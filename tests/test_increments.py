@@ -110,6 +110,75 @@ def test_draw_without_offdiag():
     assert cs.count == 30 + 10 * 3
 
 
+class _FixedStream:
+    """Stand-in generator that hands out chosen uniforms cyclically."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.pos = 0
+
+    def random(self, size):
+        n = int(np.prod(size))
+        idx = np.arange(self.pos, self.pos + n) % len(self.values)
+        self.pos += n
+        return self.values[idx].reshape(size)
+
+
+# the three-point and sign thresholds and the ends of [0, 1), each with
+# its neighbour below, so every branch of the mappings is hit
+_EDGE_UNIFORMS = [0.0, np.nextafter(1 / 6, 0.0), 1 / 6, 0.25,
+                  np.nextafter(0.5, 0.0), 0.5, np.nextafter(5 / 6, 0.0),
+                  5 / 6, 1.0 - 2.0 ** -53, 0.75, 0.1, 0.9, 0.6]
+
+
+def _reference_draw(m, h, stream, shape, with_offdiag):
+    """The draw as first written: nested np.where and a zero-filled V
+    written by fancy indexing."""
+    root3h = math.sqrt(3.0 * h)
+    u = stream.random(shape + (m,))
+    ihat = np.where(u < 1.0 / 6.0, -root3h,
+                    np.where(u >= 5.0 / 6.0, root3h, 0.0))
+    v = np.zeros(shape + (m, m))
+    idx = np.arange(m)
+    v[..., idx, idx] = -h
+    if with_offdiag and m > 1:
+        rows, cols = np.tril_indices(m, -1)
+        w = stream.random(shape + (len(rows),))
+        signs = np.where(w < 0.5, h, -h)
+        v[..., rows, cols] = signs
+        v[..., cols, rows] = -signs
+    return ihat, v
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and (
+        np.ascontiguousarray(got).tobytes()
+        == np.ascontiguousarray(want).tobytes())
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("with_offdiag", [True, False])
+@pytest.mark.parametrize("size", [None, (13,), (2, 7)])
+def test_draw_matches_reference_mapping_bitwise(m, with_offdiag, size):
+    # signed zeros included: 0 * sqrt(3 h) must stay +0.0, and V holds
+    # +0.0 off the diagonal when the signs are not drawn
+    h = 0.3
+    shape = () if size is None else size
+    got = draw(m, h, _FixedStream(_EDGE_UNIFORMS), size=size,
+               with_offdiag=with_offdiag)
+    ihat, v = _reference_draw(m, h, _FixedStream(_EDGE_UNIFORMS), shape,
+                              with_offdiag)
+    assert _same_bits(got.Ihat, ihat)
+    assert _same_bits(got.V, v)
+
+
+def test_draw_is_path_contiguous():
+    # Fortran order: each Ihat_k and each V_kl is one contiguous run
+    # over the paths
+    inc = draw(3, 0.2, substream(5), size=(17,))
+    assert inc.Ihat.flags.f_contiguous and inc.V.flags.f_contiguous
+
+
 def test_draw_frequencies():
     inc = draw(1, 1.0, substream(2024), size=(200000,))
     frac_zero = float(np.mean(inc.Ihat == 0.0))

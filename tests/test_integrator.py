@@ -6,7 +6,7 @@ import pytest
 
 from family_sampling import draw_member
 from srkweak import integrator
-from srkweak.families import FAMILY_IDS, named_scheme
+from srkweak.families import FAMILY_IDS, NAMED_SCHEMES, named_scheme
 from srkweak.increments import (CountingStream, WeakIncrementBatch, draw,
                                 substream, support_batch)
 from srkweak.integrator import (EvaluationCost, SdeProblem, StepContext,
@@ -209,6 +209,35 @@ def test_terminal_values_reproducible():
     assert np.array_equal(v1, v2) and np.array_equal(d1, d2)
     assert v1.shape == (32, 1) and d1.dtype == bool
     assert not d1.any()
+
+
+def _relaid_system(layout):
+    # system18 with callbacks whose output is copied into another layout
+    base = problem_2d()
+    return SdeProblem(
+        d=2, m=2, drift=lambda t, y: layout(base.drift(t, y)),
+        diffusion_column=lambda t, y, j: layout(
+            base.diffusion_column(t, y, j)),
+        x0=base.x0, t0=base.t0, t_end=base.t_end)
+
+
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+@pytest.mark.parametrize("name", NAMED_SCHEMES)
+def test_terminal_values_independent_of_callback_layout(name, layout):
+    tab = named_scheme(name)
+    native = terminal_values(tab, problem_2d(), 8, 500, substream(4, 1))
+    relaid = terminal_values(tab, _relaid_system(layout), 8, 500,
+                             substream(4, 1))
+    assert np.ascontiguousarray(native[0]).tobytes() \
+        == np.ascontiguousarray(relaid[0]).tobytes()
+    assert np.array_equal(native[1], relaid[1])
+
+
+@pytest.mark.parametrize("name", NAMED_SCHEMES)
+def test_terminal_values_are_path_contiguous(name):
+    vals, _ = terminal_values(named_scheme(name), problem_2d(), 3, 50,
+                              substream(6))
+    assert vals.flags.f_contiguous and not vals.flags.c_contiguous
 
 
 def test_terminal_values_freeze_diverged_paths():

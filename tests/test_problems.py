@@ -76,6 +76,32 @@ def test_system_noises_do_not_commute():
     assert not np.allclose(G1 @ G2, G2 @ G1)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_system_callbacks_keep_layout_and_values(order):
+    # each component is the expression the callbacks were first written
+    # with, stacked row-major; the output takes the layout of the input
+    prob = problem_2d()
+    sqrt2 = math.sqrt(2.0)
+    f11, f21 = -273.0 / 512.0, -1.0 / 160.0
+    f22 = -785.0 / 512.0 + sqrt2 / 8.0
+    g1_22 = (1.0 - 2.0 * sqrt2) / 4.0
+    y = np.array(substream(8).standard_normal((9, 2)), order=order)
+    x1, x2 = y[:, 0], y[:, 1]
+    want = {
+        "drift": np.stack([f11 * x1, f21 * x1 + f22 * x2], axis=-1),
+        0: np.stack([0.25 * x1, g1_22 * x2], axis=-1),
+        1: np.stack([x1 / 16.0, x1 / 10.0 + x2 / 16.0], axis=-1),
+    }
+    got = {"drift": prob.drift(0.0, y),
+           0: prob.diffusion_column(0.0, y, 0),
+           1: prob.diffusion_column(0.0, y, 1)}
+    for key, val in got.items():
+        assert val.tobytes(order="C") == want[key].tobytes(order="C"), key
+        assert val.flags[order + "_CONTIGUOUS"], key
+    with pytest.raises(IndexError):
+        prob.diffusion_column(0.0, y, 2)
+
+
 def test_system_functional_closed_form():
     # the first component is closed: d x1 = f11 x1 dt + g1 x1 dW1
     # + g2 x1 dW2, so E (x1)^2 = exp((2 f11 + g1^2 + g2^2) t) and the
