@@ -1,8 +1,9 @@
 """Algebraic order conditions for explicit stochastic Runge-Kutta schemes.
 
 Each condition is an equation L(tableau) = r between a polynomial
-expression in the tableau coefficients and a rational constant.  The
-registry below holds all of them in canonical order:
+expression in the tableau coefficients and a rational constant.  Each
+is written once, as printed, in the table below, which holds all of
+them in canonical order:
 
   W1..W7    weak order 1 for general Ito SDEs
   W8..W50   weak order 2 (on top of W1..W7)
@@ -11,8 +12,11 @@ registry below holds all of them in canonical order:
   T1, T2    two further conditions that single out preferred stage
             nodes; informational as well
 
-Every evaluation returns the residual L(tableau) - r, computed exactly
-as the condition is written, with no rearrangement.  A condition counts
+The printed text is the only source of both sides: at import, L is
+rewritten to a numpy expression in the tableau arrays by four textual
+rules and compiled once, and r is the fraction right of " = ".  Every
+evaluation returns the residual L(tableau) - r, computed exactly as
+the condition is written, with no rearrangement.  A condition counts
 as satisfied when |residual| <= tol.
 
 The weak order attributed to a scheme is 2 if W1..W50 all hold, 1 if
@@ -24,11 +28,13 @@ never raise it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .tableau import Error, OrderClaim
+from .tableau import _MATRIX_KEYS, _VECTOR_KEYS, Error, OrderClaim
 
 DEFAULT_TOL = 1e-12
 
@@ -49,139 +55,101 @@ class ConditionSpec:
     lhs: callable
 
 
-def _q(x):
-    # component-wise square, used often enough to warrant a shorthand
-    return np.asarray(x) ** 2
+#: Every condition as printed, "L = r", in canonical order.  L is a
+#: product of bracketed factors built from the weight vectors (w^T x),
+#: the stage matrices ((M x)), the ones vector e and component-wise
+#: powers (^k); juxtaposed brackets multiply component-wise.
+_TABLE = (
+    ("W1", "weak1", "alpha^T e = 1"),
+    ("W2", "weak1", "beta4^T e = 0"),
+    ("W3", "weak1", "beta3^T e = 0"),
+    ("W4", "weak1", "(beta1^T e)^2 = 1"),
+    ("W5", "weak1", "beta2^T e = 0"),
+    ("W6", "weak1", "beta1^T (B1 e) = 0"),
+    ("W7", "weak1", "beta3^T (B2 e) = 0"),
+    ("W8", "weak2", "alpha^T (A0 e) = 1/2"),
+    ("W9", "weak2", "alpha^T (B0 e)^2 = 1/2"),
+    ("W10", "weak2", "(beta1^T e) (alpha^T (B0 e)) = 1/2"),
+    ("W11", "weak2", "(beta1^T e) (beta1^T (A1 e)) = 1/2"),
+    ("W12", "weak2", "beta3^T (A2 e) = 0"),
+    ("W13", "weak2", "beta2^T (B1 e) = 1"),
+    ("W14", "weak2", "beta4^T (B2 e) = 1"),
+    ("W15", "weak2", "(beta1^T e) (beta1^T (B1 e)^2) = 1/2"),
+    ("W16", "weak2", "(beta1^T e) (beta3^T (B2 e)^2) = 1/2"),
+    ("W17", "weak2", "beta1^T (B1 (B1 e)) = 0"),
+    ("W18", "weak2", "beta3^T (B2 (B1 e)) = 0"),
+    ("W19", "weak2", "beta3^T (A2 (B0 e)) = 0"),
+    ("W20", "weak2", "beta1^T (A1 (B0 e)) = 0"),
+    ("W21", "weak2", "alpha^T (B0 (B1 e)) = 0"),
+    ("W22", "weak2", "beta2^T (A1 e) = 0"),
+    ("W23", "weak2", "beta4^T (A2 e) = 0"),
+    ("W24", "weak2", "beta1^T ((A1 e)(B1 e)) = 0"),
+    ("W25", "weak2", "beta3^T ((A2 e)(B2 e)) = 0"),
+    ("W26", "weak2", "beta4^T (A2 (B0 e)) = 0"),
+    ("W27", "weak2", "beta2^T (A1 (B0 e)) = 0"),
+    ("W28", "weak2", "beta2^T (A1 (B0 e)^2) = 0"),
+    ("W29", "weak2", "beta4^T (A2 (B0 e)^2) = 0"),
+    ("W30", "weak2", "beta3^T (B2 (A1 e)) = 0"),
+    ("W31", "weak2", "beta1^T (B1 (A1 e)) = 0"),
+    ("W32", "weak2", "beta2^T (B1 e)^2 = 0"),
+    ("W33", "weak2", "beta4^T (B2 e)^2 = 0"),
+    ("W34", "weak2", "beta4^T (B2 (B1 e)) = 0"),
+    ("W35", "weak2", "beta2^T (B1 (B1 e)) = 0"),
+    ("W36", "weak2", "beta1^T (B1 e)^3 = 0"),
+    ("W37", "weak2", "beta3^T (B2 e)^3 = 0"),
+    ("W38", "weak2", "beta1^T (B1 (B1 e)^2) = 0"),
+    ("W39", "weak2", "beta3^T (B2 (B1 e)^2) = 0"),
+    ("W40", "weak2", "alpha^T ((B0 e)(B0 (B1 e))) = 0"),
+    ("W41", "weak2", "beta1^T ((A1 (B0 e))(B1 e)) = 0"),
+    ("W42", "weak2", "beta3^T ((A2 (B0 e))(B2 e)) = 0"),
+    ("W43", "weak2", "beta1^T (A1 (B0 (B1 e))) = 0"),
+    ("W44", "weak2", "beta3^T (A2 (B0 (B1 e))) = 0"),
+    ("W45", "weak2", "beta1^T (B1 (A1 (B0 e))) = 0"),
+    ("W46", "weak2", "beta3^T (B2 (A1 (B0 e))) = 0"),
+    ("W47", "weak2", "beta1^T ((B1 e)(B1 (B1 e))) = 0"),
+    ("W48", "weak2", "beta3^T ((B2 e)(B2 (B1 e))) = 0"),
+    ("W49", "weak2", "beta1^T (B1 (B1 (B1 e))) = 0"),
+    ("W50", "weak2", "beta3^T (B2 (B1 (B1 e))) = 0"),
+    ("D3A", "det3", "alpha^T (A0 e)^2 = 1/3"),
+    ("D3B", "det3", "alpha^T (A0 (A0 e)) = 1/6"),
+    ("D4A", "det4", "alpha^T (A0 (A0 e)^2) = 1/12"),
+    ("D4B", "det4", "alpha^T ((A0 e)(A0 (A0 e))) = 1/8"),
+    ("D4C", "det4", "alpha^T (A0 e)^3 = 1/4"),
+    ("T1", "node", "beta2^T ((A1 e)(B1 e)) (beta1^T e)^2 = 2/3"),
+    ("T2", "node", "(beta1^T e) (beta3^T (B2 e)^4) = 1"),
+)
+
+# the four rules that turn L into Python, applied in this order
+_RULES = (
+    (re.compile(r"(\w+)\^T "), r"t.\1 @ "),   # w^T x  ->  t.w @ x
+    (re.compile(r"\((\w+) "), r"(t.\1 @ "),   # (M x)  ->  (t.M @ x)
+    (re.compile(r"\) ?\("), ")*("),           # )( and ) (  ->  )*(
+    (re.compile(r"\^(\d)"), r"**\1"),         # ^k  ->  **k
+)
+# what the rewritten L may contain: tableau arrays, e, @, *, **<digit>,
+# brackets and spaces
+_PYTHON = re.compile(r"(?:t\.(?:%s)\b|e\b|@|\*\*\d|\*|[() ])+"
+                     % "|".join(_VECTOR_KEYS + _MATRIX_KEYS))
 
 
-_REGISTRY = []
+def _compile(cid, group, text):
+    """Build the ConditionSpec of one printed condition "L = r"."""
+    lhs, rhs = text.split(" = ")
+    for pattern, repl in _RULES:
+        lhs = pattern.sub(repl, lhs)
+    if not _PYTHON.fullmatch(lhs):
+        raise ValueError("condition %s: %r is not a product of tableau "
+                         "arrays" % (cid, text))
+    return ConditionSpec(cid, group, float(Fraction(rhs)), text,
+                         eval("lambda t, e: " + lhs, {"__builtins__": {}}))
 
 
-def _cond(cid, group, rhs, text, lhs):
-    _REGISTRY.append(ConditionSpec(cid, group, float(rhs), text, lhs))
-
-
-_cond("W1", "weak1", 1, "alpha^T e = 1",
-      lambda t, e: t.alpha @ e)
-_cond("W2", "weak1", 0, "beta4^T e = 0",
-      lambda t, e: t.beta4 @ e)
-_cond("W3", "weak1", 0, "beta3^T e = 0",
-      lambda t, e: t.beta3 @ e)
-_cond("W4", "weak1", 1, "(beta1^T e)^2 = 1",
-      lambda t, e: (t.beta1 @ e) ** 2)
-_cond("W5", "weak1", 0, "beta2^T e = 0",
-      lambda t, e: t.beta2 @ e)
-_cond("W6", "weak1", 0, "beta1^T (B1 e) = 0",
-      lambda t, e: t.beta1 @ (t.B1 @ e))
-_cond("W7", "weak1", 0, "beta3^T (B2 e) = 0",
-      lambda t, e: t.beta3 @ (t.B2 @ e))
-_cond("W8", "weak2", 0.5, "alpha^T (A0 e) = 1/2",
-      lambda t, e: t.alpha @ (t.A0 @ e))
-_cond("W9", "weak2", 0.5, "alpha^T (B0 e)^2 = 1/2",
-      lambda t, e: t.alpha @ _q(t.B0 @ e))
-_cond("W10", "weak2", 0.5, "(beta1^T e) (alpha^T (B0 e)) = 1/2",
-      lambda t, e: (t.beta1 @ e) * (t.alpha @ (t.B0 @ e)))
-_cond("W11", "weak2", 0.5, "(beta1^T e) (beta1^T (A1 e)) = 1/2",
-      lambda t, e: (t.beta1 @ e) * (t.beta1 @ (t.A1 @ e)))
-_cond("W12", "weak2", 0, "beta3^T (A2 e) = 0",
-      lambda t, e: t.beta3 @ (t.A2 @ e))
-_cond("W13", "weak2", 1, "beta2^T (B1 e) = 1",
-      lambda t, e: t.beta2 @ (t.B1 @ e))
-_cond("W14", "weak2", 1, "beta4^T (B2 e) = 1",
-      lambda t, e: t.beta4 @ (t.B2 @ e))
-_cond("W15", "weak2", 0.5, "(beta1^T e) (beta1^T (B1 e)^2) = 1/2",
-      lambda t, e: (t.beta1 @ e) * (t.beta1 @ _q(t.B1 @ e)))
-_cond("W16", "weak2", 0.5, "(beta1^T e) (beta3^T (B2 e)^2) = 1/2",
-      lambda t, e: (t.beta1 @ e) * (t.beta3 @ _q(t.B2 @ e)))
-_cond("W17", "weak2", 0, "beta1^T (B1 (B1 e)) = 0",
-      lambda t, e: t.beta1 @ (t.B1 @ (t.B1 @ e)))
-_cond("W18", "weak2", 0, "beta3^T (B2 (B1 e)) = 0",
-      lambda t, e: t.beta3 @ (t.B2 @ (t.B1 @ e)))
-_cond("W19", "weak2", 0, "beta3^T (A2 (B0 e)) = 0",
-      lambda t, e: t.beta3 @ (t.A2 @ (t.B0 @ e)))
-_cond("W20", "weak2", 0, "beta1^T (A1 (B0 e)) = 0",
-      lambda t, e: t.beta1 @ (t.A1 @ (t.B0 @ e)))
-_cond("W21", "weak2", 0, "alpha^T (B0 (B1 e)) = 0",
-      lambda t, e: t.alpha @ (t.B0 @ (t.B1 @ e)))
-_cond("W22", "weak2", 0, "beta2^T (A1 e) = 0",
-      lambda t, e: t.beta2 @ (t.A1 @ e))
-_cond("W23", "weak2", 0, "beta4^T (A2 e) = 0",
-      lambda t, e: t.beta4 @ (t.A2 @ e))
-_cond("W24", "weak2", 0, "beta1^T ((A1 e)(B1 e)) = 0",
-      lambda t, e: t.beta1 @ ((t.A1 @ e) * (t.B1 @ e)))
-_cond("W25", "weak2", 0, "beta3^T ((A2 e)(B2 e)) = 0",
-      lambda t, e: t.beta3 @ ((t.A2 @ e) * (t.B2 @ e)))
-_cond("W26", "weak2", 0, "beta4^T (A2 (B0 e)) = 0",
-      lambda t, e: t.beta4 @ (t.A2 @ (t.B0 @ e)))
-_cond("W27", "weak2", 0, "beta2^T (A1 (B0 e)) = 0",
-      lambda t, e: t.beta2 @ (t.A1 @ (t.B0 @ e)))
-_cond("W28", "weak2", 0, "beta2^T (A1 (B0 e)^2) = 0",
-      lambda t, e: t.beta2 @ (t.A1 @ _q(t.B0 @ e)))
-_cond("W29", "weak2", 0, "beta4^T (A2 (B0 e)^2) = 0",
-      lambda t, e: t.beta4 @ (t.A2 @ _q(t.B0 @ e)))
-_cond("W30", "weak2", 0, "beta3^T (B2 (A1 e)) = 0",
-      lambda t, e: t.beta3 @ (t.B2 @ (t.A1 @ e)))
-_cond("W31", "weak2", 0, "beta1^T (B1 (A1 e)) = 0",
-      lambda t, e: t.beta1 @ (t.B1 @ (t.A1 @ e)))
-_cond("W32", "weak2", 0, "beta2^T (B1 e)^2 = 0",
-      lambda t, e: t.beta2 @ _q(t.B1 @ e))
-_cond("W33", "weak2", 0, "beta4^T (B2 e)^2 = 0",
-      lambda t, e: t.beta4 @ _q(t.B2 @ e))
-_cond("W34", "weak2", 0, "beta4^T (B2 (B1 e)) = 0",
-      lambda t, e: t.beta4 @ (t.B2 @ (t.B1 @ e)))
-_cond("W35", "weak2", 0, "beta2^T (B1 (B1 e)) = 0",
-      lambda t, e: t.beta2 @ (t.B1 @ (t.B1 @ e)))
-_cond("W36", "weak2", 0, "beta1^T (B1 e)^3 = 0",
-      lambda t, e: t.beta1 @ (t.B1 @ e) ** 3)
-_cond("W37", "weak2", 0, "beta3^T (B2 e)^3 = 0",
-      lambda t, e: t.beta3 @ (t.B2 @ e) ** 3)
-_cond("W38", "weak2", 0, "beta1^T (B1 (B1 e)^2) = 0",
-      lambda t, e: t.beta1 @ (t.B1 @ _q(t.B1 @ e)))
-_cond("W39", "weak2", 0, "beta3^T (B2 (B1 e)^2) = 0",
-      lambda t, e: t.beta3 @ (t.B2 @ _q(t.B1 @ e)))
-_cond("W40", "weak2", 0, "alpha^T ((B0 e)(B0 (B1 e))) = 0",
-      lambda t, e: t.alpha @ ((t.B0 @ e) * (t.B0 @ (t.B1 @ e))))
-_cond("W41", "weak2", 0, "beta1^T ((A1 (B0 e))(B1 e)) = 0",
-      lambda t, e: t.beta1 @ ((t.A1 @ (t.B0 @ e)) * (t.B1 @ e)))
-_cond("W42", "weak2", 0, "beta3^T ((A2 (B0 e))(B2 e)) = 0",
-      lambda t, e: t.beta3 @ ((t.A2 @ (t.B0 @ e)) * (t.B2 @ e)))
-_cond("W43", "weak2", 0, "beta1^T (A1 (B0 (B1 e))) = 0",
-      lambda t, e: t.beta1 @ (t.A1 @ (t.B0 @ (t.B1 @ e))))
-_cond("W44", "weak2", 0, "beta3^T (A2 (B0 (B1 e))) = 0",
-      lambda t, e: t.beta3 @ (t.A2 @ (t.B0 @ (t.B1 @ e))))
-_cond("W45", "weak2", 0, "beta1^T (B1 (A1 (B0 e))) = 0",
-      lambda t, e: t.beta1 @ (t.B1 @ (t.A1 @ (t.B0 @ e))))
-_cond("W46", "weak2", 0, "beta3^T (B2 (A1 (B0 e))) = 0",
-      lambda t, e: t.beta3 @ (t.B2 @ (t.A1 @ (t.B0 @ e))))
-_cond("W47", "weak2", 0, "beta1^T ((B1 e)(B1 (B1 e))) = 0",
-      lambda t, e: t.beta1 @ ((t.B1 @ e) * (t.B1 @ (t.B1 @ e))))
-_cond("W48", "weak2", 0, "beta3^T ((B2 e)(B2 (B1 e))) = 0",
-      lambda t, e: t.beta3 @ ((t.B2 @ e) * (t.B2 @ (t.B1 @ e))))
-_cond("W49", "weak2", 0, "beta1^T (B1 (B1 (B1 e))) = 0",
-      lambda t, e: t.beta1 @ (t.B1 @ (t.B1 @ (t.B1 @ e))))
-_cond("W50", "weak2", 0, "beta3^T (B2 (B1 (B1 e))) = 0",
-      lambda t, e: t.beta3 @ (t.B2 @ (t.B1 @ (t.B1 @ e))))
-_cond("D3A", "det3", 1.0 / 3.0, "alpha^T (A0 e)^2 = 1/3",
-      lambda t, e: t.alpha @ _q(t.A0 @ e))
-_cond("D3B", "det3", 1.0 / 6.0, "alpha^T (A0 (A0 e)) = 1/6",
-      lambda t, e: t.alpha @ (t.A0 @ (t.A0 @ e)))
-_cond("D4A", "det4", 1.0 / 12.0, "alpha^T (A0 (A0 e)^2) = 1/12",
-      lambda t, e: t.alpha @ (t.A0 @ _q(t.A0 @ e)))
-_cond("D4B", "det4", 1.0 / 8.0, "alpha^T ((A0 e)(A0 (A0 e))) = 1/8",
-      lambda t, e: t.alpha @ ((t.A0 @ e) * (t.A0 @ (t.A0 @ e))))
-_cond("D4C", "det4", 0.25, "alpha^T (A0 e)^3 = 1/4",
-      lambda t, e: t.alpha @ (t.A0 @ e) ** 3)
-_cond("T1", "node", 2.0 / 3.0, "beta2^T ((A1 e)(B1 e)) (beta1^T e)^2 = 2/3",
-      lambda t, e: (t.beta2 @ ((t.A1 @ e) * (t.B1 @ e))) * (t.beta1 @ e) ** 2)
-_cond("T2", "node", 1, "(beta1^T e) (beta3^T (B2 e)^4) = 1",
-      lambda t, e: (t.beta1 @ e) * (t.beta3 @ (t.B2 @ e) ** 4))
-
-CONDITIONS = tuple(_REGISTRY)
+CONDITIONS = tuple(_compile(*row) for row in _TABLE)
 _BY_ID = {c.cid: c for c in CONDITIONS}
+GROUPS = tuple(dict.fromkeys(c.group for c in CONDITIONS))
 
 WEAK_ORDER1_IDS, WEAK_ORDER2_IDS, DET_ORDER3_IDS, DET_ORDER4_IDS, NODE_IDS = (
-    tuple(c.cid for c in CONDITIONS if c.group == group)
-    for group in ("weak1", "weak2", "det3", "det4", "node"))
+    tuple(c.cid for c in CONDITIONS if c.group == group) for group in GROUPS)
 
 
 def _residual(spec, t, e):
@@ -266,7 +234,14 @@ class ConditionReport:
         Args:
           group: optionally restrict to one registry group,
             e.g. "weak2"
+
+        Raises:
+          UnknownConditionError: if group is not a registry group
         """
+        if group is not None and group not in GROUPS:
+            raise UnknownConditionError(
+                "unknown condition group %r; known groups are %s"
+                % (group, ", ".join(GROUPS)))
         return [cid for cid in self.residuals
                 if not self.satisfied[cid]
                 and (group is None or _BY_ID[cid].group == group)]

@@ -35,7 +35,7 @@ from scipy.special import stdtrit
 from .families import named_scheme
 from .increments import derive_seed, substream
 from .integrator import terminal_values
-from .tableau import CoefficientTableau, Error
+from .tableau import CoefficientTableau, Error, _check_int
 
 DEFAULT_BATCHES = 20
 
@@ -93,16 +93,9 @@ def _steps_for(prob, h):
     return n_int
 
 
-def _check_int(name, value, low):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < low:
-        raise EstimatorError("%s must be an integer >= %d, got %r"
-                             % (name, low, value))
-
-
 def _batch_sizes(M, batches):
-    _check_int("batches", batches, 2)
-    _check_int("M", M, batches)
+    _check_int("batches", batches, 2, EstimatorError)
+    _check_int("M", M, batches, EstimatorError)
     base, extra = divmod(int(M), int(batches))
     return [base + (1 if b < extra else 0) for b in range(batches)]
 
@@ -145,10 +138,10 @@ def estimate(scheme, prob, h, M, seed, batches=DEFAULT_BATCHES, threads=1):
       means and counted in the report
     """
     label, tab = _resolve(scheme)
-    _check_int("seed", seed, 0)
+    _check_int("seed", seed, 0, EstimatorError)
     n_steps = _steps_for(prob, h)
     sizes = _batch_sizes(M, batches)
-    _check_int("threads", threads, 1)
+    _check_int("threads", threads, 1, EstimatorError)
     exact = float(prob.exact_functional(prob.t_end))
 
     if tab is not None:
@@ -201,7 +194,8 @@ def fit_order(hs, mu_hats):
       float, the least-squares slope of log2 |mu_hat| vs log2 h
 
     Raises:
-      EstimatorError: if fewer than two usable points remain
+      EstimatorError: if fewer than two usable points, or fewer than
+        two distinct step sizes among them, remain
     """
     hs = np.asarray(hs, dtype=float)
     errs = np.abs(np.asarray(mu_hats, dtype=float))
@@ -218,6 +212,10 @@ def fit_order(hs, mu_hats):
         raise EstimatorError(
             "order fit needs at least two nonzero weak errors, got %d"
             % int(usable.sum()))
+    if len(np.unique(hs[usable])) < 2:
+        raise EstimatorError(
+            "order fit needs at least two distinct step sizes, got h = %s"
+            % ", ".join("%g" % h for h in hs[usable]))
     slope = np.polyfit(np.log2(hs[usable]), np.log2(errs[usable]), 1)[0]
     return float(slope)
 
@@ -232,9 +230,11 @@ def run_study(schemes, prob, hs, M, seed, batches=DEFAULT_BATCHES,
 
     Args:
       schemes: iterable of scheme names ("EXEM" for the extrapolated
-        Euler-Maruyama estimator) or (label, CoefficientTableau) pairs
+        Euler-Maruyama estimator), tableaux or (label,
+        CoefficientTableau) tuples
       prob: NamedProblem
-      hs: step sizes, each dividing the problem interval
+      hs: step sizes, each dividing the problem interval, at least two
+        of them distinct; all are checked before any cell runs
       M: trajectories per scheme and step size
       seed: non-negative integer master seed
       batches: batches per estimate
@@ -244,11 +244,17 @@ def run_study(schemes, prob, hs, M, seed, batches=DEFAULT_BATCHES,
       (reports, orders): lists of WeakErrorReport and FittedOrder in
       input order
     """
-    _check_int("seed", seed, 0)
-    resolved = [_resolve(item) if isinstance(item, str)
-                else (str(item[0]), item[1].with_name(str(item[0])))
+    _check_int("seed", seed, 0, EstimatorError)
+    resolved = [(str(item[0]), item[1].with_name(str(item[0])))
+                if isinstance(item, tuple) else _resolve(item)
                 for item in schemes]
+    hs = list(hs)
+    for h in hs:
+        _steps_for(prob, h)
     hs = [float(h) for h in hs]
+    if len(set(hs)) < 2:
+        raise EstimatorError("a study needs at least two distinct step "
+                             "sizes, got %s" % ", ".join(map(repr, hs)))
     reports = []
     orders = []
     for si, (label, tab) in enumerate(resolved):

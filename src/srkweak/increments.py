@@ -31,17 +31,19 @@ change which uniform feeds which variate.
 
 The joint support is finite, of size 3^m 2^(m(m-1)/2), so one-step
 expectations can be computed exactly by enumeration; support_batch()
-returns it as one stacked batch with its probabilities for m <= 4.
+returns it as one stacked batch with its probabilities for m <= 4,
+built through the same uniform-to-increment mapping as draw().
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tableau import Error
+from .tableau import Error, _check_int
 
 MAX_ENUM_M = 4
 
@@ -120,8 +122,7 @@ class WeakIncrementBatch:
 
 
 def _check_m_h(m, h):
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-        raise IncrementError("m must be an integer >= 1, got %r" % (m,))
+    _check_int("m", m, 1, IncrementError)
     if isinstance(h, bool) or not (
             isinstance(h, (int, float, np.floating)) and np.isfinite(h)
             and h > 0.0):
@@ -130,14 +131,42 @@ def _check_m_h(m, h):
     return int(m), float(h)
 
 
+def _increments(h, u, w):
+    """Map uniforms to (Ihat, V), read-only and in Fortran order.
+
+    u (..., m): u < 1/6 gives -sqrt(3 h), u >= 5/6 +sqrt(3 h), else 0.
+    w (..., m(m-1)/2), one per V_kl, l < k, in row-major order: w < 1/2
+    gives +h, else -h; w None leaves zeros off the diagonal of V.
+    """
+    m = u.shape[-1]
+    # 1 for u >= 5/6, -1 for u < 1/6, else +0.0 (never -0.0), scaled
+    ihat = np.empty(u.shape, order="F")
+    np.subtract(u >= 5.0 / 6.0, u < 1.0 / 6.0, out=ihat, dtype=float)
+    ihat *= math.sqrt(3.0 * h)
+    signs = None if w is None else np.where(w < 0.5, h, -h)
+    v = np.empty(u.shape + (m,), order="F")
+    pair = 0
+    for k in range(m):
+        v[..., k, k] = -h
+        for l in range(k):  # the strict lower triangle in row-major order
+            if signs is None:
+                v[..., k, l] = v[..., l, k] = 0.0
+            else:
+                v[..., k, l] = signs[..., pair]
+                np.negative(signs[..., pair], out=v[..., l, k])
+            pair += 1
+    ihat.setflags(write=False)
+    v.setflags(write=False)
+    return ihat, v
+
+
 def draw(m, h, stream, size=None, with_offdiag=True):
     """Sample one weak increment batch.
 
     Consumption order from the stream, one uniform per variate: the m
-    three-point variates first (a uniform u maps to -sqrt(3 h) for
-    u < 1/6, to +sqrt(3 h) for u >= 5/6 and to 0 otherwise), then, if
-    with_offdiag holds and m > 1, the m(m-1)/2 two-point sign variates
-    for V_kl, l < k, in row-major order (+h for u < 1/2, else -h).
+    three-point variates first, then, if with_offdiag holds and m > 1,
+    the m(m-1)/2 two-point sign variates for V_kl, l < k, in row-major
+    order; _increments() maps them to values.
 
     Args:
       m: number of driving Wiener components, >= 1
@@ -154,32 +183,19 @@ def draw(m, h, stream, size=None, with_offdiag=True):
     m, h = _check_m_h(m, h)
     shape = () if size is None else tuple(int(n) for n in size)
     u = stream.random(shape + (m,))
-    # 1 for u >= 5/6, -1 for u < 1/6, else +0.0 (never -0.0), scaled
-    ihat = np.empty(shape + (m,), order="F")
-    np.subtract(u >= 5.0 / 6.0, u < 1.0 / 6.0, out=ihat, dtype=float)
-    ihat *= math.sqrt(3.0 * h)
-    signs = None
+    w = None
     if with_offdiag and m > 1:
         w = stream.random(shape + (m * (m - 1) // 2,))
-        signs = np.where(w < 0.5, h, -h)
-    v = np.empty(shape + (m, m), order="F")
-    pair = 0
-    for k in range(m):
-        v[..., k, k] = -h
-        for l in range(k):  # the strict lower triangle in row-major order
-            if signs is None:
-                v[..., k, l] = v[..., l, k] = 0.0
-            else:
-                v[..., k, l] = signs[..., pair]
-                np.negative(signs[..., pair], out=v[..., l, k])
-            pair += 1
-    ihat.setflags(write=False)
-    v.setflags(write=False)
+    ihat, v = _increments(h, u, w)
     return WeakIncrementBatch(h=h, Ihat=ihat, V=v)
 
 
 def support_batch(m, h):
     """Return the full joint support as one stacked batch.
+
+    Atoms are listed by their digits, the m three-point digits first,
+    then the sign digits, the last varying fastest; each digit is the
+    uniform (0, 1/2 or 1; 0 or 1 for a sign) that _increments() maps.
 
     Args:
       m: number of driving Wiener components, 1 <= m <= MAX_ENUM_M
@@ -187,39 +203,24 @@ def support_batch(m, h):
 
     Returns:
       (batch, probabilities): a WeakIncrementBatch with one leading
-      axis of length 3^m 2^(m(m-1)/2) and the matching probability
-      vector, which sums to 1
+      axis of length 3^m 2^(m(m-1)/2), in Fortran order, and the
+      matching probability vector, which sums to 1
     """
     m, h = _check_m_h(m, h)
     if m > MAX_ENUM_M:
         raise IncrementError(
             "support enumeration is limited to m <= %d (size grows as "
             "3^m 2^(m(m-1)/2)); got m = %d" % (MAX_ENUM_M, m))
-    root3h = math.sqrt(3.0 * h)
-    point_values = (-root3h, 0.0, root3h)
-    point_probs = (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0)
-    rows, cols = np.tril_indices(m, -1)
-    npairs = len(rows)
-    n = 3 ** m * 2 ** npairs
-    ihat = np.zeros((n, m))
-    v = np.zeros((n, m, m))
-    probs = np.zeros(n)
-    idx = np.arange(m)
-    v[:, idx, idx] = -h
-    pos = 0
-    for digits in np.ndindex(*(3,) * m):
-        p_ihat = 1.0
-        for d in digits:
-            p_ihat *= point_probs[d]
-        values = [point_values[d] for d in digits]
-        for signs in np.ndindex(*(2,) * npairs):
-            ihat[pos] = values
-            for (k, l, sgn) in zip(rows, cols, signs):
-                v[pos, k, l] = h if sgn == 0 else -h
-                v[pos, l, k] = -v[pos, k, l]
-            probs[pos] = p_ihat * 0.5 ** npairs
-            pos += 1
-    ihat.setflags(write=False)
-    v.setflags(write=False)
+    npairs = m * (m - 1) // 2
+    digits = np.array(list(itertools.product(
+        *[range(3)] * m, *[range(2)] * npairs)))
+    u = np.array([0.0, 0.5, 1.0])[digits[:, :m]]
+    w = np.array([0.0, 1.0])[digits[:, m:]]
+    ihat, v = _increments(h, u, w)
+    point_probs = np.array([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0])
+    probs = np.ones(len(digits))
+    for d in digits[:, :m].T:  # a left-to-right product over the digits
+        probs = probs * point_probs[d]
+    probs = probs * 0.5 ** npairs
     probs.setflags(write=False)
     return WeakIncrementBatch(h=h, Ihat=ihat, V=v), probs

@@ -66,12 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .increments import WeakIncrementBatch, draw, support_batch
-
-
-def _check_count(name, value):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < 1:
-        raise ValueError("%s must be an integer >= 1, got %r" % (name, value))
+from .tableau import _check_int
 
 
 @dataclass(frozen=True)
@@ -103,7 +98,7 @@ class SdeProblem:
     def __post_init__(self):
         for key in ("d", "m"):
             val = getattr(self, key)
-            _check_count(key, val)
+            _check_int(key, val, 1, ValueError)
             object.__setattr__(self, key, int(val))
         if not callable(self.drift) or not callable(self.diffusion_column):
             raise ValueError("drift and diffusion_column must be callable")
@@ -301,7 +296,7 @@ def evaluation_cost(tab, m):
     Returns:
       EvaluationCost
     """
-    _check_count("m", m)
+    _check_int("m", m, 1, ValueError)
     plan = usage_plan(tab, int(m))
     drift = sum(plan.need_a)
     diff = m * sum(plan.need_b)
@@ -457,8 +452,8 @@ def terminal_values(tab, prob, n_steps, n_paths, stream, t_end=None):
       and a boolean mask of shape (n_paths,) marking trajectories that
       left the finite range
     """
-    _check_count("n_steps", n_steps)
-    _check_count("n_paths", n_paths)
+    _check_int("n_steps", n_steps, 1, ValueError)
+    _check_int("n_paths", n_paths, 1, ValueError)
     end = prob.t_end if t_end is None else float(t_end)
     if not math.isfinite(end):
         raise ValueError("t_end must be finite, got %r" % (end,))

@@ -39,6 +39,14 @@ class Error(Exception):
     pass
 
 
+def _check_int(name, value, low, error):
+    """Raise error unless value is an integer >= low (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < low:
+        raise error("%s must be an integer >= %d, got %r"
+                    % (name, low, value))
+
+
 class TableauShapeError(Error):
     """Tableau arrays cannot be assembled into an s-stage scheme."""
     pass

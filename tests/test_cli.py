@@ -311,6 +311,19 @@ def test_study_rejects_bad_step_size(capsys, h):
     assert "error: step size h must be a finite positive number" in err
 
 
+
+@pytest.mark.parametrize("hs", ["0.5", "0.5,0.5"])
+def test_study_needs_two_distinct_step_sizes(tmp_path, capsys, hs):
+    code = main(["study", "--problem", "nonlinear16", "--schemes", "em",
+                 "--h", hs, "--M", "40", "--batches", "4",
+                 "--out-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == ("error: a study needs at least two distinct step "
+                   "sizes, got %s\n" % hs.replace(",", ", "))
+    assert not (tmp_path / "errors.csv").exists()
+
 def test_study_rejects_negative_seed(tmp_path, capsys):
     code = main(["study", "--problem", "nonlinear16", "--schemes", "em",
                  "--h", "0.5", "--seed", "-1", "--out-dir", str(tmp_path)])

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from family_sampling import draw_member
 from srkweak.conditions import (CONDITIONS, DEFAULT_TOL, DET_ORDER3_IDS,
                                 DET_ORDER4_IDS, NODE_IDS, UnknownConditionError,
-                                WEAK_ORDER1_IDS, WEAK_ORDER2_IDS,
+                                WEAK_ORDER1_IDS, WEAK_ORDER2_IDS, _compile,
                                 condition_ids, evaluate, evaluate_all,
                                 infer_orders)
-from srkweak.families import FamilyParams, make_family, named_scheme
+from srkweak.families import (FAMILY_IDS, NAMED_SCHEMES, FamilyParams,
+                              make_family, named_scheme)
 from srkweak.tableau import CoefficientTableau
 
 EM_FAILED_W = {"W8", "W9", "W10", "W11", "W13", "W14", "W15", "W16"}
@@ -169,3 +171,129 @@ def test_tolerance_validation():
     # a huge tolerance blesses everything
     rep = evaluate_all(t, tol=10.0)
     assert rep.failed_ids() == []
+
+
+def _q(x):
+    return np.asarray(x) ** 2
+
+
+#: The 57 conditions as they were written by hand before they were
+#: compiled from their printed text, kept frozen: cid -> (r, L).
+_REFERENCE = {
+    "W1": (1, lambda t, e: t.alpha @ e),
+    "W2": (0, lambda t, e: t.beta4 @ e),
+    "W3": (0, lambda t, e: t.beta3 @ e),
+    "W4": (1, lambda t, e: (t.beta1 @ e) ** 2),
+    "W5": (0, lambda t, e: t.beta2 @ e),
+    "W6": (0, lambda t, e: t.beta1 @ (t.B1 @ e)),
+    "W7": (0, lambda t, e: t.beta3 @ (t.B2 @ e)),
+    "W8": (0.5, lambda t, e: t.alpha @ (t.A0 @ e)),
+    "W9": (0.5, lambda t, e: t.alpha @ _q(t.B0 @ e)),
+    "W10": (0.5, lambda t, e: (t.beta1 @ e) * (t.alpha @ (t.B0 @ e))),
+    "W11": (0.5, lambda t, e: (t.beta1 @ e) * (t.beta1 @ (t.A1 @ e))),
+    "W12": (0, lambda t, e: t.beta3 @ (t.A2 @ e)),
+    "W13": (1, lambda t, e: t.beta2 @ (t.B1 @ e)),
+    "W14": (1, lambda t, e: t.beta4 @ (t.B2 @ e)),
+    "W15": (0.5, lambda t, e: (t.beta1 @ e) * (t.beta1 @ _q(t.B1 @ e))),
+    "W16": (0.5, lambda t, e: (t.beta1 @ e) * (t.beta3 @ _q(t.B2 @ e))),
+    "W17": (0, lambda t, e: t.beta1 @ (t.B1 @ (t.B1 @ e))),
+    "W18": (0, lambda t, e: t.beta3 @ (t.B2 @ (t.B1 @ e))),
+    "W19": (0, lambda t, e: t.beta3 @ (t.A2 @ (t.B0 @ e))),
+    "W20": (0, lambda t, e: t.beta1 @ (t.A1 @ (t.B0 @ e))),
+    "W21": (0, lambda t, e: t.alpha @ (t.B0 @ (t.B1 @ e))),
+    "W22": (0, lambda t, e: t.beta2 @ (t.A1 @ e)),
+    "W23": (0, lambda t, e: t.beta4 @ (t.A2 @ e)),
+    "W24": (0, lambda t, e: t.beta1 @ ((t.A1 @ e) * (t.B1 @ e))),
+    "W25": (0, lambda t, e: t.beta3 @ ((t.A2 @ e) * (t.B2 @ e))),
+    "W26": (0, lambda t, e: t.beta4 @ (t.A2 @ (t.B0 @ e))),
+    "W27": (0, lambda t, e: t.beta2 @ (t.A1 @ (t.B0 @ e))),
+    "W28": (0, lambda t, e: t.beta2 @ (t.A1 @ _q(t.B0 @ e))),
+    "W29": (0, lambda t, e: t.beta4 @ (t.A2 @ _q(t.B0 @ e))),
+    "W30": (0, lambda t, e: t.beta3 @ (t.B2 @ (t.A1 @ e))),
+    "W31": (0, lambda t, e: t.beta1 @ (t.B1 @ (t.A1 @ e))),
+    "W32": (0, lambda t, e: t.beta2 @ _q(t.B1 @ e)),
+    "W33": (0, lambda t, e: t.beta4 @ _q(t.B2 @ e)),
+    "W34": (0, lambda t, e: t.beta4 @ (t.B2 @ (t.B1 @ e))),
+    "W35": (0, lambda t, e: t.beta2 @ (t.B1 @ (t.B1 @ e))),
+    "W36": (0, lambda t, e: t.beta1 @ (t.B1 @ e) ** 3),
+    "W37": (0, lambda t, e: t.beta3 @ (t.B2 @ e) ** 3),
+    "W38": (0, lambda t, e: t.beta1 @ (t.B1 @ _q(t.B1 @ e))),
+    "W39": (0, lambda t, e: t.beta3 @ (t.B2 @ _q(t.B1 @ e))),
+    "W40": (0, lambda t, e: t.alpha @ ((t.B0 @ e) * (t.B0 @ (t.B1 @ e)))),
+    "W41": (0, lambda t, e: t.beta1 @ ((t.A1 @ (t.B0 @ e)) * (t.B1 @ e))),
+    "W42": (0, lambda t, e: t.beta3 @ ((t.A2 @ (t.B0 @ e)) * (t.B2 @ e))),
+    "W43": (0, lambda t, e: t.beta1 @ (t.A1 @ (t.B0 @ (t.B1 @ e)))),
+    "W44": (0, lambda t, e: t.beta3 @ (t.A2 @ (t.B0 @ (t.B1 @ e)))),
+    "W45": (0, lambda t, e: t.beta1 @ (t.B1 @ (t.A1 @ (t.B0 @ e)))),
+    "W46": (0, lambda t, e: t.beta3 @ (t.B2 @ (t.A1 @ (t.B0 @ e)))),
+    "W47": (0, lambda t, e: t.beta1 @ ((t.B1 @ e) * (t.B1 @ (t.B1 @ e)))),
+    "W48": (0, lambda t, e: t.beta3 @ ((t.B2 @ e) * (t.B2 @ (t.B1 @ e)))),
+    "W49": (0, lambda t, e: t.beta1 @ (t.B1 @ (t.B1 @ (t.B1 @ e)))),
+    "W50": (0, lambda t, e: t.beta3 @ (t.B2 @ (t.B1 @ (t.B1 @ e)))),
+    "D3A": (1.0 / 3.0, lambda t, e: t.alpha @ _q(t.A0 @ e)),
+    "D3B": (1.0 / 6.0, lambda t, e: t.alpha @ (t.A0 @ (t.A0 @ e))),
+    "D4A": (1.0 / 12.0, lambda t, e: t.alpha @ (t.A0 @ _q(t.A0 @ e))),
+    "D4B": (1.0 / 8.0,
+            lambda t, e: t.alpha @ ((t.A0 @ e) * (t.A0 @ (t.A0 @ e)))),
+    "D4C": (0.25, lambda t, e: t.alpha @ (t.A0 @ e) ** 3),
+    "T1": (2.0 / 3.0, lambda t, e: (t.beta2 @ ((t.A1 @ e) * (t.B1 @ e)))
+           * (t.beta1 @ e) ** 2),
+    "T2": (1, lambda t, e: (t.beta1 @ e) * (t.beta3 @ (t.B2 @ e) ** 4)),
+}
+
+
+def _reference_tableaux():
+    tabs = [named_scheme(name) for name in NAMED_SCHEMES]
+    rng = np.random.default_rng(606)
+    tabs += [draw_member(fid, rng) for fid in FAMILY_IDS for _ in range(5)]
+    # dense matrices make every product and nesting count
+    for s in range(1, 6):
+        for _ in range(8):
+            tabs.append(CoefficientTableau(
+                s=s, name=None,
+                **{key: rng.standard_normal(s) for key in
+                   ("alpha", "beta1", "beta2", "beta3", "beta4")},
+                **{key: rng.standard_normal((s, s)) for key in
+                   ("A0", "A1", "A2", "B0", "B1", "B2")}))
+    return tabs
+
+
+def test_compiled_conditions_match_frozen_reference():
+    assert list(_REFERENCE) == condition_ids()
+    for spec in CONDITIONS:
+        assert spec.rhs == float(_REFERENCE[spec.cid][0]), spec.cid
+    for t in _reference_tableaux():
+        e = np.ones(t.s)
+        for spec in CONDITIONS:
+            got = np.float64(spec.lhs(t, e))
+            want = np.float64(_REFERENCE[spec.cid][1](t, e))
+            assert got.tobytes() == want.tobytes(), (spec.cid, got, want)
+
+
+@pytest.mark.parametrize("text", [
+    "alpha^T (C1 e) = 1",       # no such array
+    "gamma^T e = 1",
+    "alpha^T (A0 x) = 1",       # only e may be multiplied
+    "alpha^T (A0 e)^-1 = 1",    # powers are single digits
+    "alpha^T e + 1 = 1",        # no sums
+    "alpha^T (A0.T e) = 0",     # no attribute access
+])
+def test_unreadable_condition_text_is_rejected(text):
+    with pytest.raises(ValueError, match="condition X1: "):
+        _compile("X1", "weak1", text)
+
+
+def test_compile_reads_both_sides():
+    spec = _compile("X1", "det3", "alpha^T (A0 (A0 e))^2 = 1/3")
+    t = named_scheme("RDI4WM")
+    e = np.ones(t.s)
+    assert spec.rhs == 1.0 / 3.0
+    assert spec.lhs(t, e) == t.alpha @ (t.A0 @ (t.A0 @ e)) ** 2
+
+
+def test_unknown_group_is_rejected():
+    rep = evaluate_all(named_scheme("EM"))
+    with pytest.raises(UnknownConditionError,
+                       match="known groups are weak1, weak2, det3, det4, "
+                             "node"):
+        rep.failed_ids(group="weak3")

@@ -165,6 +165,13 @@ def test_fit_order_validation():
         fit_order([[0.5], [0.25]], [[0.1], [0.2]])
 
 
+
+def test_fit_order_rejects_equal_step_sizes():
+    with pytest.raises(EstimatorError, match="two distinct step sizes"):
+        fit_order([0.5, 0.5], [0.1, 0.2])
+    # repeated sizes are fine once two distinct ones are left
+    assert math.isfinite(fit_order([0.5, 0.5, 0.25], [0.1, 0.12, 0.05]))
+
 def test_argument_validation():
     prob = problem_linear()
     with pytest.raises(EstimatorError, match="does not divide the interval"):
@@ -231,6 +238,33 @@ def test_run_study_checks_arguments_before_running():
     with pytest.raises(UnknownSchemeError):
         run_study(["EM", "SRK9"], prob, [0.25], M=1, seed=0)
 
+
+
+@pytest.mark.parametrize("hs,message", [
+    ([0.25], "at least two distinct step sizes, got 0.25"),
+    ([0.25, 0.25], "at least two distinct step sizes, got 0.25, 0.25"),
+    ([0.5, 0.3], "step size 0.3 does not divide"),
+    ([0.5, 0.0], "step size h must be a finite positive number, got 0.0"),
+    ([True, 0.5], "step size h must be a finite positive number, got True"),
+])
+def test_run_study_checks_step_sizes_before_running(hs, message):
+    # M = 1 fails in the first cell, so a check that waits for its
+    # cell cannot be reached
+    with pytest.raises(EstimatorError, match=message):
+        run_study(["EM", "RDI2WM"], problem_linear(), hs, M=1, seed=0)
+    # the scheme check comes first
+    with pytest.raises(UnknownSchemeError):
+        run_study(["EM", "SRK9"], problem_linear(), hs, M=1, seed=0)
+
+
+def test_run_study_accepts_tableaux():
+    prob = problem_linear(a=1.0, b=1.0, power=2)
+    hs = [0.25, 0.125]
+    by_tableau, orders = run_study([named_scheme("EM")], prob, hs, M=200,
+                                   seed=42, batches=5)
+    by_name, _ = run_study(["EM"], prob, hs, M=200, seed=42, batches=5)
+    assert by_tableau == by_name
+    assert [o.scheme for o in orders] == ["EM"]
 
 def test_csv_rendering(tmp_path):
     rep = WeakErrorReport(scheme="EM", problem="linear:a=1,b=1,p=2",

@@ -179,6 +179,49 @@ def test_draw_is_path_contiguous():
     assert inc.Ihat.flags.f_contiguous and inc.V.flags.f_contiguous
 
 
+def _reference_support(m, h):
+    """The support as first enumerated: nested loops over the digits,
+    with the three-point values and the V entries written out."""
+    root3h = math.sqrt(3.0 * h)
+    point_values = (-root3h, 0.0, root3h)
+    point_probs = (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0)
+    rows, cols = np.tril_indices(m, -1)
+    npairs = len(rows)
+    n = 3 ** m * 2 ** npairs
+    ihat = np.zeros((n, m))
+    v = np.zeros((n, m, m))
+    probs = np.zeros(n)
+    idx = np.arange(m)
+    v[:, idx, idx] = -h
+    pos = 0
+    for digits in np.ndindex(*(3,) * m):
+        p_ihat = 1.0
+        for d in digits:
+            p_ihat *= point_probs[d]
+        values = [point_values[d] for d in digits]
+        for signs in np.ndindex(*(2,) * npairs):
+            ihat[pos] = values
+            for (k, l, sgn) in zip(rows, cols, signs):
+                v[pos, k, l] = h if sgn == 0 else -h
+                v[pos, l, k] = -v[pos, k, l]
+            probs[pos] = p_ihat * 0.5 ** npairs
+            pos += 1
+    return ihat, v, probs
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("h", [0.25, 0.3, 1.0, 1e-3])
+def test_support_matches_reference_enumeration_bitwise(m, h):
+    batch, probs = support_batch(m, h)
+    ihat, v, want_probs = _reference_support(m, h)
+    assert _same_bits(batch.Ihat, ihat)
+    assert _same_bits(batch.V, v)
+    assert _same_bits(probs, want_probs)
+    assert batch.Ihat.flags.f_contiguous and batch.V.flags.f_contiguous
+    for arr in (batch.Ihat, batch.V, probs):
+        assert not arr.flags.writeable
+
+
 def test_draw_frequencies():
     inc = draw(1, 1.0, substream(2024), size=(200000,))
     frac_zero = float(np.mean(inc.Ihat == 0.0))
