@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .tableau import _MATRIX_KEYS, _VECTOR_KEYS, Error, OrderClaim
+from .tableau import _MATRIX_KEYS, _VECTOR_KEYS, Error, OrderClaim, _is_finite
 
 DEFAULT_TOL = 1e-12
 
@@ -284,7 +284,7 @@ def evaluate_all(t, tol=DEFAULT_TOL):
     Returns:
       ConditionReport
     """
-    if not (np.isfinite(tol) and tol >= 0.0):
+    if not (_is_finite(tol) and tol >= 0.0):
         raise ValueError("tol must be a finite non-negative number, got %r"
                          % (tol,))
     e = np.ones(t.s)

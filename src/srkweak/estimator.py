@@ -23,7 +23,6 @@ slope of log2 |mu_hat| against log2 h.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -35,7 +34,8 @@ from scipy.special import stdtrit
 from .families import named_scheme
 from .increments import derive_seed, substream
 from .integrator import terminal_values
-from .tableau import CoefficientTableau, Error, _check_int
+from .problems import NamedProblem
+from .tableau import CoefficientTableau, Error, _check_int, _is_finite
 
 DEFAULT_BATCHES = 20
 
@@ -80,7 +80,7 @@ def _t_quantile_95(df):
 
 
 def _steps_for(prob, h):
-    if isinstance(h, bool) or not (math.isfinite(h) and h > 0.0):
+    if not (_is_finite(h) and h > 0.0):
         raise EstimatorError("step size h must be a finite positive number, "
                              "got %r" % (h,))
     span = prob.t_end - prob.t0
@@ -102,10 +102,13 @@ def _batch_sizes(M, batches):
 
 def _resolve(scheme):
     """(label, tableau) for a tableau, a scheme name or "EXEM" (None)."""
-    if isinstance(scheme, str) and scheme.upper() == EXTRAPOLATED:
-        return EXTRAPOLATED, None
     if isinstance(scheme, CoefficientTableau):
         return scheme.name or "custom", scheme
+    if not isinstance(scheme, str):
+        raise EstimatorError("a scheme must be a name or a CoefficientTableau,"
+                             " got a %s" % type(scheme).__name__)
+    if scheme.upper() == EXTRAPOLATED:
+        return EXTRAPOLATED, None
     tab = named_scheme(scheme)
     return tab.name, tab
 
@@ -138,6 +141,9 @@ def estimate(scheme, prob, h, M, seed, batches=DEFAULT_BATCHES, threads=1):
       means and counted in the report
     """
     label, tab = _resolve(scheme)
+    if not isinstance(prob, NamedProblem):
+        raise EstimatorError("a %s carries no f and exact_functional; use a "
+                             "NamedProblem" % type(prob).__name__)
     _check_int("seed", seed, 0, EstimatorError)
     n_steps = _steps_for(prob, h)
     sizes = _batch_sizes(M, batches)
@@ -230,8 +236,8 @@ def run_study(schemes, prob, hs, M, seed, batches=DEFAULT_BATCHES,
 
     Args:
       schemes: iterable of scheme names ("EXEM" for the extrapolated
-        Euler-Maruyama estimator), tableaux or (label,
-        CoefficientTableau) tuples
+        Euler-Maruyama estimator) and tableaux; a tableau is labelled
+        by its name
       prob: NamedProblem
       hs: step sizes, each dividing the problem interval, at least two
         of them distinct; all are checked before any cell runs
@@ -245,9 +251,7 @@ def run_study(schemes, prob, hs, M, seed, batches=DEFAULT_BATCHES,
       input order
     """
     _check_int("seed", seed, 0, EstimatorError)
-    resolved = [(str(item[0]), item[1].with_name(str(item[0])))
-                if isinstance(item, tuple) else _resolve(item)
-                for item in schemes]
+    resolved = [_resolve(item) for item in schemes]
     hs = list(hs)
     for h in hs:
         _steps_for(prob, h)
@@ -258,12 +262,10 @@ def run_study(schemes, prob, hs, M, seed, batches=DEFAULT_BATCHES,
     reports = []
     orders = []
     for si, (label, tab) in enumerate(resolved):
-        rows = []
-        for hi, h in enumerate(hs):
-            rep = estimate(EXTRAPOLATED if tab is None else tab, prob, h, M,
-                           derive_seed(seed, si, hi),
-                           batches=batches, threads=threads)
-            rows.append(dataclasses.replace(rep, scheme=label))
+        rows = [estimate(EXTRAPOLATED if tab is None else tab, prob, h, M,
+                         derive_seed(seed, si, hi),
+                         batches=batches, threads=threads)
+                for hi, h in enumerate(hs)]
         reports.extend(rows)
         orders.append(FittedOrder(
             scheme=label, problem=prob.name,

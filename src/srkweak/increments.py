@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tableau import Error, _check_int
+from .tableau import Error, _check_int, _is_finite
 
 MAX_ENUM_M = 4
 
@@ -123,9 +123,7 @@ class WeakIncrementBatch:
 
 def _check_m_h(m, h):
     _check_int("m", m, 1, IncrementError)
-    if isinstance(h, bool) or not (
-            isinstance(h, (int, float, np.floating)) and np.isfinite(h)
-            and h > 0.0):
+    if not (_is_finite(h) and h > 0.0):
         raise IncrementError("h must be a finite positive number, got %r"
                              % (h,))
     return int(m), float(h)

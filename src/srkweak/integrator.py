@@ -81,9 +81,6 @@ class SdeProblem:
     returns an array laid out like y (np.empty_like(y)) keeps the
     stepper on contiguous memory.  Any returned layout gives identical
     numbers.
-
-    exact_functional, when present, maps t to the exact value of
-    E f(X_t) for the functional f the problem is studied with.
     """
 
     d: int
@@ -93,7 +90,6 @@ class SdeProblem:
     x0: np.ndarray
     t0: float = 0.0
     t_end: float = 1.0
-    exact_functional: object = None
 
     def __post_init__(self):
         for key in ("d", "m"):
@@ -206,24 +202,17 @@ def _compile(tab, m):
     mixed = m >= 2
     need_bhat = [mixed and (bool(b3) or bool(b4))
                  for b3, b4 in zip(beta3, beta4)]
-    # propagate through stage dependencies until stable
-    changed = True
-    while changed:
-        changed = False
-        for i in range(s):
-            wants_hhat = need_bhat[i] and i > 0  # stage one needs nothing
-            for wanted, A, B in ((need_a[i], A0, B0), (need_b[i], A1, B1),
-                                 (wants_hhat, A2, B2)):
-                if not wanted:
-                    continue
+    # a stage is referenced only by later ones, so once every later
+    # stage has been visited its flags are final
+    for i in reversed(range(s)):
+        for wanted, A, B in ((need_a[i], A0, B0), (need_b[i], A1, B1),
+                             (need_bhat[i], A2, B2)):
+            if wanted:
                 for j in range(i):
-                    if A[i][j] and not need_a[j]:
-                        need_a[j] = changed = True
-                    if B[i][j] and not need_b[j]:
-                        need_b[j] = changed = True
-        if need_bhat[0] and not need_b[0]:
-            # mixed values of stage one reuse the plain columns
-            need_b[0] = changed = True
+                    need_a[j] = need_a[j] or bool(A[i][j])
+                    need_b[j] = need_b[j] or bool(B[i][j])
+    # mixed values of stage one reuse the plain columns
+    need_b[0] = need_b[0] or need_bhat[0]
     need_bdot = [bool(beta1[j]) or any(need_a[i] and B0[i][j]
                                        for i in range(j + 1, s))
                  for j in range(s)]
@@ -431,8 +420,8 @@ def srk_step(tab, prob, ctx):
     return out
 
 
-def terminal_values(tab, prob, n_steps, n_paths, stream, t_end=None):
-    """Simulate a batch of independent trajectories to the interval end.
+def terminal_values(tab, prob, n_steps, n_paths, stream):
+    """Simulate a batch of independent trajectories over [t0, t_end].
 
     Diverged trajectories are flagged and frozen at the initial state
     so the rest of the batch continues unaffected; callers decide how
@@ -441,11 +430,10 @@ def terminal_values(tab, prob, n_steps, n_paths, stream, t_end=None):
 
     Args:
       tab: CoefficientTableau
-      prob: SdeProblem
+      prob: SdeProblem, stepped from x0 over its interval [t0, t_end]
       n_steps: number of uniform steps over [t0, t_end], >= 1
       n_paths: batch size, >= 1
       stream: generator for the increment draws
-      t_end: end of the simulated interval, defaults to prob.t_end
 
     Returns:
       (values, diverged): Fortran-ordered states of shape (n_paths, d)
@@ -454,12 +442,7 @@ def terminal_values(tab, prob, n_steps, n_paths, stream, t_end=None):
     """
     _check_int("n_steps", n_steps, 1, ValueError)
     _check_int("n_paths", n_paths, 1, ValueError)
-    end = prob.t_end if t_end is None else float(t_end)
-    if not math.isfinite(end):
-        raise ValueError("t_end must be finite, got %r" % (end,))
-    if not end > prob.t0:
-        raise ValueError("t_end must exceed t0")
-    h = (end - prob.t0) / n_steps
+    h = (prob.t_end - prob.t0) / n_steps
     plan = usage_plan(tab, prob.m)
     # path-contiguous: each component y[:, k] is one contiguous run
     y = np.array(np.broadcast_to(prob.x0, (n_paths, prob.d)), order="F")
@@ -485,7 +468,7 @@ def terminal_values(tab, prob, n_steps, n_paths, stream, t_end=None):
     return y, diverged
 
 
-def exact_one_step_expectation(tab, prob, f, h, t=None, y=None):
+def exact_one_step_expectation(tab, prob, f, h):
     """Compute E f(Y) after one step exactly by support enumeration.
 
     The joint increment law has finite support, so the expectation is
@@ -494,20 +477,16 @@ def exact_one_step_expectation(tab, prob, f, h, t=None, y=None):
 
     Args:
       tab: CoefficientTableau
-      prob: SdeProblem with m <= 4
+      prob: SdeProblem with m <= 4; the step starts from (t0, x0)
       f: functional mapping states (..., d) to values (...)
       h: step size, > 0
-      t: step start time, defaults to prob.t0
-      y: step start state of shape (d,), defaults to prob.x0
 
     Returns:
       float, the exact expectation over the increment law
     """
-    t = prob.t0 if t is None else float(t)
-    y = prob.x0 if y is None else np.asarray(y, dtype=float)
     batch, probs = support_batch(prob.m, h)
-    states = np.broadcast_to(y, (len(probs), prob.d))
-    out = srk_step(tab, prob, StepContext(t=t, h=float(h), y=states,
+    states = np.broadcast_to(prob.x0, (len(probs), prob.d))
+    out = srk_step(tab, prob, StepContext(t=prob.t0, h=float(h), y=states,
                                           increments=batch))
     vals = np.asarray(f(out), dtype=float)
     return float(probs @ vals)

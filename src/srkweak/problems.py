@@ -34,7 +34,7 @@ class NamedProblem(SdeProblem):
 
     name: str = ""
     f: object = None
-    f_description: str = ""
+    exact_functional: object = None
 
     def __post_init__(self):
         super().__post_init__()
@@ -79,8 +79,7 @@ def problem_nonlinear():
     return NamedProblem(
         d=1, m=1, drift=drift, diffusion_column=diffusion_column,
         x0=np.array([0.0]), t0=0.0, t_end=2.0, exact_functional=exact,
-        name="nonlinear16", f=f,
-        f_description="p(arsinh x) with p(z) = z^3 - 6 z^2 + 8 z")
+        name="nonlinear16", f=f)
 
 
 def problem_2d():
@@ -135,7 +134,7 @@ def problem_2d():
         d=2, m=2, drift=drift, diffusion_column=diffusion_column,
         x0=np.array([1.0, 1.0]), t0=0.0, t_end=4.0,
         exact_functional=lambda t: math.exp(-t),
-        name="system18", f=f, f_description="(x^1)^2")
+        name="system18", f=f)
 
 
 def problem_linear(a=1.0, b=1.0, power=2, x0=1.0, t_end=1.0):
@@ -177,8 +176,7 @@ def problem_linear(a=1.0, b=1.0, power=2, x0=1.0, t_end=1.0):
         diffusion_column=lambda t, y, j: b * y,
         x0=np.array([x0]), t0=0.0, t_end=float(t_end),
         exact_functional=exact,
-        name=name, f=lambda y: y[..., 0] ** power,
-        f_description="x^%d" % power)
+        name=name, f=lambda y: y[..., 0] ** power)
 
 
 # command-line names of the problems without parameters

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,6 @@ _MATRIX_KEYS = ("A0", "A1", "A2", "B0", "B1", "B2")
 
 class Error(Exception):
     """Base class for all errors raised by this package."""
-    pass
 
 
 def _check_int(name, value, low, error):
@@ -47,27 +47,34 @@ def _check_int(name, value, low, error):
                     % (name, low, value))
 
 
+def _is_finite(value):
+    """True for a finite int or float (a bool is not a number here)."""
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float, np.integer, np.floating)) \
+        and abs(value) <= sys.float_info.max
+
+
 class TableauShapeError(Error):
     """Tableau arrays cannot be assembled into an s-stage scheme."""
-    pass
 
 
 class TableauValueError(Error):
     """A structurally invalid tableau was used where a valid one is required."""
-    pass
 
 
 class TableauFormatError(Error):
     """A serialized tableau document is malformed."""
-    pass
 
 
 def _as_array(value, shape, key):
-    arr = np.asarray(value, dtype=float)
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise TableauShapeError("%s must be a numeric array of shape %r: %s"
+                                % (key, shape, exc)) from None
     if arr.shape != shape:
         raise TableauShapeError(
             "%s must have shape %r, got %r" % (key, shape, arr.shape))
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -81,7 +88,8 @@ class CoefficientTableau:
     array held by the tableau.
 
     Construction only rejects what cannot be represented at all (wrong
-    shapes, a stage count outside 1..MAX_STAGES).  Everything else,
+    shapes or entries that are not numbers, a stage count outside
+    1..MAX_STAGES, a name that is not a string).  Everything else,
     including non-finite entries and explicitness defects, is left to
     validate().
     """
@@ -104,13 +112,11 @@ class CoefficientTableau:
     c2v: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        if isinstance(self.s, bool) or not isinstance(self.s, (int, np.integer)):
-            raise TableauShapeError("stage count s must be an integer")
+        _check_int("stage count s", self.s, 1, TableauShapeError)
         s = int(self.s)
-        if not 1 <= s <= MAX_STAGES:
-            raise TableauShapeError(
-                "stage count s must satisfy 1 <= s <= %d, got %d"
-                % (MAX_STAGES, s))
+        if s > MAX_STAGES:
+            raise TableauShapeError("stage count s must be at most %d, got %d"
+                                    % (MAX_STAGES, s))
         object.__setattr__(self, "s", s)
         for key in _VECTOR_KEYS + _MATRIX_KEYS:
             shape = (s,) if key in _VECTOR_KEYS else (s, s)
@@ -238,11 +244,14 @@ def _reject_constant(token):
     raise TableauFormatError("non-finite number %r in tableau document" % token)
 
 
-def _number(value, where):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TableauFormatError("%s must be a number, got %r" % (where, value))
-    if not np.isfinite(value):
-        raise TableauFormatError("%s must be finite, got %r" % (where, value))
+def _numbers(value, where, depth=2):
+    """Return value as floats: finite numbers in lists at most depth deep."""
+    if isinstance(value, list) and depth > 0:
+        return [_numbers(x, "%s[%d]" % (where, i + 1), depth - 1)
+                for i, x in enumerate(value)]
+    if not _is_finite(value):
+        raise TableauFormatError("%s must be a finite number, got %r"
+                                 % (where, value))
     return float(value)
 
 
@@ -250,10 +259,10 @@ def deserialize(text):
     """Decode a JSON tableau document.
 
     The document must carry exactly the keys s, alpha, beta1..beta4,
-    A0, A1, A2, B0, B1, B2 and optionally name; vectors must have
-    length s and matrices shape s x s; every entry must be a finite
-    number.  Node vectors are not part of the format, they are
-    recomputed from the stage matrices.
+    A0, A1, A2, B0, B1, B2 and optionally name, with finite numbers as
+    array entries; CoefficientTableau checks the rest, and its
+    TableauShapeError is re-raised as TableauFormatError.  Node vectors
+    are not part of the format, they are recomputed from the matrices.
 
     Note that a well-formed document may still describe a structurally
     defective scheme (for example one that is not explicit); run
@@ -270,7 +279,7 @@ def deserialize(text):
     """
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise TableauFormatError("invalid JSON: %s" % exc) from exc
     if not isinstance(doc, dict):
         raise TableauFormatError("tableau document must be a JSON object")
@@ -281,32 +290,9 @@ def deserialize(text):
     unknown = set(doc) - required - {"name"}
     if unknown:
         raise TableauFormatError("unknown key(s): %s" % ", ".join(sorted(unknown)))
-    s = doc["s"]
-    if isinstance(s, bool) or not isinstance(s, int):
-        raise TableauFormatError("s must be an integer, got %r" % (s,))
-    if not 1 <= s <= MAX_STAGES:
-        raise TableauFormatError(
-            "s must satisfy 1 <= s <= %d, got %d" % (MAX_STAGES, s))
-    fields = {"s": s}
-    for key in _VECTOR_KEYS:
-        vec = doc[key]
-        if not isinstance(vec, list) or len(vec) != s:
-            raise TableauFormatError("%s must be a list of %d numbers" % (key, s))
-        fields[key] = [_number(x, "%s[%d]" % (key, i + 1))
-                       for i, x in enumerate(vec)]
-    for key in _MATRIX_KEYS:
-        mat = doc[key]
-        if not isinstance(mat, list) or len(mat) != s:
-            raise TableauFormatError("%s must be a list of %d rows" % (key, s))
-        rows = []
-        for i, row in enumerate(mat):
-            if not isinstance(row, list) or len(row) != s:
-                raise TableauFormatError(
-                    "%s row %d must be a list of %d numbers" % (key, i + 1, s))
-            rows.append([_number(x, "%s[%d][%d]" % (key, i + 1, j + 1))
-                         for j, x in enumerate(row)])
-        fields[key] = rows
-    name = doc.get("name")
-    if name is not None and not isinstance(name, str):
-        raise TableauFormatError("name must be a string")
-    return CoefficientTableau(name=name, **fields)
+    fields = {key: _numbers(doc[key], key)
+              for key in _VECTOR_KEYS + _MATRIX_KEYS}
+    try:
+        return CoefficientTableau(s=doc["s"], name=doc.get("name"), **fields)
+    except TableauShapeError as exc:
+        raise TableauFormatError(str(exc)) from exc

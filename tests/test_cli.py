@@ -360,13 +360,30 @@ def test_unknown_command(capsys):
     assert "invalid choice" in err
 
 
-def test_module_entry_point():
+def _child_env():
     # the child process imports the same package as this test
     src = os.path.dirname(os.path.dirname(srkweak.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "srkweak", "check",
                            "--scheme", "em", "--csv"],
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "id,residual,satisfied"
+
+
+def test_closed_pipe_exits_quietly():
+    # the reader takes one line and goes, as `srkweak enumerate | head -1`
+    proc = subprocess.Popen([sys.executable, "-m", "srkweak", "enumerate",
+                             "--m", "4", "--h", "0.25"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_child_env())
+    assert proc.stdout.readline().startswith(b"p,I1,")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -168,6 +168,9 @@ def test_tolerance_validation():
         evaluate_all(t, tol=-1.0)
     with pytest.raises(ValueError):
         evaluate_all(t, tol=float("nan"))
+    for bad in ("x", True, None):
+        with pytest.raises(ValueError, match="tol must be a finite"):
+            evaluate_all(t, tol=bad)
     # a huge tolerance blesses everything
     rep = evaluate_all(t, tol=10.0)
     assert rep.failed_ids() == []

@@ -176,7 +176,7 @@ def test_argument_validation():
     prob = problem_linear()
     with pytest.raises(EstimatorError, match="does not divide the interval"):
         estimate("EM", prob, 0.3, 100, seed=0)
-    for h in (0.0, -0.25, math.nan, math.inf, True):
+    for h in (0.0, -0.25, math.nan, math.inf, True, "0.25"):
         with pytest.raises(EstimatorError, match="step size h must be"):
             estimate("EM", prob, h, 100, seed=0)
     with pytest.raises(EstimatorError):
@@ -214,8 +214,8 @@ def test_run_study_order_and_labels():
     prob = problem_linear(a=1.0, b=1.0, power=2)
     hs = [0.25, 0.125]
     tab = named_scheme("RDI1WM")
-    reports, orders = run_study(["EM", ("mine", tab), "EXEM"], prob, hs,
-                                M=200, seed=42, batches=5)
+    reports, orders = run_study(["EM", tab.with_name("mine"), "EXEM"], prob,
+                                hs, M=200, seed=42, batches=5)
     assert [r.scheme for r in reports] \
         == ["EM", "EM", "mine", "mine", "EXEM", "EXEM"]
     assert [r.h for r in reports] == [0.25, 0.125] * 3
@@ -237,7 +237,17 @@ def test_run_study_checks_arguments_before_running():
     # cannot be reached either
     with pytest.raises(UnknownSchemeError):
         run_study(["EM", "SRK9"], prob, [0.25], M=1, seed=0)
+    # a tableau's label is its name; there is no (label, scheme) form
+    with pytest.raises(EstimatorError, match="got a tuple"):
+        run_study(["EM", ("x", "EXEM")], prob, [0.25], M=1, seed=0)
 
+
+def test_estimate_requires_study_functional():
+    bare = SdeProblem(d=1, m=1, drift=lambda t, y: y,
+                      diffusion_column=lambda t, y, j: y, x0=[1.0])
+    with pytest.raises(EstimatorError, match="a SdeProblem carries no f and "
+                       "exact_functional; use a NamedProblem"):
+        estimate("EM", bare, 0.25, 100, seed=0)
 
 
 @pytest.mark.parametrize("hs,message", [
@@ -246,6 +256,7 @@ def test_run_study_checks_arguments_before_running():
     ([0.5, 0.3], "step size 0.3 does not divide"),
     ([0.5, 0.0], "step size h must be a finite positive number, got 0.0"),
     ([True, 0.5], "step size h must be a finite positive number, got True"),
+    (["0.5", 0.25], "step size h must be a finite positive number, got '"),
 ])
 def test_run_study_checks_step_sizes_before_running(hs, message):
     # M = 1 fails in the first cell, so a check that waits for its

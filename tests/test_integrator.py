@@ -61,9 +61,9 @@ def test_diffusion_time_nodes():
         d=1, m=1,
         drift=lambda t, y: np.zeros_like(y),
         diffusion_column=lambda t, y, j: t * np.ones_like(y),
-        x0=np.array([1.0]))
+        x0=np.array([1.0]), t0=0.4)
     got = exact_one_step_expectation(
-        named_scheme("EM"), prob, lambda x: x[..., 0] ** 2, 0.25, t=0.4)
+        named_scheme("EM"), prob, lambda x: x[..., 0] ** 2, 0.25)
     assert abs(got - 1.04) < 1e-15
 
 
@@ -174,6 +174,53 @@ def test_usage_plan_b0_coupling():
         == EvaluationCost(2, 0, 0)
 
 
+def _fixpoint_flags(tab, m):
+    """need_a and need_b by propagating until nothing changes."""
+    need_a = [bool(v) for v in tab.alpha]
+    need_b = [bool(b1) or bool(b2) for b1, b2 in zip(tab.beta1, tab.beta2)]
+    need_bhat = [m >= 2 and (bool(b3) or bool(b4))
+                 for b3, b4 in zip(tab.beta3, tab.beta4)]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(tab.s):
+            for wanted, A, B in ((need_a[i], tab.A0, tab.B0),
+                                 (need_b[i], tab.A1, tab.B1),
+                                 (need_bhat[i] and i > 0, tab.A2, tab.B2)):
+                if not wanted:
+                    continue
+                for j in range(i):
+                    if A[i, j] and not need_a[j]:
+                        need_a[j] = changed = True
+                    if B[i, j] and not need_b[j]:
+                        need_b[j] = changed = True
+        if need_bhat[0] and not need_b[0]:
+            need_b[0] = changed = True
+    return tuple(need_a), tuple(need_b)
+
+
+def _sparse_tableau(rng, s):
+    arrays = {}
+    for key in KEYS:
+        if key.startswith(("A", "B")):
+            vals = np.tril(rng.normal(size=(s, s)), -1)
+        else:
+            vals = rng.normal(size=s)
+        arrays[key] = np.where(rng.random(vals.shape) < 0.3, vals, 0.0)
+    return CoefficientTableau(s=s, **arrays)
+
+
+def test_need_flags_match_fixpoint():
+    rng = np.random.default_rng(11)
+    tabs = [named_scheme(name) for name in NAMED_SCHEMES]
+    tabs += [draw_member(fid, rng) for fid in FAMILY_IDS]
+    tabs += [_sparse_tableau(rng, s) for s in range(1, 6) for _ in range(400)]
+    for tab in tabs:
+        for m in (1, 2, 3):
+            plan = integrator._compile(tab, m)
+            assert (plan.need_a, plan.need_b) == _fixpoint_flags(tab, m)
+
+
 def test_unused_stage_row_never_evaluated():
     # RDI2WM gives its third stage zero drift weight; altering that
     # stage's drift coupling cannot change anything
@@ -245,9 +292,9 @@ def test_terminal_values_freeze_diverged_paths():
         d=1, m=1,
         drift=lambda t, y: np.zeros_like(y),
         diffusion_column=lambda t, y, j: y ** 5,
-        x0=np.array([1.0]))
+        x0=np.array([1.0]), t_end=8.0)
     vals, mask = terminal_values(named_scheme("EM"), prob, 8, 64,
-                                 substream(123), t_end=8.0)
+                                 substream(123))
     assert mask.any() and not mask.all()
     assert (vals[mask] == 1.0).all()
     assert np.isfinite(vals[~mask]).all()
@@ -263,19 +310,19 @@ def test_divergence_does_not_disturb_draws():
         drift=lambda t, y: np.where(np.abs(y) > 1.5, 1e300 * y,
                                     np.zeros_like(y)),
         diffusion_column=lambda t, y, j: np.ones_like(y),
-        x0=np.array([1.0]))
+        x0=np.array([1.0]), t_end=6.0)
     tame = SdeProblem(
         d=1, m=1,
         drift=lambda t, y: np.zeros_like(y),
         diffusion_column=lambda t, y, j: np.ones_like(y),
-        x0=np.array([1.0]))
+        x0=np.array([1.0]), t_end=6.0)
     n_steps, n_paths = 6, 128
     ce = CountingStream(substream(9))
     _, me = terminal_values(named_scheme("EM"), explosive, n_steps, n_paths,
-                            ce, t_end=6.0)
+                            ce)
     ct = CountingStream(substream(9))
     vt, mt = terminal_values(named_scheme("EM"), tame, n_steps, n_paths,
-                             ct, t_end=6.0)
+                             ct)
     assert me.any() and not mt.any()
     assert ce.count == ct.count == n_steps * n_paths
     root3 = math.sqrt(3.0)
@@ -335,12 +382,6 @@ def test_terminal_values_rejects_bad_counts(n_steps, n_paths, name):
     with pytest.raises(ValueError, match="%s must be an integer >= 1" % name):
         terminal_values(named_scheme("EM"), _ode(), n_steps, n_paths,
                         substream(0))
-
-
-def test_terminal_values_rejects_infinite_t_end():
-    with pytest.raises(ValueError, match="t_end must be finite"):
-        terminal_values(named_scheme("EM"), _ode(), 2, 4, substream(0),
-                        t_end=math.inf)
 
 
 def _one_step_weak_error(tab, prob, h):

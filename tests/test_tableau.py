@@ -73,6 +73,19 @@ def test_shape_mismatch_rejected():
         CoefficientTableau(**_fields(2, name=7))
 
 
+@pytest.mark.parametrize("over", [
+    dict(alpha=["a", 1.0]),
+    dict(alpha=[None, {}]),
+    dict(A0=[[0.0, 0.0], [1.0]]),
+    dict(B2=[[0.0, 0.0], [0.0, "x"]]),
+])
+def test_non_array_input_rejected(over):
+    key = next(iter(over))
+    with pytest.raises(TableauShapeError, match="%s must be a numeric array"
+                       % key):
+        CoefficientTableau(**_fields(2, **over))
+
+
 def test_equality_and_naming():
     a = CoefficientTableau(**_fields(2))
     b = CoefficientTableau(**_fields(2))
@@ -213,6 +226,19 @@ def _doc(**over):
     _doc(s=0),
     _doc(name=3),
     '{"s": 1}',
+    pytest.param(_doc().replace('"alpha": [1.0]', '"alpha": [1e999]'),
+                 id="overflowing-float"),
+    pytest.param(_doc(alpha=[10 ** 400]), id="overflowing-int"),
+    pytest.param(_doc(A0=[[0.0], []]), id="ragged-matrix"),
+    pytest.param(_doc(alpha=[[1.0]]), id="nested-vector"),
+    pytest.param(_doc(alpha=1.0), id="scalar-vector"),
+    pytest.param(_doc(alpha=None), id="null-vector"),
+    pytest.param(_doc(A0=[[[0.0]]]), id="nested-matrix"),
+    pytest.param(_doc(alpha=[json.loads("[" * 900 + "]" * 900)]),
+                 id="deep-nesting"),
+    pytest.param("[" * 100000 + "]" * 100000, id="deep-json"),
+    pytest.param(_doc(s=1.0), id="float-s"),
+    pytest.param(_doc(s=17), id="s-17"),
 ])
 def test_deserialize_rejects_malformed(text):
     with pytest.raises(TableauFormatError):
