@@ -19,6 +19,16 @@ evaluation returns the residual L(tableau) - r, computed exactly as
 the condition is written, with no rearrangement.  A condition counts
 as satisfied when |residual| <= tol.
 
+The conditions share most of their brackets: B1 e, for one, enters
+some twenty of them.  So evaluate_all() does not run the 57
+expressions one by one.  At import the rewritten texts are parsed,
+every distinct sub-expression (t.B1 @ e, (t.B1 @ e) ** 2, t.beta1 @
+e, ...) gets one local name, and a single generated function,
+lhs_all(t, e), evaluates each of them once and returns all 57 left
+sides in canonical order.  Each step is the numpy operation of the
+written condition on the same operands, so every residual is bit for
+bit the one evaluate() computes from that condition alone.
+
 The weak order attributed to a scheme is 2 if W1..W50 all hold, 1 if
 W1..W7 all hold, and 0 otherwise.  The deterministic order is read off
 the drift-only conditions: 1 needs W1, 2 additionally W8, 3
@@ -28,6 +38,7 @@ never raise it.
 
 from __future__ import annotations
 
+import ast
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -132,29 +143,71 @@ _PYTHON = re.compile(r"(?:t\.(?:%s)\b|e\b|@|\*\*\d|\*|[() ])+"
                      % "|".join(_VECTOR_KEYS + _MATRIX_KEYS))
 
 
-def _compile(cid, group, text):
-    """Build the ConditionSpec of one printed condition "L = r"."""
+def _rewrite(cid, text):
+    """Return L of a printed condition "L = r" as Python, and r."""
     lhs, rhs = text.split(" = ")
     for pattern, repl in _RULES:
         lhs = pattern.sub(repl, lhs)
     if not _PYTHON.fullmatch(lhs):
         raise ValueError("condition %s: %r is not a product of tableau "
                          "arrays" % (cid, text))
-    return ConditionSpec(cid, group, float(Fraction(rhs)), text,
+    return lhs, float(Fraction(rhs))
+
+
+def _spec(cid, group, text, lhs, rhs):
+    return ConditionSpec(cid, group, rhs, text,
                          eval("lambda t, e: " + lhs, {"__builtins__": {}}))
 
 
-CONDITIONS = tuple(_compile(*row) for row in _TABLE)
+def _compile(cid, group, text):
+    """Build the ConditionSpec of one printed condition "L = r"."""
+    return _spec(cid, group, text, *_rewrite(cid, text))
+
+
+_OPS = {ast.MatMult: "@", ast.Mult: "*", ast.Pow: "**"}
+
+
+def _shared(lhs_texts):
+    """Compile lhs_all(t, e) from rewritten left sides.
+
+    Each distinct array read or operation is bound to one local, keyed
+    on its text over the locals of its operands, so a sub-expression
+    that recurs anywhere in the table is computed once.
+    """
+    names = {}  # "<operand> <op> <operand>" or "t.<array>" -> local
+    lines = []
+
+    def local(node):
+        if isinstance(node, ast.BinOp):
+            expr = "%s %s %s" % (local(node.left), _OPS[type(node.op)],
+                                 local(node.right))
+        elif isinstance(node, ast.Attribute):
+            expr = ast.unparse(node)
+        else:  # e, or the digit of a power
+            return ast.unparse(node)
+        if expr not in names:
+            names[expr] = "_%d" % len(names)
+            lines.append("    %s = %s\n" % (names[expr], expr))
+        return names[expr]
+
+    results = [local(ast.parse(lhs, mode="eval").body) for lhs in lhs_texts]
+    namespace = {"__builtins__": {}}
+    exec("def lhs_all(t, e):\n%s    return (%s)\n"
+         % ("".join(lines), ", ".join(results)), namespace)
+    return namespace["lhs_all"]
+
+
+_REWRITTEN = tuple(_rewrite(cid, text) for cid, _, text in _TABLE)
+CONDITIONS = tuple(_spec(*row, *lhs_rhs)
+                   for row, lhs_rhs in zip(_TABLE, _REWRITTEN))
+#: lhs_all(t, e) -> the 57 left sides L(t) in canonical order, each
+#: distinct sub-expression evaluated once; e is np.ones(t.s)
+lhs_all = _shared(lhs for lhs, _ in _REWRITTEN)
 _BY_ID = {c.cid: c for c in CONDITIONS}
 GROUPS = tuple(dict.fromkeys(c.group for c in CONDITIONS))
 
 WEAK_ORDER1_IDS, WEAK_ORDER2_IDS, DET_ORDER3_IDS, DET_ORDER4_IDS, NODE_IDS = (
     tuple(c.cid for c in CONDITIONS if c.group == group) for group in GROUPS)
-
-
-def _residual(spec, t, e):
-    """Return L(t) - r for one condition, e being np.ones(t.s)."""
-    return float(spec.lhs(t, e)) - spec.rhs
 
 
 def condition_ids():
@@ -182,7 +235,7 @@ def evaluate(t, cid):
         raise UnknownConditionError(
             "unknown condition id %r; known ids are W1..W50, D3A, D3B, "
             "D4A..D4C, T1, T2" % (cid,)) from None
-    return _residual(spec, t, np.ones(t.s))
+    return float(spec.lhs(t, np.ones(t.s))) - spec.rhs
 
 
 def infer_orders(satisfied):
@@ -287,13 +340,9 @@ def evaluate_all(t, tol=DEFAULT_TOL):
     if not (_is_finite(tol) and tol >= 0.0):
         raise ValueError("tol must be a finite non-negative number, got %r"
                          % (tol,))
-    e = np.ones(t.s)
-    residuals = {}
-    satisfied = {}
-    for spec in CONDITIONS:
-        res = _residual(spec, t, e)
-        residuals[spec.cid] = res
-        satisfied[spec.cid] = abs(res) <= tol
+    residuals = {spec.cid: float(lhs) - spec.rhs
+                 for spec, lhs in zip(CONDITIONS, lhs_all(t, np.ones(t.s)))}
+    satisfied = {cid: abs(res) <= tol for cid, res in residuals.items()}
     inferred = infer_orders({cid for cid, ok in satisfied.items() if ok})
     return ConditionReport(name=t.name, tol=float(tol), residuals=residuals,
                            satisfied=satisfied, inferred=inferred)

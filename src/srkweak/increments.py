@@ -32,11 +32,15 @@ change which uniform feeds which variate.
 The joint support is finite, of size 3^m 2^(m(m-1)/2), so one-step
 expectations can be computed exactly by enumeration; support_batch()
 returns it as one stacked batch with its probabilities for m <= 4,
-built through the same uniform-to-increment mapping as draw().
+built through the same uniform-to-increment mapping as draw().  The
+support is built once per (m, h) and kept in a small private cache;
+its arrays are read-only and the batch is frozen, so every caller can
+share it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,6 +50,8 @@ import numpy as np
 from .tableau import Error, _check_int, _is_finite
 
 MAX_ENUM_M = 4
+# supports kept by support_batch, the least recently used evicted first
+_SUPPORT_CACHE_SIZE = 16
 
 
 class IncrementError(Error):
@@ -202,13 +208,19 @@ def support_batch(m, h):
     Returns:
       (batch, probabilities): a WeakIncrementBatch with one leading
       axis of length 3^m 2^(m(m-1)/2), in Fortran order, and the
-      matching probability vector, which sums to 1
+      matching probability vector, which sums to 1; both are shared
+      by every call with the same m and h, and read-only
     """
     m, h = _check_m_h(m, h)
     if m > MAX_ENUM_M:
         raise IncrementError(
             "support enumeration is limited to m <= %d (size grows as "
             "3^m 2^(m(m-1)/2)); got m = %d" % (MAX_ENUM_M, m))
+    return _support(m, h)
+
+
+@functools.lru_cache(maxsize=_SUPPORT_CACHE_SIZE)
+def _support(m, h):
     npairs = m * (m - 1) // 2
     digits = np.array(list(itertools.product(
         *[range(3)] * m, *[range(2)] * npairs)))

@@ -32,12 +32,14 @@ stage one are the plain columns b^k(t, y) and are reused rather than
 re-evaluated.
 
 Which values a step evaluates, and which coefficients it applies, is
-decided once per (tableau, m): usage_plan() compiles the tableau into
-a frozen StepPlan holding the need flags, the nonzero (j, A_ij, B_ij)
-couplings of each stage and the nonzero alpha/beta weights as Python
-floats, and keeps it in a bounded, thread-safe cache keyed on tableau
-identity.  evaluation_cost() reads the same plan to report the
-per-step evaluation and random-variable counts, and the stepper is
+decided once per tableau for m = 1 and once for every m >= 2, since
+the plan depends on m only through whether the mixed values exist:
+usage_plan() compiles the tableau into a frozen StepPlan holding the
+need flags, the nonzero (j, A_ij, B_ij) couplings of each stage and
+the nonzero alpha/beta weights as Python floats, and keeps it in a
+bounded, thread-safe cache keyed on tableau identity.
+evaluation_cost() reads the same plan to report the per-step
+evaluation and random-variable counts, and the stepper is
 instrumentable to match them exactly.
 
 The step keeps every diffusion column b^k(H_i^k) and every mixed
@@ -66,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .increments import WeakIncrementBatch, draw, support_batch
-from .tableau import _check_int
+from .tableau import _check_int, _is_finite
 
 
 @dataclass(frozen=True)
@@ -106,11 +108,11 @@ class SdeProblem:
             raise ValueError("x0 must be finite")
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "t0", float(self.t0))
-        object.__setattr__(self, "t_end", float(self.t_end))
-        if not (math.isfinite(self.t0) and math.isfinite(self.t_end)):
+        if not (_is_finite(self.t0) and _is_finite(self.t_end)):
             raise ValueError("t0 and t_end must be finite, got %r and %r"
                              % (self.t0, self.t_end))
+        object.__setattr__(self, "t0", float(self.t0))
+        object.__setattr__(self, "t_end", float(self.t_end))
         if not self.t_end > self.t0:
             raise ValueError("t_end must exceed t0")
 
@@ -141,7 +143,7 @@ PLAN_CACHE_SIZE = 64
 @dataclass(frozen=True)
 class StepPlan:
     """A tableau compiled for m Wiener components: what a step evaluates
-    and how it combines the values.
+    and how it combines the values.  One plan serves every m >= 2.
 
     Flags, one per stage i:
       need_a[i]: the drift value a(H0_i) is used somewhere.
@@ -164,7 +166,6 @@ class StepPlan:
     need_bhat.
     """
 
-    m: int
     need_a: tuple
     need_b: tuple
     need_bhat: tuple
@@ -219,7 +220,7 @@ def _compile(tab, m):
     needs_ihat = any(need_bdot) or any(beta2) or any(need_bhat)
     needs_offdiag = mixed and any(beta4)
     return StepPlan(
-        m=m, need_a=tuple(need_a), need_b=tuple(need_b),
+        need_a=tuple(need_a), need_b=tuple(need_b),
         need_bhat=tuple(need_bhat), need_bdot=tuple(need_bdot),
         needs_ihat=needs_ihat, needs_offdiag=needs_offdiag,
         c0=tuple(tab.c0.tolist()), c1=tuple(tab.c1v.tolist()),
@@ -264,9 +265,10 @@ def usage_plan(tab, m):
     """Return the step plan of a tableau for m Wiener components.
 
     Plans are compiled once and kept in a bounded, thread-safe cache
-    keyed on the identity of the tableau.
+    keyed on the identity of the tableau and on min(m, 2): _compile
+    reads m only through m >= 2, so all m >= 2 share one plan.
     """
-    return _cached_plan(_Identity(tab), m)
+    return _cached_plan(_Identity(tab), min(m, 2))
 
 
 def evaluation_cost(tab, m):

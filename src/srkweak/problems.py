@@ -162,7 +162,7 @@ def problem_linear(a=1.0, b=1.0, power=2, x0=1.0, t_end=1.0):
     for key, val in (("a", a), ("b", b)):
         if not math.isfinite(val):
             raise ValueError("%s must be finite, got %r" % (key, val))
-    if power not in (1, 2):
+    if isinstance(power, (bool, np.bool_)) or power not in (1, 2):
         raise ValueError("power must be 1 or 2, got %r" % (power,))
     x0 = float(x0)
     if power == 1:

@@ -211,8 +211,23 @@ def validate(t):
     return out
 
 
+def _json_list(items, indent):
+    """A JSON array of already encoded items, one per line, nested at
+    the given indent as json.dumps(..., indent=2) lays it out."""
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
+
+
 def serialize(t):
     """Encode a valid tableau as a JSON document.
+
+    The text is exactly json.dumps(doc, indent=2) + "\n" of the object
+    doc = {"s": s, "alpha": [...], ..., "beta4": [...], "A0": [[...],
+    ...], ..., "B2": [[...], ...], "name": name}, keys in that order
+    and "name" left out when the tableau has none: every number on a
+    line of its own, indented by two spaces per level.  It is written
+    directly, floats by repr and the name by json.dumps, because the
+    pure-Python indenting encoder costs more than the rest of the call.
 
     Floats are written with repr precision (up to 17 significant
     digits), which guarantees that deserialize(serialize(t)) == t holds
@@ -232,26 +247,43 @@ def serialize(t):
         raise TableauValueError(
             "refusing to serialize a tableau with %d structural violation(s); "
             "first: %s" % (len(violations), violations[0].detail))
-    doc = {"s": t.s}
-    for key in _VECTOR_KEYS + _MATRIX_KEYS:
-        doc[key] = getattr(t, key).tolist()
+    fields = ['"s": %d' % t.s]
+    for key in _VECTOR_KEYS:
+        fields.append('"%s": %s' % (key, _json_list(
+            map(repr, getattr(t, key).tolist()), 2)))
+    for key in _MATRIX_KEYS:
+        fields.append('"%s": %s' % (key, _json_list(
+            [_json_list(map(repr, row), 4)
+             for row in getattr(t, key).tolist()], 2)))
     if t.name is not None:
-        doc["name"] = t.name
-    return json.dumps(doc, indent=2) + "\n"
+        fields.append('"name": ' + json.dumps(t.name))
+    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
 
 
 def _reject_constant(token):
     raise TableauFormatError("non-finite number %r in tableau document" % token)
 
 
+def _location(where):
+    """Format a location: a key, or (location of the list, 1-based index)."""
+    if isinstance(where, str):
+        return where
+    return "%s[%d]" % (_location(where[0]), where[1])
+
+
 def _numbers(value, where, depth=2):
-    """Return value as floats: finite numbers in lists at most depth deep."""
+    """Return value as floats: finite numbers in lists at most depth deep.
+
+    where locates value for the error message; an element of a list is
+    located by the pair (where of the list, index), which is formatted
+    only if that element is rejected.
+    """
     if isinstance(value, list) and depth > 0:
-        return [_numbers(x, "%s[%d]" % (where, i + 1), depth - 1)
-                for i, x in enumerate(value)]
+        return [_numbers(x, (where, i), depth - 1)
+                for i, x in enumerate(value, 1)]
     if not _is_finite(value):
         raise TableauFormatError("%s must be a finite number, got %r"
-                                 % (where, value))
+                                 % (_location(where), value))
     return float(value)
 
 

@@ -6,7 +6,7 @@ from srkweak.conditions import (CONDITIONS, DEFAULT_TOL, DET_ORDER3_IDS,
                                 DET_ORDER4_IDS, NODE_IDS, UnknownConditionError,
                                 WEAK_ORDER1_IDS, WEAK_ORDER2_IDS, _compile,
                                 condition_ids, evaluate, evaluate_all,
-                                infer_orders)
+                                infer_orders, lhs_all)
 from srkweak.families import (FAMILY_IDS, NAMED_SCHEMES, FamilyParams,
                               make_family, named_scheme)
 from srkweak.tableau import CoefficientTableau
@@ -267,10 +267,23 @@ def test_compiled_conditions_match_frozen_reference():
         assert spec.rhs == float(_REFERENCE[spec.cid][0]), spec.cid
     for t in _reference_tableaux():
         e = np.ones(t.s)
-        for spec in CONDITIONS:
+        shared = lhs_all(t, e)
+        assert len(shared) == len(CONDITIONS)
+        for spec, got_all in zip(CONDITIONS, shared):
             got = np.float64(spec.lhs(t, e))
             want = np.float64(_REFERENCE[spec.cid][1](t, e))
             assert got.tobytes() == want.tobytes(), (spec.cid, got, want)
+            got_all = np.float64(got_all)
+            assert got_all.tobytes() == want.tobytes(), \
+                (spec.cid, got_all, want)
+        # evaluate_all reads the shared function, bit for bit as the
+        # conditions one by one
+        want = {spec.cid: float(spec.lhs(t, e)) - spec.rhs
+                for spec in CONDITIONS}
+        got = evaluate_all(t).residuals
+        assert list(got) == list(want)
+        assert np.array(list(got.values())).tobytes() \
+            == np.array(list(want.values())).tobytes()
 
 
 @pytest.mark.parametrize("text", [

@@ -222,6 +222,21 @@ def test_support_matches_reference_enumeration_bitwise(m, h):
         assert not arr.flags.writeable
 
 
+def test_support_is_built_once_per_step_size():
+    first = support_batch(2, 0.5)
+    assert support_batch(2, 0.5) is first
+    assert support_batch(np.int64(2), np.float64(0.5)) is first
+    assert support_batch(2, 0.25) is not first
+    assert support_batch(1, 0.5) is not first
+    batch, probs = first
+    for arr in (batch.Ihat, batch.V, probs):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    for m in range(1, MAX_ENUM_M + 1):
+        assert abs(support_batch(m, 0.5)[1].sum() - 1.0) <= 1e-15
+
+
 def test_draw_frequencies():
     inc = draw(1, 1.0, substream(2024), size=(200000,))
     frac_zero = float(np.mean(inc.Ihat == 0.0))

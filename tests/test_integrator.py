@@ -102,6 +102,27 @@ def test_evaluation_cost_table(name, m, want):
     assert cost == EvaluationCost(*want)
 
 
+#: evaluation_cost of every named scheme for m = 1..4
+ALL_COSTS = {
+    "EM": [(1, 1, 1), (1, 2, 2), (1, 3, 3), (1, 4, 4)],
+    "RDI1WM": [(2, 1, 1), (2, 2, 2), (2, 3, 3), (2, 4, 4)],
+    "PL1WM": [(2, 3, 1), (2, 10, 3), (2, 21, 6), (2, 36, 10)],
+    "RDI2WM": [(2, 3, 1), (2, 10, 3), (2, 21, 6), (2, 36, 10)],
+    "RDI3WM": [(3, 3, 1), (3, 10, 3), (3, 21, 6), (3, 36, 10)],
+    "RDI4WM": [(3, 3, 1), (3, 10, 3), (3, 21, 6), (3, 36, 10)],
+}
+
+
+@pytest.mark.parametrize("name", NAMED_SCHEMES)
+def test_one_plan_for_every_m_from_two(name):
+    tab = named_scheme(name)
+    assert usage_plan(tab, 2) is usage_plan(tab, 3)
+    assert usage_plan(tab, 4) is usage_plan(tab, 2)
+    assert usage_plan(tab, 1) is not usage_plan(tab, 2)
+    got = [evaluation_cost(tab, m) for m in (1, 2, 3, 4)]
+    assert got == [EvaluationCost(*want) for want in ALL_COSTS[name]]
+
+
 def _counting_problem(d, m):
     counts = {"a": 0, "b": 0}
 
@@ -353,6 +374,10 @@ def test_increment_mismatch_rejected():
     (dict(drift=None), "must be callable"),
     (dict(t_end=math.inf), "t0 and t_end must be finite"),
     (dict(t0=-math.inf), "t0 and t_end must be finite"),
+    (dict(t0=False, t_end="2"), "t0 and t_end must be finite"),
+    (dict(t_end=True), "t0 and t_end must be finite"),
+    (dict(t0="0"), "t0 and t_end must be finite"),
+    (dict(t_end=None), "t0 and t_end must be finite"),
 ])
 def test_problem_validation(kwargs, match):
     fields = dict(d=1, m=1,

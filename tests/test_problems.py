@@ -127,6 +127,14 @@ def test_linear_problem_closed_forms():
         problem_linear(power=3)
 
 
+def test_linear_problem_rejects_bool_power():
+    for power in (True, False, np.True_):
+        with pytest.raises(ValueError, match="power must be 1 or 2"):
+            problem_linear(power=power)
+    assert problem_linear(power=1).name == "linear:a=1,b=1,p=1"
+    assert problem_from_cli("linear:p=1").name == "linear:a=1,b=1,p=1"
+
+
 @pytest.mark.parametrize("key", ["a", "b", "x0"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_linear_problem_rejects_non_finite(key, value):

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from srkweak.families import NAMED_SCHEMES, named_scheme
+from family_sampling import draw_member
+from srkweak.families import FAMILY_IDS, NAMED_SCHEMES, named_scheme
 from srkweak.tableau import (_MATRIX_KEYS, _VECTOR_KEYS, CoefficientTableau,
                              TableauFormatError, TableauShapeError,
                              TableauValueError, deserialize, serialize,
@@ -199,6 +200,31 @@ def test_serialize_refuses_invalid():
         serialize(t)
 
 
+def _json_dumps_text(t):
+    """What serialize writes, through the standard encoder."""
+    doc = {"s": t.s}
+    for key in _VECTOR_KEYS + _MATRIX_KEYS:
+        doc[key] = getattr(t, key).tolist()
+    if t.name is not None:
+        doc["name"] = t.name
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_serialize_matches_json_dumps():
+    tabs = [named_scheme(name) for name in NAMED_SCHEMES]
+    rng = np.random.default_rng(8)
+    tabs += [draw_member(fid, rng) for fid in FAMILY_IDS for _ in range(3)]
+    rdi2 = named_scheme("RDI2WM")
+    tabs += [rdi2.with_name(name) for name in (
+        'say "hi"', "back\\slash", "caf\u00e9 \u6b65 \U0001f600",
+        "two\nlines", "tab\tand\x00nul", "", None)]
+    tabs.append(CoefficientTableau(**_fields(
+        2, alpha=[-0.0, 5e-324], beta2=[1e308, 1.0 / 3.0],
+        A0=[[0.0, 0.0], [1e22, 0.0]], B1=[[0.0, 0.0], [-1e-7, 0.0]])))
+    for t in tabs:
+        assert serialize(t) == _json_dumps_text(t), t.name
+
+
 def test_serialized_document_shape():
     doc = json.loads(serialize(named_scheme("RDI2WM")))
     assert doc["s"] == 3
@@ -243,6 +269,27 @@ def _doc(**over):
 def test_deserialize_rejects_malformed(text):
     with pytest.raises(TableauFormatError):
         deserialize(text)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("alpha", [1.0, True, 0.0], "alpha[2] must be a finite number, got True"),
+    ("beta3", None, "beta3 must be a finite number, got None"),
+    ("A0", [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, "1", 0.0]],
+     "A0[3][2] must be a finite number, got '1'"),
+    ("B2", [[0.0, 0.0, 0.0], [None, 0.0, 0.0], [0.0, 0.0, 0.0]],
+     "B2[2][1] must be a finite number, got None"),
+    ("B0", [[0.0, 0.0, 0.0], [[1.0], 0.0, 0.0], [0.0, 0.0, 0.0]],
+     "B0[2][1] must be a finite number, got [1.0]"),
+    # 7.5 stands for the token 1e999, which json reads as inf
+    ("A1", [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 7.5, 0.0]],
+     "A1[3][2] must be a finite number, got inf"),
+])
+def test_deserialize_locates_a_bad_leaf(key, value, message):
+    doc = json.loads(serialize(named_scheme("RDI2WM")))
+    doc[key] = value
+    with pytest.raises(TableauFormatError) as exc:
+        deserialize(json.dumps(doc).replace("7.5", "1e999"))
+    assert str(exc.value) == message
 
 
 def test_deserialize_rejects_non_finite_tokens():
