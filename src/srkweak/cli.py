@@ -91,7 +91,7 @@ def _resolve_tableau(args):
         violations = validate(tab)
         if violations:
             for v in violations:
-                print("invalid tableau: %s" % v, file=sys.stderr)
+                print("invalid tableau: %s" % v.detail, file=sys.stderr)
             raise UsageError("%s is not a valid explicit tableau"
                              % args.file)
         return tab

@@ -20,14 +20,14 @@ the condition is written, with no rearrangement.  A condition counts
 as satisfied when |residual| <= tol.
 
 The conditions share most of their brackets: B1 e, for one, enters
-some twenty of them.  So evaluate_all() does not run the 57
-expressions one by one.  At import the rewritten texts are parsed,
-every distinct sub-expression (t.B1 @ e, (t.B1 @ e) ** 2, t.beta1 @
-e, ...) gets one local name, and a single generated function,
-lhs_all(t, e), evaluates each of them once and returns all 57 left
-sides in canonical order.  Each step is the numpy operation of the
-written condition on the same operands, so every residual is bit for
-bit the one evaluate() computes from that condition alone.
+some twenty of them.  So the 57 expressions are not run one by one.
+At import the rewritten texts are parsed, every distinct
+sub-expression (t.B1 @ e, (t.B1 @ e) ** 2, t.beta1 @ e, ...) gets one
+local name, and a single generated function, lhs_all(t, e), evaluates
+each of them once and returns all 57 left sides in canonical order.
+Each step is the numpy operation of the written condition on the same
+operands.  lhs_all is the only compiled form of the conditions:
+evaluate() and evaluate_all() both read their residuals from it.
 
 The weak order attributed to a scheme is 2 if W1..W50 all hold, 1 if
 W1..W7 all hold, and 0 otherwise.  The deterministic order is read off
@@ -57,13 +57,12 @@ class UnknownConditionError(Error):
 
 @dataclass(frozen=True)
 class ConditionSpec:
-    """One order condition: an expression, its target value and metadata."""
+    """One order condition as printed, "L = r", with r as a float."""
 
     cid: str
     group: str  # "weak1", "weak2", "det3", "det4" or "node"
     rhs: float
     text: str
-    lhs: callable
 
 
 #: Every condition as printed, "L = r", in canonical order.  L is a
@@ -154,16 +153,6 @@ def _rewrite(cid, text):
     return lhs, float(Fraction(rhs))
 
 
-def _spec(cid, group, text, lhs, rhs):
-    return ConditionSpec(cid, group, rhs, text,
-                         eval("lambda t, e: " + lhs, {"__builtins__": {}}))
-
-
-def _compile(cid, group, text):
-    """Build the ConditionSpec of one printed condition "L = r"."""
-    return _spec(cid, group, text, *_rewrite(cid, text))
-
-
 _OPS = {ast.MatMult: "@", ast.Mult: "*", ast.Pow: "**"}
 
 
@@ -198,12 +187,12 @@ def _shared(lhs_texts):
 
 
 _REWRITTEN = tuple(_rewrite(cid, text) for cid, _, text in _TABLE)
-CONDITIONS = tuple(_spec(*row, *lhs_rhs)
-                   for row, lhs_rhs in zip(_TABLE, _REWRITTEN))
+CONDITIONS = tuple(ConditionSpec(cid, group, rhs, text)
+                   for (cid, group, text), (_, rhs) in zip(_TABLE, _REWRITTEN))
 #: lhs_all(t, e) -> the 57 left sides L(t) in canonical order, each
 #: distinct sub-expression evaluated once; e is np.ones(t.s)
 lhs_all = _shared(lhs for lhs, _ in _REWRITTEN)
-_BY_ID = {c.cid: c for c in CONDITIONS}
+_BY_ID = {c.cid: i for i, c in enumerate(CONDITIONS)}  # cid -> index
 GROUPS = tuple(dict.fromkeys(c.group for c in CONDITIONS))
 
 WEAK_ORDER1_IDS, WEAK_ORDER2_IDS, DET_ORDER3_IDS, DET_ORDER4_IDS, NODE_IDS = (
@@ -216,7 +205,10 @@ def condition_ids():
 
 
 def evaluate(t, cid):
-    """Evaluate a single order condition on a tableau.
+    """Return the residual of one order condition on a tableau.
+
+    The left side is read from lhs_all, as in evaluate_all(), so the
+    residual is bit for bit the one evaluate_all() reports.
 
     Args:
       t: CoefficientTableau
@@ -230,12 +222,12 @@ def evaluate(t, cid):
       UnknownConditionError: if cid is not in the registry
     """
     try:
-        spec = _BY_ID[cid]
+        i = _BY_ID[cid]
     except KeyError:
         raise UnknownConditionError(
             "unknown condition id %r; known ids are W1..W50, D3A, D3B, "
             "D4A..D4C, T1, T2" % (cid,)) from None
-    return float(spec.lhs(t, np.ones(t.s))) - spec.rhs
+    return float(lhs_all(t, np.ones(t.s))[i]) - CONDITIONS[i].rhs
 
 
 def infer_orders(satisfied):
@@ -295,9 +287,9 @@ class ConditionReport:
             raise UnknownConditionError(
                 "unknown condition group %r; known groups are %s"
                 % (group, ", ".join(GROUPS)))
-        return [cid for cid in self.residuals
-                if not self.satisfied[cid]
-                and (group is None or _BY_ID[cid].group == group)]
+        return [spec.cid for spec in CONDITIONS
+                if not self.satisfied[spec.cid]
+                and (group is None or spec.group == group)]
 
     def as_text(self):
         """Render the report as a fixed-width text table."""

@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .tableau import CoefficientTableau, Error
+from .tableau import CoefficientTableau, Error, _is_finite
 
 DEFAULT_C3 = math.sqrt(2.0 / 3.0)
 DEFAULT_C4 = math.sqrt(2.0)
@@ -150,21 +150,24 @@ def _effective(p, fid, free):
             default = DEFAULT_C3 if key == "c3" else DEFAULT_C4
         else:
             default = 0.0
-        values[key] = float(supplied) if supplied is not None else default
-        if not math.isfinite(values[key]):
+        if supplied is None:
+            values[key] = default
+        elif _is_finite(supplied):
+            values[key] = float(supplied)
+        else:
             raise FamilyParameterError(
-                "parameter %s must be finite, got %r" % (key, values[key]))
+                "parameter %s must be finite, got %r" % (key, supplied))
     return values
 
 
 def _check_c1(fid, c1):
-    if c1 not in (-1.0, 1.0):
+    if not _is_finite(c1) or c1 not in (-1.0, 1.0):
         raise ConstraintViolation(fid, "c1 in {-1, 1}", "c1 = %r" % c1)
     return float(c1)
 
 
 def _check_sign_branch(fid, sb):
-    if sb not in (-1, 1):
+    if not _is_finite(sb) or sb not in (-1, 1):
         raise ConstraintViolation(fid, "sign_branch in {-1, +1}",
                                   "sign_branch = %r" % sb)
     return int(sb)

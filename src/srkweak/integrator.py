@@ -67,8 +67,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .increments import WeakIncrementBatch, draw, support_batch
-from .tableau import _check_int, _is_finite
+from .increments import WeakIncrementBatch, _increments, draw, support_batch
+from .tableau import _MATRIX_KEYS, _VECTOR_KEYS, _check_int, _is_finite
 
 
 @dataclass(frozen=True)
@@ -192,12 +192,9 @@ def _nonzero(values):
 
 def _compile(tab, m):
     s = tab.s
-    alpha, beta1, beta2, beta3, beta4 = (
-        getattr(tab, k).tolist()
-        for k in ("alpha", "beta1", "beta2", "beta3", "beta4"))
-    A0, A1, A2, B0, B1, B2 = (
-        getattr(tab, k).tolist()
-        for k in ("A0", "A1", "A2", "B0", "B1", "B2"))
+    alpha, beta1, beta2, beta3, beta4 = (getattr(tab, k).tolist()
+                                         for k in _VECTOR_KEYS)
+    A0, A1, A2, B0, B1, B2 = (getattr(tab, k).tolist() for k in _MATRIX_KEYS)
     need_a = [bool(v) for v in alpha]
     need_b = [bool(b1) or bool(b2) for b1, b2 in zip(beta1, beta2)]
     mixed = m >= 2
@@ -451,11 +448,10 @@ def terminal_values(tab, prob, n_steps, n_paths, stream):
     diverged = np.zeros(n_paths, dtype=bool)
     t = prob.t0
     if not plan.needs_ihat:
-        # a scheme that reads no increment gets the same zeros each step
-        v = np.zeros((n_paths, prob.m, prob.m), order="F")
-        v[:, np.arange(prob.m), np.arange(prob.m)] = -h
+        # a scheme that reads no increment gets the same zeros each
+        # step: uniforms of 1/2 map to Ihat = 0 and V = -h I
         inc = WeakIncrementBatch(
-            h=h, Ihat=np.zeros((n_paths, prob.m), order="F"), V=v)
+            h, *_increments(h, np.full((n_paths, prob.m), 0.5), None))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in range(n_steps):
             if plan.needs_ihat:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrator import SdeProblem
-from .tableau import Error
+from .tableau import Error, _is_finite
 
 
 class UnknownProblemError(Error):
@@ -149,22 +149,22 @@ def problem_linear(a=1.0, b=1.0, power=2, x0=1.0, t_end=1.0):
       b: diffusion coefficient, finite
       power: moment order, 1 or 2
       x0: initial value, finite
-      t_end: end of the time interval
+      t_end: end of the time interval, finite and > 0
 
     Returns:
       NamedProblem
 
     Raises:
-      ValueError: for a non-finite a, b or x0, or a power other than 1, 2
+      ValueError: for an a, b, x0 or t_end that is not a finite int or
+        float (a bool or a string is not), a t_end <= 0, or a power
+        other than 1, 2
     """
-    a = float(a)
-    b = float(b)
-    for key, val in (("a", a), ("b", b)):
-        if not math.isfinite(val):
+    for key, val in (("a", a), ("b", b), ("x0", x0)):
+        if not _is_finite(val):
             raise ValueError("%s must be finite, got %r" % (key, val))
     if isinstance(power, (bool, np.bool_)) or power not in (1, 2):
         raise ValueError("power must be 1 or 2, got %r" % (power,))
-    x0 = float(x0)
+    a, b, x0 = float(a), float(b), float(x0)
     if power == 1:
         exact = lambda t: x0 * math.exp(a * t)
     else:
@@ -174,7 +174,7 @@ def problem_linear(a=1.0, b=1.0, power=2, x0=1.0, t_end=1.0):
         d=1, m=1,
         drift=lambda t, y: a * y,
         diffusion_column=lambda t, y, j: b * y,
-        x0=np.array([x0]), t0=0.0, t_end=float(t_end),
+        x0=np.array([x0]), t0=0.0, t_end=t_end,
         exact_functional=exact,
         name=name, f=lambda y: y[..., 0] ** power)
 

@@ -188,26 +188,24 @@ def validate(t):
       vectors come before matrices, each array in row-major order
     """
     out = []
-    for key in _VECTOR_KEYS:
-        vec = getattr(t, key)
-        for i in np.flatnonzero(~np.isfinite(vec)).tolist():
-            out.append(Violation("non-finite", key, i + 1, 0,
-                                 "%s[%d] = %r" % (key, i + 1, vec[i])))
     on_or_above = ~np.tri(t.s, k=-1, dtype=bool)
-    for key in _MATRIX_KEYS:
-        mat = getattr(t, key)
-        finite = np.isfinite(mat)
-        bad = ~finite | (on_or_above & (mat != 0.0))
-        for i, j in np.argwhere(bad).tolist():
-            if not finite[i, j]:
-                out.append(Violation(
-                    "non-finite", key, i + 1, j + 1,
-                    "%s[%d][%d] = %r" % (key, i + 1, j + 1, mat[i, j])))
+    for key in _VECTOR_KEYS + _MATRIX_KEYS:
+        arr = getattr(t, key)
+        bad = ~np.isfinite(arr)
+        if arr.ndim == 2:
+            bad |= on_or_above & (arr != 0.0)
+        if not bad.any():
+            continue
+        for index in np.argwhere(bad).tolist():
+            pos = [n + 1 for n in index]  # 1-based
+            value = float(arr[tuple(index)])
+            detail = key + "".join("[%d]" % n for n in pos) + " = %r" % value
+            i, j = pos if arr.ndim == 2 else (pos[0], 0)
+            if _is_finite(value):
+                out.append(Violation("explicitness", key, i, j, detail
+                                     + " must be 0 in an explicit scheme"))
             else:
-                out.append(Violation(
-                    "explicitness", key, i + 1, j + 1,
-                    "%s[%d][%d] = %r must be 0 in an explicit scheme"
-                    % (key, i + 1, j + 1, mat[i, j])))
+                out.append(Violation("non-finite", key, i, j, detail))
     return out
 
 

@@ -76,7 +76,8 @@ def test_check_rejects_invalid_tableau_file(tmp_path, capsys):
     code = main(["check", "--file", str(path)])
     _, err = capsys.readouterr()
     assert code == 1
-    assert "invalid tableau:" in err
+    assert err.splitlines()[0] == ("invalid tableau: A0[1][1] = 0.5 must be 0 "
+                                   "in an explicit scheme")
     assert "is not a valid explicit tableau" in err
 
 

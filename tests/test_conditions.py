@@ -4,9 +4,9 @@ import pytest
 from family_sampling import draw_member
 from srkweak.conditions import (CONDITIONS, DEFAULT_TOL, DET_ORDER3_IDS,
                                 DET_ORDER4_IDS, NODE_IDS, UnknownConditionError,
-                                WEAK_ORDER1_IDS, WEAK_ORDER2_IDS, _compile,
-                                condition_ids, evaluate, evaluate_all,
-                                infer_orders, lhs_all)
+                                WEAK_ORDER1_IDS, WEAK_ORDER2_IDS, _rewrite,
+                                _shared, condition_ids, evaluate,
+                                evaluate_all, infer_orders, lhs_all)
 from srkweak.families import (FAMILY_IDS, NAMED_SCHEMES, FamilyParams,
                               make_family, named_scheme)
 from srkweak.tableau import CoefficientTableau
@@ -269,17 +269,13 @@ def test_compiled_conditions_match_frozen_reference():
         e = np.ones(t.s)
         shared = lhs_all(t, e)
         assert len(shared) == len(CONDITIONS)
-        for spec, got_all in zip(CONDITIONS, shared):
-            got = np.float64(spec.lhs(t, e))
-            want = np.float64(_REFERENCE[spec.cid][1](t, e))
-            assert got.tobytes() == want.tobytes(), (spec.cid, got, want)
-            got_all = np.float64(got_all)
-            assert got_all.tobytes() == want.tobytes(), \
-                (spec.cid, got_all, want)
-        # evaluate_all reads the shared function, bit for bit as the
-        # conditions one by one
-        want = {spec.cid: float(spec.lhs(t, e)) - spec.rhs
-                for spec in CONDITIONS}
+        want = {}
+        for spec, got in zip(CONDITIONS, shared):
+            got = np.float64(got)
+            ref = np.float64(_REFERENCE[spec.cid][1](t, e))
+            assert got.tobytes() == ref.tobytes(), (spec.cid, got, ref)
+            want[spec.cid] = float(ref) - spec.rhs
+        # evaluate_all reports L - r with L bit for bit as written
         got = evaluate_all(t).residuals
         assert list(got) == list(want)
         assert np.array(list(got.values())).tobytes() \
@@ -296,15 +292,24 @@ def test_compiled_conditions_match_frozen_reference():
 ])
 def test_unreadable_condition_text_is_rejected(text):
     with pytest.raises(ValueError, match="condition X1: "):
-        _compile("X1", "weak1", text)
+        _rewrite("X1", text)
 
 
 def test_compile_reads_both_sides():
-    spec = _compile("X1", "det3", "alpha^T (A0 (A0 e))^2 = 1/3")
+    lhs, rhs = _rewrite("X1", "alpha^T (A0 (A0 e))^2 = 1/3")
+    both = _shared([lhs, "t.alpha @ e"])
     t = named_scheme("RDI4WM")
     e = np.ones(t.s)
-    assert spec.rhs == 1.0 / 3.0
-    assert spec.lhs(t, e) == t.alpha @ (t.A0 @ (t.A0 @ e)) ** 2
+    assert rhs == 1.0 / 3.0
+    assert both(t, e) == (t.alpha @ (t.A0 @ (t.A0 @ e)) ** 2, t.alpha @ e)
+
+
+def test_evaluate_matches_evaluate_all():
+    for t in _reference_tableaux():
+        residuals = evaluate_all(t).residuals
+        for cid in condition_ids():
+            assert np.float64(evaluate(t, cid)).tobytes() \
+                == np.float64(residuals[cid]).tobytes(), cid
 
 
 def test_unknown_group_is_rejected():

@@ -169,6 +169,30 @@ def test_non_finite_c1_is_a_constraint_violation(c1):
     assert exc.value.constraint == "c1 in {-1, 1}"
 
 
+@pytest.mark.parametrize("key,value", [
+    ("c3", "1"), ("c4", True), ("c4", np.True_),
+])
+def test_non_number_parameters_rejected(key, value):
+    with pytest.raises(FamilyParameterError,
+                       match="parameter %s must be finite" % key):
+        make_family(FamilyParams("CASE_A", **{key: value}))
+
+
+@pytest.mark.parametrize("c1", [True, np.True_], ids=["bool", "np_bool"])
+def test_bool_c1_is_a_constraint_violation(c1):
+    with pytest.raises(ConstraintViolation) as exc:
+        make_family(FamilyParams("CASE_A", c1=c1))
+    assert exc.value.constraint == "c1 in {-1, 1}"
+
+
+@pytest.mark.parametrize("sign_branch", [True, np.True_],
+                         ids=["bool", "np_bool"])
+def test_bool_sign_branch_is_a_constraint_violation(sign_branch):
+    with pytest.raises(ConstraintViolation) as exc:
+        make_family(FamilyParams("CASE_A", sign_branch=sign_branch))
+    assert exc.value.constraint == "sign_branch in {-1, +1}"
+
+
 def test_non_free_parameters_rejected():
     with pytest.raises(FamilyParameterError) as exc:
         make_family(FamilyParams("ORD11", c2=0.5))

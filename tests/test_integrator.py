@@ -195,6 +195,26 @@ def test_usage_plan_b0_coupling():
         == EvaluationCost(2, 0, 0)
 
 
+@pytest.mark.parametrize("prob", [problem_nonlinear(), problem_2d()],
+                         ids=["m1", "m2"])
+def test_drift_only_scheme_draws_nothing(prob):
+    # with B0 = 0 the scheme is Heun's method on the drift alone
+    n_steps, n_paths = 3, 4
+    cs = CountingStream(substream(2))
+    got, diverged = terminal_values(_drift_only_tableau(0.0), prob,
+                                    n_steps, n_paths, cs)
+    assert cs.count == 0 and not diverged.any()
+    h = (prob.t_end - prob.t0) / n_steps
+    y = np.array(np.broadcast_to(prob.x0, (n_paths, prob.d)), order="F")
+    t = prob.t0
+    for n in range(n_steps):
+        k1 = prob.drift(t, y)
+        k2 = prob.drift(t + h, y + (1.0 * h) * k1)
+        y = y + (0.5 * h) * k1 + (0.5 * h) * k2
+        t = prob.t0 + (n + 1) * h
+    assert got.tobytes() == y.tobytes()
+
+
 def _fixpoint_flags(tab, m):
     """need_a and need_b by propagating until nothing changes."""
     need_a = [bool(v) for v in tab.alpha]

@@ -142,6 +142,19 @@ def test_linear_problem_rejects_non_finite(key, value):
         problem_linear(**{key: value})
 
 
+@pytest.mark.parametrize("key,value,match", [
+    ("a", "2", "a must be finite"),
+    ("b", True, "b must be finite"),
+    ("b", np.True_, "b must be finite"),
+    ("x0", "1", "x0 must be finite"),
+    ("t_end", "1", "t0 and t_end must be finite"),
+    ("t_end", True, "t0 and t_end must be finite"),
+])
+def test_linear_problem_rejects_non_numbers(key, value, match):
+    with pytest.raises(ValueError, match=match):
+        problem_linear(**{key: value})
+
+
 def test_consistency_check_rejects_bad_functional():
     with pytest.raises(ValueError, match="inconsistent problem"):
         NamedProblem(

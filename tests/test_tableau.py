@@ -150,7 +150,7 @@ def _validate_by_loops(t):
         for i in range(t.s):
             if not np.isfinite(vec[i]):
                 out.append(("non-finite", key, i + 1, 0,
-                            "%s[%d] = %r" % (key, i + 1, vec[i])))
+                            "%s[%d] = %r" % (key, i + 1, float(vec[i]))))
     for key in _MATRIX_KEYS:
         mat = getattr(t, key)
         for i in range(t.s):
@@ -158,11 +158,12 @@ def _validate_by_loops(t):
                 if not np.isfinite(mat[i, j]):
                     out.append(("non-finite", key, i + 1, j + 1,
                                 "%s[%d][%d] = %r"
-                                % (key, i + 1, j + 1, mat[i, j])))
+                                % (key, i + 1, j + 1, float(mat[i, j]))))
                 elif j >= i and mat[i, j] != 0.0:
                     out.append(("explicitness", key, i + 1, j + 1,
                                 "%s[%d][%d] = %r must be 0 in an explicit "
-                                "scheme" % (key, i + 1, j + 1, mat[i, j])))
+                                "scheme"
+                                % (key, i + 1, j + 1, float(mat[i, j]))))
     return out
 
 
