@@ -33,7 +33,7 @@ from scipy.special import stdtrit
 
 from .families import named_scheme
 from .increments import derive_seed, substream
-from .integrator import terminal_values
+from .integrator import terminal_values, usage_plan
 from .problems import NamedProblem
 from .tableau import CoefficientTableau, Error, _check_int, _is_finite
 
@@ -100,9 +100,14 @@ def _batch_sizes(M, batches):
     return [base + (1 if b < extra else 0) for b in range(batches)]
 
 
-def _resolve(scheme):
-    """(label, tableau) for a tableau, a scheme name or "EXEM" (None)."""
+def _resolve(scheme, m):
+    """(label, tableau) for a tableau, a scheme name or "EXEM" (None).
+
+    A tableau is planned for m noises here, so a structurally invalid
+    one is refused before any path runs.
+    """
     if isinstance(scheme, CoefficientTableau):
+        usage_plan(scheme, m)
         return scheme.name or "custom", scheme
     if not isinstance(scheme, str):
         raise EstimatorError("a scheme must be a name or a CoefficientTableau,"
@@ -128,7 +133,8 @@ def estimate(scheme, prob, h, M, seed, batches=DEFAULT_BATCHES, threads=1):
     Args:
       scheme: CoefficientTableau, the name of a built-in scheme, or
         the string "EXEM" for the extrapolated two-level
-        Euler-Maruyama estimator
+        Euler-Maruyama estimator; a tableau with structural violations
+        raises TableauValueError before any path runs
       prob: NamedProblem (must carry f and exact_functional)
       h: step size; must divide the problem interval
       M: total number of trajectories
@@ -140,10 +146,10 @@ def estimate(scheme, prob, h, M, seed, batches=DEFAULT_BATCHES, threads=1):
       WeakErrorReport; diverged trajectories are excluded from the
       means and counted in the report
     """
-    label, tab = _resolve(scheme)
     if not isinstance(prob, NamedProblem):
         raise EstimatorError("a %s carries no f and exact_functional; use a "
                              "NamedProblem" % type(prob).__name__)
+    label, tab = _resolve(scheme, prob.m)
     _check_int("seed", seed, 0, EstimatorError)
     n_steps = _steps_for(prob, h)
     sizes = _batch_sizes(M, batches)
@@ -237,7 +243,8 @@ def run_study(schemes, prob, hs, M, seed, batches=DEFAULT_BATCHES,
     Args:
       schemes: iterable of scheme names ("EXEM" for the extrapolated
         Euler-Maruyama estimator) and tableaux; a tableau is labelled
-        by its name
+        by its name, and one with structural violations raises
+        TableauValueError before any cell runs
       prob: NamedProblem
       hs: step sizes, each dividing the problem interval, at least two
         of them distinct; all are checked before any cell runs
@@ -251,7 +258,7 @@ def run_study(schemes, prob, hs, M, seed, batches=DEFAULT_BATCHES,
       input order
     """
     _check_int("seed", seed, 0, EstimatorError)
-    resolved = [_resolve(item) for item in schemes]
+    resolved = [_resolve(item, prob.m) for item in schemes]
     hs = list(hs)
     for h in hs:
         _steps_for(prob, h)

@@ -31,13 +31,14 @@ satisfies H_1^k = Hh_1^l = y with zero nodes, the mixed values of
 stage one are the plain columns b^k(t, y) and are reused rather than
 re-evaluated.
 
-Which values a step evaluates, and which coefficients it applies, is
-decided once per tableau for m = 1 and once for every m >= 2, since
-the plan depends on m only through whether the mixed values exist:
-usage_plan() compiles the tableau into a frozen StepPlan holding the
-need flags, the nonzero (j, A_ij, B_ij) couplings of each stage and
-the nonzero alpha/beta weights as Python floats, and keeps it in a
-bounded, thread-safe cache keyed on tableau identity.
+Which values a step evaluates is decided once per tableau for m = 1
+and once for every m >= 2, since it depends on m only through whether
+the mixed values exist: usage_plan() derives the need flags of a
+StepPlan from the coefficients and keeps the plan on the tableau, so
+it lives exactly as long as the tableau.  A tableau is validated
+before its first plan is compiled, and one with structural violations
+is refused with TableauValueError instead of being stepped.  The step
+reads the coefficients from the tableau itself, skipping zero entries.
 evaluation_cost() reads the same plan to report the per-step
 evaluation and random-variable counts, and the stepper is
 instrumentable to match them exactly.
@@ -61,14 +62,14 @@ any layout gives identical numbers.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .increments import WeakIncrementBatch, _increments, draw, support_batch
-from .tableau import _MATRIX_KEYS, _VECTOR_KEYS, _check_int, _is_finite
+from .tableau import (_MATRIX_KEYS, _VECTOR_KEYS, _check_int, _is_finite,
+                      _require_valid)
 
 
 @dataclass(frozen=True)
@@ -136,14 +137,11 @@ class EvaluationCost:
     random_draws: int
 
 
-#: plans kept by usage_plan; older entries are evicted least recently used
-PLAN_CACHE_SIZE = 64
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepPlan:
-    """A tableau compiled for m Wiener components: what a step evaluates
-    and how it combines the values.  One plan serves every m >= 2.
+    """What a step of a tableau evaluates for m Wiener components: the
+    need flags, derived once from the coefficients.  One plan serves
+    every m >= 2.
 
     Flags, one per stage i:
       need_a[i]: the drift value a(H0_i) is used somewhere.
@@ -154,16 +152,9 @@ class StepPlan:
       need_bdot[i]: sum_r b^r(H_i^r) Ihat_r is used, by beta1 or, through
         B0, by a needed drift stage.
 
-    Stage terms, one tuple per stage, list the nonzero coefficients on
-    earlier stages j as Python floats: h0_terms[i] holds (j, A0_ij,
-    B0_ij) with at least one of the two nonzero, hk_drift[i] and
-    hk_noise[i] hold (j, A1_ij) and (j, B1_ij), hh_drift[i] and
-    hh_noise[i] hold (j, A2_ij) and (j, B2_ij).  c0, c1 and c2 are the
-    stage nodes.
-
-    Weights list only nonzero entries: alpha, beta1 and beta2 hold
-    (i, weight), beta34 holds (i, beta3_i, beta4_i) for the stages with
-    need_bhat.
+    needs_ihat says whether a step reads the increments Ihat_k at all,
+    needs_offdiag whether it reads the sign variates V_kl.  The
+    coefficients themselves stay on the tableau.
     """
 
     need_a: tuple
@@ -172,22 +163,6 @@ class StepPlan:
     need_bdot: tuple
     needs_ihat: bool
     needs_offdiag: bool
-    c0: tuple
-    c1: tuple
-    c2: tuple
-    h0_terms: tuple
-    hk_drift: tuple
-    hk_noise: tuple
-    hh_drift: tuple
-    hh_noise: tuple
-    alpha: tuple
-    beta1: tuple
-    beta2: tuple
-    beta34: tuple
-
-
-def _nonzero(values):
-    return tuple((i, v) for i, v in enumerate(values) if v)
 
 
 def _compile(tab, m):
@@ -214,58 +189,34 @@ def _compile(tab, m):
     need_bdot = [bool(beta1[j]) or any(need_a[i] and B0[i][j]
                                        for i in range(j + 1, s))
                  for j in range(s)]
-    needs_ihat = any(need_bdot) or any(beta2) or any(need_bhat)
-    needs_offdiag = mixed and any(beta4)
     return StepPlan(
         need_a=tuple(need_a), need_b=tuple(need_b),
         need_bhat=tuple(need_bhat), need_bdot=tuple(need_bdot),
-        needs_ihat=needs_ihat, needs_offdiag=needs_offdiag,
-        c0=tuple(tab.c0.tolist()), c1=tuple(tab.c1v.tolist()),
-        c2=tuple(tab.c2v.tolist()),
-        h0_terms=tuple(tuple((j, A0[i][j], B0[i][j]) for j in range(i)
-                             if A0[i][j] or B0[i][j]) for i in range(s)),
-        hk_drift=tuple(_nonzero(A1[i][:i]) for i in range(s)),
-        hk_noise=tuple(_nonzero(B1[i][:i]) for i in range(s)),
-        hh_drift=tuple(_nonzero(A2[i][:i]) for i in range(s)),
-        hh_noise=tuple(_nonzero(B2[i][:i]) for i in range(s)),
-        alpha=_nonzero(alpha), beta1=_nonzero(beta1),
-        beta2=_nonzero(beta2),
-        beta34=tuple((i, beta3[i], beta4[i]) for i in range(s)
-                     if need_bhat[i]))
-
-
-class _Identity:
-    """Cache key that hashes and compares a tableau by identity.
-
-    Tableaux are immutable, so a plan compiled for one instance stays
-    valid while the key holds that instance alive.
-    """
-
-    __slots__ = ("tab",)
-
-    def __init__(self, tab):
-        self.tab = tab
-
-    def __hash__(self):
-        return id(self.tab)
-
-    def __eq__(self, other):
-        return self.tab is other.tab
-
-
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _cached_plan(key, m):
-    return _compile(key.tab, m)
+        needs_ihat=any(need_bdot) or any(beta2) or any(need_bhat),
+        needs_offdiag=mixed and any(beta4))
 
 
 def usage_plan(tab, m):
     """Return the step plan of a tableau for m Wiener components.
 
-    Plans are compiled once and kept in a bounded, thread-safe cache
-    keyed on the identity of the tableau and on min(m, 2): _compile
-    reads m only through m >= 2, so all m >= 2 share one plan.
+    Each tableau keeps its own plans: one for m = 1 and one shared by
+    every m >= 2, since _compile reads m only through m >= 2.  The
+    first plan of a tableau is compiled only if validate() finds no
+    violation, so a tableau is checked once and a defective one is
+    never stepped.
+
+    Raises:
+      ValueError: if m is not an integer >= 1
+      TableauValueError: if the tableau has structural violations
     """
-    return _cached_plan(_Identity(tab), min(m, 2))
+    _check_int("m", m, 1, ValueError)
+    plans = tab._plans
+    plan = plans.get(m >= 2)
+    if plan is None:
+        if not plans:
+            _require_valid(tab, "step")
+        plan = plans.setdefault(m >= 2, _compile(tab, m))
+    return plan
 
 
 def evaluation_cost(tab, m):
@@ -284,8 +235,7 @@ def evaluation_cost(tab, m):
     Returns:
       EvaluationCost
     """
-    _check_int("m", m, 1, ValueError)
-    plan = usage_plan(tab, int(m))
+    plan = usage_plan(tab, m)
     drift = sum(plan.need_a)
     diff = m * sum(plan.need_b)
     diff += m * (m - 1) * sum(plan.need_bhat[1:])
@@ -297,18 +247,21 @@ def evaluation_cost(tab, m):
                           random_draws=int(draws))
 
 
-def _stage_points(y, h, sqrth, drift_terms, noise_terms, a_val, b_val, m):
-    """Return the m points y + sum_j A_j a_j h + sum_j B_j b_j^k sqrt(h)."""
+def _stage_points(y, h, sqrth, drift_row, noise_row, a_val, b_val, m):
+    """Return the m points y + sum_j A_j a_j h + sum_j B_j b_j^k sqrt(h),
+    j running over the nonzero entries of the rows."""
     base = y
-    for j, a in drift_terms:
-        base = base + (a * h) * a_val[j]
-    if not noise_terms:
+    for j, a in enumerate(drift_row):
+        if a:
+            base = base + (a * h) * a_val[j]
+    if not any(noise_row):
         return [base] * m
     points = []
     for k in range(m):
         point = base
-        for j, b in noise_terms:
-            point = point + (b * sqrth) * b_val[j][k]
+        for j, b in enumerate(noise_row):
+            if b:
+                point = point + (b * sqrth) * b_val[j][k]
         points.append(point)
     return points
 
@@ -335,6 +288,7 @@ def srk_step(tab, prob, ctx):
 
     Raises:
       ValueError: if the increments do not match the problem or step
+      TableauValueError: if the tableau has structural violations
     """
     inc = ctx.increments
     m = prob.m
@@ -345,11 +299,15 @@ def srk_step(tab, prob, ctx):
         raise ValueError("increments were drawn for h = %r, step has h = %r"
                          % (inc.h, ctx.h))
     plan = usage_plan(tab, m)
+    alpha, beta1, beta2, beta3, beta4 = (getattr(tab, k).tolist()
+                                         for k in _VECTOR_KEYS)
+    A0, A1, A2, B0, B1, B2 = (getattr(tab, k).tolist() for k in _MATRIX_KEYS)
+    c0, c1, c2 = tab.c0.tolist(), tab.c1v.tolist(), tab.c2v.tolist()
     t, h = ctx.t, ctx.h
     y = np.asarray(ctx.y, dtype=float)
     sqrth = math.sqrt(h)
     ihat = [inc.Ihat[..., k, None] for k in range(m)]  # Ihat_k, (..., 1)
-    s = len(plan.need_a)
+    s = tab.s
 
     a_val = [None] * s  # a(H0_i), shape (..., d)
     b_val = [None] * s  # b_val[i][k] = b^k(H_i^k), shape (..., d)
@@ -359,17 +317,18 @@ def srk_step(tab, prob, ctx):
     for i in range(s):
         if plan.need_a[i]:
             h0 = y
-            for j, a, b in plan.h0_terms[i]:
+            for j in range(i):
+                a, b = A0[i][j], B0[i][j]
                 if a:
                     h0 = h0 + (a * h) * a_val[j]
                 if b:
                     h0 = h0 + b * b_dot[j]
-            a_val[i] = np.asarray(prob.drift(t + plan.c0[i] * h, h0),
+            a_val[i] = np.asarray(prob.drift(t + c0[i] * h, h0),
                                   dtype=float)
         if plan.need_b[i]:
-            points = _stage_points(y, h, sqrth, plan.hk_drift[i],
-                                   plan.hk_noise[i], a_val, b_val, m)
-            tnode = t + plan.c1[i] * h
+            points = _stage_points(y, h, sqrth, A1[i][:i], B1[i][:i],
+                                   a_val, b_val, m)
+            tnode = t + c1[i] * h
             b_val[i] = [np.asarray(prob.diffusion_column(tnode, points[k], k),
                                    dtype=float) for k in range(m)]
             if plan.need_bdot[i]:
@@ -380,9 +339,9 @@ def srk_step(tab, prob, ctx):
                 # b^k(Hh_1^l) = b^k(t, y) for every l; reuse the columns
                 bhat[0] = [[col] * m for col in b_val[0]]
                 continue
-            points = _stage_points(y, h, sqrth, plan.hh_drift[i],
-                                   plan.hh_noise[i], a_val, b_val, m)
-            tnode = t + plan.c2[i] * h
+            points = _stage_points(y, h, sqrth, A2[i][:i], B2[i][:i],
+                                   a_val, b_val, m)
+            tnode = t + c2[i] * h
             vals = [[None] * m for _ in range(m)]
             for l in range(m):
                 for k in range(m):
@@ -393,22 +352,28 @@ def srk_step(tab, prob, ctx):
             bhat[i] = vals
 
     out = y
-    for i, w in plan.alpha:
-        out = out + (w * h) * a_val[i]
-    for i, w in plan.beta1:
-        out = out + w * b_dot[i]
-    if plan.beta2:
+    for i, w in enumerate(alpha):
+        if w:
+            out = out + (w * h) * a_val[i]
+    for i, w in enumerate(beta1):
+        if w:
+            out = out + w * b_dot[i]
+    if any(beta2):
         # Ihat_(k,k)/sqrt(h)
         ikk = [0.5 * (ih ** 2 - h) / sqrth for ih in ihat]
-        for i, w in plan.beta2:
-            out = out + w * _weighted_sum(zip(b_val[i], ikk))
-    if plan.beta34:
+        for i, w in enumerate(beta2):
+            if w:
+                out = out + w * _weighted_sum(zip(b_val[i], ikk))
+    if any(plan.need_bhat):
         pairs = [(k, l) for k in range(m) for l in range(m) if k != l]
         if plan.needs_offdiag:
             # Ihat_(k,l)/sqrt(h) = (Ihat_k Ihat_l + V_kl) / (2 sqrt(h))
             ikl = {(k, l): 0.5 * (ihat[k] * ihat[l] + inc.V[..., k, l, None])
                    / sqrth for k, l in pairs}
-        for i, w3, w4 in plan.beta34:
+        for i in range(s):
+            if not plan.need_bhat[i]:
+                continue
+            w3, w4 = beta3[i], beta4[i]
             terms = []
             for k, l in pairs:
                 weight = w3 * ihat[k]

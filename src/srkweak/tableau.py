@@ -17,7 +17,8 @@ to read-only float arrays and recomputes the node vectors from the
 stage matrices, so stored nodes can never disagree with the matrices.
 Structural defects (explicitness, non-finite entries) are reported by
 validate() as a list of descriptors instead of being raised, so that a
-defective tableau can still be inspected.
+defective tableau can still be inspected; serialize() and the stepping
+engine refuse one.
 """
 
 from __future__ import annotations
@@ -110,6 +111,9 @@ class CoefficientTableau:
     c0: np.ndarray = field(init=False, repr=False, default=None)
     c1v: np.ndarray = field(init=False, repr=False, default=None)
     c2v: np.ndarray = field(init=False, repr=False, default=None)
+    # step plans by m >= 2, filled by integrator.usage_plan; a copy
+    # starts with none of its own
+    _plans: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         _check_int("stage count s", self.s, 1, TableauShapeError)
@@ -209,6 +213,15 @@ def validate(t):
     return out
 
 
+def _require_valid(t, action):
+    """Raise TableauValueError naming the first violation of t, if any."""
+    violations = validate(t)
+    if violations:
+        raise TableauValueError(
+            "refusing to %s a tableau with %d structural violation(s); "
+            "first: %s" % (action, len(violations), violations[0].detail))
+
+
 def _json_list(items, indent):
     """A JSON array of already encoded items, one per line, nested at
     the given indent as json.dumps(..., indent=2) lays it out."""
@@ -240,11 +253,7 @@ def serialize(t):
     Raises:
       TableauValueError: if the tableau has structural violations
     """
-    violations = validate(t)
-    if violations:
-        raise TableauValueError(
-            "refusing to serialize a tableau with %d structural violation(s); "
-            "first: %s" % (len(violations), violations[0].detail))
+    _require_valid(t, "serialize")
     fields = ['"s": %d' % t.s]
     for key in _VECTOR_KEYS:
         fields.append('"%s": %s' % (key, _json_list(

@@ -11,6 +11,8 @@ from srkweak.estimator import (DEFAULT_BATCHES, ERRORS_HEADER, EXTRAPOLATED,
 from srkweak.families import UnknownSchemeError, named_scheme
 from srkweak.integrator import SdeProblem, exact_one_step_expectation
 from srkweak.problems import NamedProblem, problem_linear
+from srkweak.tableau import (_MATRIX_KEYS, _VECTOR_KEYS, CoefficientTableau,
+                             TableauValueError)
 
 
 def test_deterministic_batches_collapse():
@@ -240,6 +242,22 @@ def test_run_study_checks_arguments_before_running():
     # a tableau's label is its name; there is no (label, scheme) form
     with pytest.raises(EstimatorError, match="got a tuple"):
         run_study(["EM", ("x", "EXEM")], prob, [0.25], M=1, seed=0)
+
+
+def test_invalid_tableau_refused_before_running():
+    # RDI2WM with an entry above the diagonal, which no step would read;
+    # M = 1 fails in the first cell, so a refusal that waits for its
+    # cell cannot be reached
+    arrays = {k: np.array(getattr(named_scheme("RDI2WM"), k))
+              for k in _VECTOR_KEYS + _MATRIX_KEYS}
+    arrays["A0"][0, 2] = 5.0
+    bad = CoefficientTableau(s=3, name="bad", **arrays)
+    prob = problem_linear()
+    message = "refusing to step .* first: A0\\[1\\]\\[3\\] = 5.0 must be 0"
+    with pytest.raises(TableauValueError, match=message):
+        estimate(bad, prob, 0.25, 1, seed=0)
+    with pytest.raises(TableauValueError, match=message):
+        run_study(["EM", bad], prob, [0.5, 0.25], M=1, seed=0)
 
 
 def test_estimate_requires_study_functional():

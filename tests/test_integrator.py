@@ -1,11 +1,17 @@
+import gc
 import math
+import re
+import sys
 import threading
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from family_sampling import draw_member
 from srkweak import integrator
+from srkweak.conditions import evaluate_all
 from srkweak.families import FAMILY_IDS, NAMED_SCHEMES, named_scheme
 from srkweak.increments import (CountingStream, WeakIncrementBatch, draw,
                                 substream, support_batch)
@@ -13,7 +19,7 @@ from srkweak.integrator import (EvaluationCost, SdeProblem, StepContext,
                                 evaluation_cost, exact_one_step_expectation,
                                 srk_step, terminal_values, usage_plan)
 from srkweak.problems import problem_2d, problem_linear, problem_nonlinear
-from srkweak.tableau import CoefficientTableau
+from srkweak.tableau import CoefficientTableau, TableauValueError, validate
 
 KEYS = ("alpha", "beta1", "beta2", "beta3", "beta4",
         "A0", "A1", "A2", "B0", "B1", "B2")
@@ -414,6 +420,11 @@ def test_invalid_step_counts():
     for bad in (0, -1, 2.0):
         with pytest.raises(ValueError, match="n_steps must be an integer >= 1"):
             terminal_values(named_scheme("EM"), prob, bad, 4, substream(0))
+    # so is the number of Wiener components a plan is asked for
+    for bad in (0, -3, True, 2.5):
+        for func in (usage_plan, evaluation_cost):
+            with pytest.raises(ValueError, match="m must be an integer >= 1"):
+                func(named_scheme("EM"), bad)
 
 
 @pytest.mark.parametrize("n_steps,n_paths,name", [
@@ -427,6 +438,48 @@ def test_terminal_values_rejects_bad_counts(n_steps, n_paths, name):
     with pytest.raises(ValueError, match="%s must be an integer >= 1" % name):
         terminal_values(named_scheme("EM"), _ode(), n_steps, n_paths,
                         substream(0))
+
+
+def _defective_rdi2wm(key, index, value):
+    base = named_scheme("RDI2WM")
+    arrays = {k: np.array(getattr(base, k)) for k in KEYS}
+    arrays[key][index] = value
+    return CoefficientTableau(s=3, **arrays)
+
+
+@pytest.mark.parametrize("key,index,value,first", [
+    ("A0", (0, 2), 5.0, "A0[1][3] = 5.0 must be 0 in an explicit scheme"),
+    ("alpha", 0, math.nan, "alpha[1] = nan"),
+], ids=["above-diagonal", "nan-weight"])
+def test_invalid_tableau_is_refused(key, index, value, first):
+    # an above-diagonal entry is never read and a NaN weight would only
+    # show up as diverged paths, so both are refused before stepping
+    tab = _defective_rdi2wm(key, index, value)
+    assert validate(tab)[0].detail == first
+    evaluate_all(tab)  # a defective tableau can still be inspected
+    prob = problem_linear(a=1.0, b=1.0, power=2)
+    message = re.escape("refusing to step a tableau with 1 structural "
+                        "violation(s); first: " + first)
+    for call in (lambda: terminal_values(tab, prob, 4, 16, substream(5)),
+                 lambda: exact_one_step_expectation(tab, prob, prob.f, 0.25),
+                 lambda: evaluation_cost(tab, 1),
+                 lambda: evaluation_cost(tab, 3),
+                 lambda: usage_plan(tab, 2)):
+        with pytest.raises(TableauValueError, match=message):
+            call()
+
+
+def test_tableau_is_validated_once(monkeypatch):
+    checked = []
+    require_valid = integrator._require_valid
+    monkeypatch.setattr(integrator, "_require_valid",
+                        lambda tab, action: checked.append(tab)
+                        or require_valid(tab, action))
+    tab = draw_member("ORD32_212", np.random.default_rng(5))
+    for m in (1, 2, 3, 1):
+        evaluation_cost(tab, m)
+        terminal_values(tab, _mixing_problem(m), 2, 3, substream(m))
+    assert checked == [tab]
 
 
 def _one_step_weak_error(tab, prob, h):
@@ -521,15 +574,204 @@ def test_step_on_every_support_atom_regression(name, m, want):
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def test_plan_cache_stays_bounded():
-    rng = np.random.default_rng(3)
-    prob = problem_2d()
-    for i in range(200):
-        tab = draw_member(FAMILY_IDS[i % len(FAMILY_IDS)], rng)
-        terminal_values(tab, prob, 1, 2, substream(i))
-        assert usage_plan(tab, 2) is usage_plan(tab, 2)
-    info = integrator._cached_plan.cache_info()
-    assert info.currsize <= integrator.PLAN_CACHE_SIZE
+def _nonzero(values):
+    return tuple((i, v) for i, v in enumerate(values) if v)
+
+
+def _reference_plan(tab, m):
+    """The tuple step plan of the first plan-based engine, frozen here:
+    the need flags plus every nonzero coefficient as a Python float."""
+    s = tab.s
+    alpha, beta1, beta2, beta3, beta4 = (getattr(tab, k).tolist()
+                                         for k in KEYS[:5])
+    A0, A1, A2, B0, B1, B2 = (getattr(tab, k).tolist() for k in KEYS[5:])
+    need_a = [bool(v) for v in alpha]
+    need_b = [bool(b1) or bool(b2) for b1, b2 in zip(beta1, beta2)]
+    mixed = m >= 2
+    need_bhat = [mixed and (bool(b3) or bool(b4))
+                 for b3, b4 in zip(beta3, beta4)]
+    for i in reversed(range(s)):
+        for wanted, A, B in ((need_a[i], A0, B0), (need_b[i], A1, B1),
+                             (need_bhat[i], A2, B2)):
+            if wanted:
+                for j in range(i):
+                    need_a[j] = need_a[j] or bool(A[i][j])
+                    need_b[j] = need_b[j] or bool(B[i][j])
+    need_b[0] = need_b[0] or need_bhat[0]
+    need_bdot = [bool(beta1[j]) or any(need_a[i] and B0[i][j]
+                                       for i in range(j + 1, s))
+                 for j in range(s)]
+    return SimpleNamespace(
+        need_a=need_a, need_b=need_b, need_bhat=need_bhat,
+        need_bdot=need_bdot, needs_offdiag=mixed and any(beta4),
+        c0=tuple(tab.c0.tolist()), c1=tuple(tab.c1v.tolist()),
+        c2=tuple(tab.c2v.tolist()),
+        h0_terms=tuple(tuple((j, A0[i][j], B0[i][j]) for j in range(i)
+                             if A0[i][j] or B0[i][j]) for i in range(s)),
+        hk_drift=tuple(_nonzero(A1[i][:i]) for i in range(s)),
+        hk_noise=tuple(_nonzero(B1[i][:i]) for i in range(s)),
+        hh_drift=tuple(_nonzero(A2[i][:i]) for i in range(s)),
+        hh_noise=tuple(_nonzero(B2[i][:i]) for i in range(s)),
+        alpha=_nonzero(alpha), beta1=_nonzero(beta1),
+        beta2=_nonzero(beta2),
+        beta34=tuple((i, beta3[i], beta4[i]) for i in range(s)
+                     if need_bhat[i]))
+
+
+def _reference_points(y, h, sqrth, drift_terms, noise_terms, a_val, b_val,
+                      m):
+    base = y
+    for j, a in drift_terms:
+        base = base + (a * h) * a_val[j]
+    if not noise_terms:
+        return [base] * m
+    points = []
+    for k in range(m):
+        point = base
+        for j, b in noise_terms:
+            point = point + (b * sqrth) * b_val[j][k]
+        points.append(point)
+    return points
+
+
+def _reference_sum(terms):
+    total = None
+    for value, weight in terms:
+        total = value * weight if total is None else total + value * weight
+    return total
+
+
+def _reference_step(tab, prob, ctx):
+    """srk_step as it stepped through a _reference_plan, term by term."""
+    inc, m = ctx.increments, prob.m
+    plan = _reference_plan(tab, m)
+    t, h = ctx.t, ctx.h
+    y = np.asarray(ctx.y, dtype=float)
+    sqrth = math.sqrt(h)
+    ihat = [inc.Ihat[..., k, None] for k in range(m)]
+    s = len(plan.need_a)
+    a_val, b_val, b_dot, bhat = [None] * s, [None] * s, [None] * s, [None] * s
+    for i in range(s):
+        if plan.need_a[i]:
+            h0 = y
+            for j, a, b in plan.h0_terms[i]:
+                if a:
+                    h0 = h0 + (a * h) * a_val[j]
+                if b:
+                    h0 = h0 + b * b_dot[j]
+            a_val[i] = np.asarray(prob.drift(t + plan.c0[i] * h, h0),
+                                  dtype=float)
+        if plan.need_b[i]:
+            points = _reference_points(y, h, sqrth, plan.hk_drift[i],
+                                       plan.hk_noise[i], a_val, b_val, m)
+            tnode = t + plan.c1[i] * h
+            b_val[i] = [np.asarray(prob.diffusion_column(tnode, points[k], k),
+                                   dtype=float) for k in range(m)]
+            if plan.need_bdot[i]:
+                b_dot[i] = _reference_sum(zip(b_val[i], ihat))
+        if plan.need_bhat[i]:
+            if i == 0:
+                bhat[0] = [[col] * m for col in b_val[0]]
+                continue
+            points = _reference_points(y, h, sqrth, plan.hh_drift[i],
+                                       plan.hh_noise[i], a_val, b_val, m)
+            tnode = t + plan.c2[i] * h
+            vals = [[None] * m for _ in range(m)]
+            for l in range(m):
+                for k in range(m):
+                    if k != l:
+                        vals[k][l] = np.asarray(
+                            prob.diffusion_column(tnode, points[l], k),
+                            dtype=float)
+            bhat[i] = vals
+    out = y
+    for i, w in plan.alpha:
+        out = out + (w * h) * a_val[i]
+    for i, w in plan.beta1:
+        out = out + w * b_dot[i]
+    if plan.beta2:
+        ikk = [0.5 * (ih ** 2 - h) / sqrth for ih in ihat]
+        for i, w in plan.beta2:
+            out = out + w * _reference_sum(zip(b_val[i], ikk))
+    if plan.beta34:
+        pairs = [(k, l) for k in range(m) for l in range(m) if k != l]
+        if plan.needs_offdiag:
+            ikl = {(k, l): 0.5 * (ihat[k] * ihat[l] + inc.V[..., k, l, None])
+                   / sqrth for k, l in pairs}
+        for i, w3, w4 in plan.beta34:
+            terms = []
+            for k, l in pairs:
+                weight = w3 * ihat[k]
+                if w4:
+                    weight = weight + w4 * ikl[k, l]
+                terms.append((bhat[i][k][l], weight))
+            out = out + _reference_sum(terms)
+    return out
+
+
+def test_step_matches_frozen_reference_bitwise():
+    # every support atom from one fixed state, and a batch of random
+    # states and increments, compared as raw bytes (signed zeros too)
+    rng = np.random.default_rng(17)
+    tabs = [named_scheme(name) for name in NAMED_SCHEMES]
+    tabs += [draw_member(fid, rng) for fid in FAMILY_IDS]
+    tabs += [_sparse_tableau(rng, s) for s in range(1, 6) for _ in range(50)]
+    for m in (1, 2, 3):
+        prob = _mixing_problem(m)
+        atoms, _ = support_batch(m, 0.25)
+        ys = np.asfortranarray(rng.normal(size=(8, 3)))
+        ctxs = [StepContext(t=0.5, h=0.25, y=prob.x0, increments=atoms),
+                StepContext(t=0.5, h=0.25, y=ys,
+                            increments=draw(m, 0.25, substream(m),
+                                            size=(8,)))]
+        for tab in tabs:
+            for ctx in ctxs:
+                want = _reference_step(tab, prob, ctx)
+                got = srk_step(tab, prob, ctx)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (tab.name, m)
+
+
+def test_plans_live_and_die_with_their_tableau():
+    tab = draw_member("CASE_A", np.random.default_rng(3))
+    terminal_values(tab, problem_2d(), 1, 2, substream(0))
+    assert usage_plan(tab, 2) is usage_plan(tab, 3)
+    copy = tab.with_name("copy")
+    assert usage_plan(copy, 2) is not usage_plan(tab, 2)
+    assert usage_plan(copy, 2) == usage_plan(tab, 2)
+    alive = weakref.ref(tab)
+    del tab
+    gc.collect()
+    assert alive() is None
+
+
+def test_racing_threads_share_one_plan():
+    # more threads than cores ask fresh tableaux for their first plans
+    # at once; each must get the one plan the tableau keeps
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            tab = draw_member("CASE_A", rng)
+            got = []
+            start = threading.Barrier(6, timeout=10)
+
+            def worker(m):
+                start.wait()
+                got.append((m, usage_plan(tab, m)))
+
+            threads = [threading.Thread(target=worker, args=(1 + i % 3,))
+                       for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert len(got) == 6
+            assert all(plan is usage_plan(tab, m) for m, plan in got)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_concurrent_steps_match_serial():
