@@ -29,7 +29,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .families import named_scheme
 from .increments import derive_seed, substream
@@ -75,7 +74,13 @@ class FittedOrder:
 
 def _t_quantile_95(df):
     """The 0.95 quantile of Student's t distribution with df degrees of
-    freedom."""
+    freedom.
+
+    scipy is imported here, at the first confidence interval, because
+    importing it takes more than half the start-up of srkweak and
+    nothing but a Monte Carlo estimate needs it.
+    """
+    from scipy.special import stdtrit
     return float(stdtrit(df, 0.95))
 
 
@@ -243,11 +248,12 @@ def run_study(schemes, prob, hs, M, seed, batches=DEFAULT_BATCHES,
     Args:
       schemes: iterable of scheme names ("EXEM" for the extrapolated
         Euler-Maruyama estimator) and tableaux; a tableau is labelled
-        by its name, and one with structural violations raises
-        TableauValueError before any cell runs
+        by its name ("custom" if it has none), and one with structural
+        violations raises TableauValueError before any cell runs; no two
+        may share a label
       prob: NamedProblem
       hs: step sizes, each dividing the problem interval, at least two
-        of them distinct; all are checked before any cell runs
+        and no two equal; all are checked before any cell runs
       M: trajectories per scheme and step size
       seed: non-negative integer master seed
       batches: batches per estimate
@@ -259,6 +265,14 @@ def run_study(schemes, prob, hs, M, seed, batches=DEFAULT_BATCHES,
     """
     _check_int("seed", seed, 0, EstimatorError)
     resolved = [_resolve(item, prob.m) for item in schemes]
+    labels = [label for label, _ in resolved]
+    for label in labels:
+        if labels.count(label) > 1:
+            hint = ("; give each tableau its own name with with_name"
+                    if label == "custom" else "")
+            raise EstimatorError("scheme %r appears more than once in the "
+                                 "study, so its rows could not be told apart%s"
+                                 % (label, hint))
     hs = list(hs)
     for h in hs:
         _steps_for(prob, h)
@@ -266,6 +280,10 @@ def run_study(schemes, prob, hs, M, seed, batches=DEFAULT_BATCHES,
     if len(set(hs)) < 2:
         raise EstimatorError("a study needs at least two distinct step "
                              "sizes, got %s" % ", ".join(map(repr, hs)))
+    for h in hs:
+        if hs.count(h) > 1:
+            raise EstimatorError("step size %r appears more than once in "
+                                 "the study" % h)
     reports = []
     orders = []
     for si, (label, tab) in enumerate(resolved):

@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -294,6 +296,24 @@ def _numbers(value, where, depth=2):
     return float(value)
 
 
+def _plain_numbers(value, depth):
+    """True if value is a list, depth deep, of int and float leaves (a
+    bool is not one), all finite: what serialize writes.  One C-level
+    pass over the whole key replaces the call per leaf of _numbers."""
+    if type(value) is not list:
+        return False
+    if depth == 2:
+        if not set(map(type, value)) <= {list}:
+            return False
+        value = list(chain.from_iterable(value))
+    if not set(map(type, value)) <= {int, float}:
+        return False
+    # min and max compare ints exactly; the sum catches a nan
+    return not value or (-sys.float_info.max <= min(value)
+                         and max(value) <= sys.float_info.max
+                         and math.isfinite(sum(value, 0.0)))
+
+
 def deserialize(text):
     """Decode a JSON tableau document.
 
@@ -329,8 +349,10 @@ def deserialize(text):
     unknown = set(doc) - required - {"name"}
     if unknown:
         raise TableauFormatError("unknown key(s): %s" % ", ".join(sorted(unknown)))
-    fields = {key: _numbers(doc[key], key)
-              for key in _VECTOR_KEYS + _MATRIX_KEYS}
+    fields = {key: doc[key] if _plain_numbers(doc[key], depth)
+              else _numbers(doc[key], key)
+              for keys, depth in ((_VECTOR_KEYS, 1), (_MATRIX_KEYS, 2))
+              for key in keys}
     try:
         return CoefficientTableau(s=doc["s"], name=doc.get("name"), **fields)
     except TableauShapeError as exc:

@@ -325,6 +325,22 @@ def test_study_needs_two_distinct_step_sizes(tmp_path, capsys, hs):
                    "sizes, got %s\n" % hs.replace(",", ", "))
     assert not (tmp_path / "errors.csv").exists()
 
+@pytest.mark.parametrize("schemes,hs,message", [
+    ("em,EM", "1,0.5", "scheme 'EM' appears more than once in the study, "
+     "so its rows could not be told apart"),
+    ("em", "1,0.5,0.5", "step size 0.5 appears more than once in the study"),
+], ids=["scheme", "step-size"])
+def test_study_refuses_repeats(tmp_path, capsys, schemes, hs, message):
+    code = main(["study", "--problem", "system18", "--schemes", schemes,
+                 "--h", hs, "--M", "100", "--batches", "2",
+                 "--out-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: %s\n" % message
+    assert not (tmp_path / "errors.csv").exists()
+
+
 def test_study_rejects_negative_seed(tmp_path, capsys):
     code = main(["study", "--problem", "nonlinear16", "--schemes", "em",
                  "--h", "0.5", "--seed", "-1", "--out-dir", str(tmp_path)])
@@ -374,6 +390,31 @@ def test_module_entry_point():
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "id,residual,satisfied"
+
+
+_IMPORT_SET = """
+import sys
+import srkweak, srkweak.cli
+from srkweak import cli
+for argv in (["check", "--scheme", "RDI2WM"],
+             ["family", "ord32-221c", "--lambda", "0.75", "--c8", "0.5"],
+             ["cost", "--scheme", "rdi4wm", "--m", "2"],
+             ["enumerate", "--m", "2", "--h", "0.25"]):
+    assert cli.main(argv) == 0, argv
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not scipy, scipy
+from srkweak.estimator import estimate
+from srkweak.problems import problem_linear
+estimate("EM", problem_linear(), 0.5, 4, seed=0, batches=2)
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_scipy_is_imported_only_for_a_confidence_interval():
+    # a fresh interpreter, since this one has run estimates already
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_SET],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_closed_pipe_exits_quietly():

@@ -244,6 +244,38 @@ def test_run_study_checks_arguments_before_running():
         run_study(["EM", ("x", "EXEM")], prob, [0.25], M=1, seed=0)
 
 
+@pytest.mark.parametrize("schemes,label", [
+    (["em", "EM"], "EM"),
+    (["EXEM", "rdi2wm", "exem"], "EXEM"),
+    ([named_scheme("RDI2WM"), "rdi2wm"], "RDI2WM"),
+])
+def test_run_study_refuses_a_repeated_scheme(schemes, label):
+    # M = 1 fails in the first cell, so the refusal must come first
+    with pytest.raises(EstimatorError,
+                       match="scheme '%s' appears more than once" % label):
+        run_study(schemes, problem_linear(), [0.5, 0.25], M=1, seed=0)
+
+
+def test_run_study_refuses_two_unnamed_tableaux():
+    # both are labelled "custom", so their rows could not be told apart
+    unnamed = named_scheme("RDI2WM").with_name(None)
+    with pytest.raises(EstimatorError, match="'custom' appears more than "
+                       "once.*its own name with with_name"):
+        run_study([unnamed, named_scheme("EM").with_name(None)],
+                  problem_linear(), [0.5, 0.25], M=1, seed=0)
+    reports, orders = run_study(
+        [unnamed.with_name("a"), unnamed.with_name("b")], problem_linear(),
+        [0.5, 0.25], M=8, seed=0, batches=2)
+    assert [r.scheme for r in reports] == ["a", "a", "b", "b"]
+    assert [o.scheme for o in orders] == ["a", "b"]
+
+
+def test_run_study_refuses_a_repeated_step_size():
+    with pytest.raises(EstimatorError,
+                       match="step size 0.5 appears more than once"):
+        run_study(["EM"], problem_linear(), [1.0, 0.5, 0.5], M=1, seed=0)
+
+
 def test_invalid_tableau_refused_before_running():
     # RDI2WM with an entry above the diagonal, which no step would read;
     # M = 1 fails in the first cell, so a refusal that waits for its

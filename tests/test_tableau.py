@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -291,6 +292,48 @@ def test_deserialize_locates_a_bad_leaf(key, value, message):
     with pytest.raises(TableauFormatError) as exc:
         deserialize(json.dumps(doc).replace("7.5", "1e999"))
     assert str(exc.value) == message
+
+
+def _with_token(key, token):
+    """RDI2WM's document with one leaf, beta2[2] or B1[3][1], replaced by
+    a JSON token."""
+    doc = json.loads(serialize(named_scheme("RDI2WM")))
+    if key == "beta2":
+        doc[key][1] = 7.25
+    else:
+        doc[key][2][0] = 7.25
+    text = json.dumps(doc)
+    assert text.count("7.25") == 1
+    return text.replace("7.25", token)
+
+
+_HUGE = "1" + "0" * 400
+_ABOVE_MAX = str(int(sys.float_info.max) + 1)  # rounds to max as a float
+
+
+@pytest.mark.parametrize("token,shown", [
+    ("true", "True"), ('"1"', "'1'"), ("null", "None"), ("1e400", "inf"),
+    (_HUGE, _HUGE), (_ABOVE_MAX, _ABOVE_MAX)],
+    ids=["true", "string", "null", "1e400", "huge-int", "int-above-max"])
+@pytest.mark.parametrize("key,where", [("beta2", "beta2[2]"),
+                                       ("B1", "B1[3][1]")])
+def test_deserialize_names_each_kind_of_bad_leaf(token, shown, key, where):
+    # a bad leaf anywhere in a key makes the whole-key check fail over to
+    # the leaf-by-leaf one, which names it
+    with pytest.raises(TableauFormatError) as exc:
+        deserialize(_with_token(key, token))
+    assert str(exc.value) == "%s must be a finite number, got %s" \
+        % (where, shown)
+
+
+@pytest.mark.parametrize("token", [
+    str(2 ** 53 + 1), str(2 ** 64 + 1), str(-2 ** 63 - 1), "-0", "1e308",
+    str(int(sys.float_info.max))])
+@pytest.mark.parametrize("key", ["beta2", "B1"])
+def test_deserialize_reads_an_integer_as_float_does(token, key):
+    t = deserialize(_with_token(key, token))
+    leaf = t.beta2[1] if key == "beta2" else t.B1[2, 0]
+    assert float(leaf).hex() == float(json.loads(token)).hex()
 
 
 def test_deserialize_rejects_non_finite_tokens():
