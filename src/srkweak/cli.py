@@ -51,7 +51,8 @@ def _add_param_options(p):
                    metavar="X", help="family parameter lambda")
     p.add_argument("--sign-branch", dest="sign_branch", type=int,
                    choices=(-1, 1), default=None,
-                   help="square-root branch for families that have one")
+                   help="sign choice of the families that have one; "
+                        "the other families refuse -1")
 
 
 def _add_source_options(p):
@@ -172,13 +173,21 @@ def _cmd_study(args):
     if not schemes:
         raise UsageError("empty scheme list")
     hs = _parse_floats(args.h, "step size")
+    # an unusable output directory is refused before any cell runs
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (args.out_dir, exc))
     reports, orders = run_study(schemes, prob, hs, args.M, args.seed,
                                 batches=args.batches, threads=args.threads)
-    os.makedirs(args.out_dir, exist_ok=True)
     errors_path = os.path.join(args.out_dir, "errors.csv")
     orders_path = os.path.join(args.out_dir, "orders.csv")
-    write_errors_csv(errors_path, reports)
-    write_orders_csv(orders_path, orders)
+    for path, write, rows in ((errors_path, write_errors_csv, reports),
+                              (orders_path, write_orders_csv, orders)):
+        try:
+            write(path, rows)
+        except OSError as exc:
+            raise UsageError("cannot write %s: %s" % (path, exc))
     for r in reports:
         print("%s %s h=%.5E mu_hat=%+.5E ci=[%+.5E, %+.5E] diverged=%d"
               % (r.scheme, r.problem, r.h, r.mu_hat, r.ci_a, r.ci_b,

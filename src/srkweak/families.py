@@ -31,7 +31,12 @@ to sqrt(2/3) and sqrt(2), the values singled out by two additional
 third-order conditions.  CASE_221 and its order-(3,2) refinements
 carry a sign choice (sign_branch) for the square root of kappa in the
 B0 entries; ORD32_212 uses the same switch for the sign in its
-discriminant formula.
+discriminant formula; the other families reject sign_branch = -1.
+
+Each family is built by one function whose keyword parameters, after
+the family id and c1, are the family's free parameters with their
+defaults; a sign_branch keyword marks a sign choice.  make_family takes
+both from these signatures.
 
 In the ORD32_223A and ORD32_223C families the entry A0[3][2] is pinned
 to -1/3 and -1/(6 c6 c7) respectively; these are the unique values for
@@ -51,6 +56,7 @@ Named schemes:
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, fields
 
@@ -97,8 +103,8 @@ class FamilyParams:
     Unset parameters (None) take the family default: 0 for plain
     constants, sqrt(2/3) for the node c3 and sqrt(2) for the node c4
     of the three-stage families.  sign_branch picks the sign of
-    sqrt(kappa) (or of the discriminant root in ORD32_212) and is
-    ignored by families without a sign choice.
+    sqrt(kappa) (or of the discriminant root in ORD32_212); -1 is
+    rejected by families without a sign choice.
     """
 
     family: str
@@ -137,82 +143,30 @@ def family_id_from_cli(token):
     return fid
 
 
-def _effective(p, fid, free):
-    """Fill in family defaults; reject non-free and non-finite values."""
-    values = {}
-    for key in _PARAM_NAMES:
-        supplied = getattr(p, key)
-        if supplied is not None and key not in free:
-            raise FamilyParameterError(
-                "parameter %s is not free in family %s; free parameters: %s"
-                % (key, fid, ", ".join(free) if free else "none (besides c1)"))
-        if key in ("c3", "c4") and fid != "ORD21" and fid != "ORD11":
-            default = DEFAULT_C3 if key == "c3" else DEFAULT_C4
-        else:
-            default = 0.0
-        if supplied is None:
-            values[key] = default
-        elif _is_finite(supplied):
-            values[key] = float(supplied)
-        else:
-            raise FamilyParameterError(
-                "parameter %s must be finite, got %r" % (key, supplied))
-    return values
-
-
-def _check_c1(fid, c1):
-    if not _is_finite(c1) or c1 not in (-1.0, 1.0):
-        raise ConstraintViolation(fid, "c1 in {-1, 1}", "c1 = %r" % c1)
-    return float(c1)
-
-
-def _check_sign_branch(fid, sb):
-    if not _is_finite(sb) or sb not in (-1, 1):
-        raise ConstraintViolation(fid, "sign_branch in {-1, +1}",
-                                  "sign_branch = %r" % sb)
-    return int(sb)
-
-
-def _zeros(s):
-    return [[0.0] * s for _ in range(s)]
-
-
-def _mat(s, **entries):
-    # entries like m21=..., keyed by 1-based row/column digits
-    out = _zeros(s)
-    for key, val in entries.items():
-        i, j = int(key[1]) - 1, int(key[2]) - 1
-        out[i][j] = float(val)
-    return out
-
-
-def _ord11(fid, c1, v, sb):
+def _ord11(fid, c1):
     return CoefficientTableau(
         s=1, alpha=[1.0], beta1=[c1], beta2=[0.0], beta3=[0.0], beta4=[0.0],
-        A0=_zeros(1), A1=_zeros(1), A2=_zeros(1),
-        B0=_zeros(1), B1=_zeros(1), B2=_zeros(1))
+        A0=[[0.0]], A1=[[0.0]], A2=[[0.0]], B0=[[0.0]], B1=[[0.0]], B2=[[0.0]])
 
 
-def _ord21(fid, c1, v, sb):
-    c2 = v["c2"]
+def _ord21(fid, c1, c2=0.0, c3=0.0, c4=0.0, c5=0.0, c6=0.0, c7=0.0, c8=0.0,
+           c9=0.0, c10=0.0, c11=0.0):
     if c2 == 0.0:
         raise ConstraintViolation(fid, "c2 != 0", "c2 = %r" % c2)
-    if v["c4"] * v["c10"] != 0.0:
+    if c4 * c10 != 0.0:
         raise ConstraintViolation(
-            fid, "c4 c10 = 0", "c4 = %r, c10 = %r" % (v["c4"], v["c10"]))
-    if v["c6"] * v["c11"] != 0.0:
+            fid, "c4 c10 = 0", "c4 = %r, c10 = %r" % (c4, c10))
+    if c6 * c11 != 0.0:
         raise ConstraintViolation(
-            fid, "c6 c11 = 0", "c6 = %r, c11 = %r" % (v["c6"], v["c11"]))
+            fid, "c6 c11 = 0", "c6 = %r, c11 = %r" % (c6, c11))
     return CoefficientTableau(
         s=2,
         alpha=[1.0 - 1.0 / (2.0 * c2), 1.0 / (2.0 * c2)],
-        beta1=[c1 - v["c4"], v["c4"]],
-        beta2=[v["c5"], -v["c5"]],
-        beta3=[v["c6"], -v["c6"]],
-        beta4=[v["c7"], -v["c7"]],
-        A0=_mat(2, m21=c2), A1=_mat(2, m21=v["c8"]), A2=_mat(2, m21=v["c9"]),
-        B0=_mat(2, m21=v["c3"]), B1=_mat(2, m21=v["c10"]),
-        B2=_mat(2, m21=v["c11"]))
+        beta1=[c1 - c4, c4], beta2=[c5, -c5], beta3=[c6, -c6],
+        beta4=[c7, -c7],
+        A0=[[0.0, 0.0], [c2, 0.0]], A1=[[0.0, 0.0], [c8, 0.0]],
+        A2=[[0.0, 0.0], [c9, 0.0]], B0=[[0.0, 0.0], [c3, 0.0]],
+        B1=[[0.0, 0.0], [c10, 0.0]], B2=[[0.0, 0.0], [c11, 0.0]])
 
 
 def _shared3(fid, c1, c2, c3, c4, c5):
@@ -228,41 +182,43 @@ def _shared3(fid, c1, c2, c3, c4, c5):
         beta3=[-c1 / (2.0 * c4 ** 2),
                c1 / (4.0 * c4 ** 2), c1 / (4.0 * c4 ** 2)],
         beta4=[0.0, 1.0 / (2.0 * c4), -1.0 / (2.0 * c4)],
-        A1=_mat(3, m21=c3 ** 2, m31=c3 ** 2 - c2, m32=c2),
-        B1=_mat(3, m21=c3, m31=-c3),
-        A2=_mat(3, m31=c5, m32=-c5),
-        B2=_mat(3, m21=c4, m31=-c4))
+        A1=[[0.0, 0.0, 0.0], [c3 ** 2, 0.0, 0.0], [c3 ** 2 - c2, c2, 0.0]],
+        B1=[[0.0, 0.0, 0.0], [c3, 0.0, 0.0], [-c3, 0.0, 0.0]],
+        A2=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [c5, -c5, 0.0]],
+        B2=[[0.0, 0.0, 0.0], [c4, 0.0, 0.0], [-c4, 0.0, 0.0]])
 
 
-def _case_a(fid, c1, v, sb):
-    shared = _shared3(fid, c1, 0.0, v["c3"], v["c4"], 0.0)
+def _case_a(fid, c1, c3=DEFAULT_C3, c4=DEFAULT_C4):
+    shared = _shared3(fid, c1, 0.0, c3, c4, 0.0)
     return CoefficientTableau(
         s=3, alpha=[0.5, 0.5, 0.0],
-        A0=_mat(3, m21=1.0), B0=_mat(3, m21=c1), **shared)
+        A0=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        B0=[[0.0, 0.0, 0.0], [c1, 0.0, 0.0], [0.0, 0.0, 0.0]], **shared)
 
 
-def _case_211(fid, c1, v, sb):
-    shared = _shared3(fid, c1, v["c2"], v["c3"], v["c4"], v["c5"])
+def _case_211(fid, c1, c2=0.0, c3=DEFAULT_C3, c4=DEFAULT_C4, c5=0.0, c6=0.0,
+              c7=0.0):
+    shared = _shared3(fid, c1, c2, c3, c4, c5)
     return CoefficientTableau(
-        s=3, alpha=[0.5 - v["c6"], v["c6"], 0.5],
-        A0=_mat(3, m31=v["c7"], m32=1.0 - v["c7"]),
-        B0=_mat(3, m31=c1), **shared)
+        s=3, alpha=[0.5 - c6, c6, 0.5],
+        A0=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [c7, 1.0 - c7, 0.0]],
+        B0=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [c1, 0.0, 0.0]], **shared)
 
 
-def _case_212(fid, c1, v, sb):
-    c6 = v["c6"]
+def _case_212(fid, c1, c2=0.0, c3=DEFAULT_C3, c4=DEFAULT_C4, c5=0.0, c6=0.0,
+              c7=0.0, c8=0.0):
     if c6 == 0.0:
         raise ConstraintViolation(fid, "c6 != 0", "c6 = %r" % c6)
-    shared = _shared3(fid, c1, v["c2"], v["c3"], v["c4"], v["c5"])
-    alpha2 = (1.0 - v["c7"] - v["c8"]) / (2.0 * c6)
+    shared = _shared3(fid, c1, c2, c3, c4, c5)
+    alpha2 = (1.0 - c7 - c8) / (2.0 * c6)
     return CoefficientTableau(
         s=3, alpha=[0.5 - alpha2, alpha2, 0.5],
-        A0=_mat(3, m21=c6, m31=v["c7"], m32=v["c8"]),
-        B0=_mat(3, m31=c1), **shared)
+        A0=[[0.0, 0.0, 0.0], [c6, 0.0, 0.0], [c7, c8, 0.0]],
+        B0=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [c1, 0.0, 0.0]], **shared)
 
 
-def _case_221(fid, c1, v, sb):
-    c6, c7, c8, c9 = v["c6"], v["c7"], v["c8"], v["c9"]
+def _case_221(fid, c1, sign_branch=1, c3=DEFAULT_C3, c4=DEFAULT_C4, c6=0.0,
+              c7=0.0, c8=0.0, c9=0.0):
     if c6 == 0.0:
         raise ConstraintViolation(fid, "c6 != 0", "c6 = %r" % c6)
     if c7 == 0.0:
@@ -280,44 +236,44 @@ def _case_221(fid, c1, v, sb):
         raise ConstraintViolation(fid, "c6 != +/-sqrt(kappa)",
                                   "c6 = %r, sqrt(kappa) = %r" % (c6, root))
     lam = (1.0 - 2.0 * c6 * c8) / (2.0 * c7)
-    shared = _shared3(fid, c1, 0.0, v["c3"], v["c4"], 0.0)
+    shared = _shared3(fid, c1, 0.0, c3, c4, 0.0)
     return CoefficientTableau(
         s=3, alpha=[1.0 - c6 - c7, c6, c7],
-        A0=_mat(3, m21=c8, m31=lam - c9, m32=c9),
-        B0=_mat(3,
-                m21=0.5 * c1 * (c6 - sb * root) / (c6 * (c6 + c7)),
-                m31=0.5 * c1 * (c7 + sb * root) / (c7 * (c6 + c7))),
+        A0=[[0.0, 0.0, 0.0], [c8, 0.0, 0.0], [lam - c9, c9, 0.0]],
+        B0=[[0.0, 0.0, 0.0],
+            [0.5 * c1 * (c6 - sign_branch * root) / (c6 * (c6 + c7)),
+             0.0, 0.0],
+            [0.5 * c1 * (c7 + sign_branch * root) / (c7 * (c6 + c7)),
+             0.0, 0.0]],
         **shared)
 
 
-def _case_222(fid, c1, v, sb):
-    c8 = v["c8"]
+def _case_222(fid, c1, c3=DEFAULT_C3, c4=DEFAULT_C4, c6=0.0, c7=0.0, c8=0.0):
     if c8 == 0.0:
         raise ConstraintViolation(fid, "c8 != 0", "c8 = %r" % c8)
-    shared = _shared3(fid, c1, 0.0, v["c3"], v["c4"], 0.0)
+    shared = _shared3(fid, c1, 0.0, c3, c4, 0.0)
     return CoefficientTableau(
         s=3, alpha=[0.5, 0.0, 0.5],
-        A0=_mat(3, m21=v["c6"], m31=1.0 - v["c7"], m32=v["c7"]),
-        B0=_mat(3, m21=c8, m31=c1), **shared)
+        A0=[[0.0, 0.0, 0.0], [c6, 0.0, 0.0], [1.0 - c7, c7, 0.0]],
+        B0=[[0.0, 0.0, 0.0], [c8, 0.0, 0.0], [c1, 0.0, 0.0]], **shared)
 
 
-def _case_223(fid, c1, v, sb):
-    c6 = v["c6"]
+def _case_223(fid, c1, c3=DEFAULT_C3, c4=DEFAULT_C4, c6=0.0, c7=0.0, c8=0.0):
     if c6 == 0.0 or c6 == -0.5:
         raise ConstraintViolation(fid, "c6 not in {-1/2, 0}", "c6 = %r" % c6)
-    shared = _shared3(fid, c1, 0.0, v["c3"], v["c4"], 0.0)
-    row_sum = (1.0 - 2.0 * c6 * v["c7"]) / (-2.0 * c6)
+    shared = _shared3(fid, c1, 0.0, c3, c4, 0.0)
+    row_sum = (1.0 - 2.0 * c6 * c7) / (-2.0 * c6)
     return CoefficientTableau(
         s=3, alpha=[1.0, c6, -c6],
-        A0=_mat(3, m21=v["c7"], m31=row_sum - v["c8"], m32=v["c8"]),
-        B0=_mat(3,
-                m21=0.5 * c1 * (1.0 + 1.0 / (2.0 * c6)),
-                m31=0.5 * c1 * (1.0 - 1.0 / (2.0 * c6))),
+        A0=[[0.0, 0.0, 0.0], [c7, 0.0, 0.0], [row_sum - c8, c8, 0.0]],
+        B0=[[0.0, 0.0, 0.0],
+            [0.5 * c1 * (1.0 + 1.0 / (2.0 * c6)), 0.0, 0.0],
+            [0.5 * c1 * (1.0 - 1.0 / (2.0 * c6)), 0.0, 0.0]],
         **shared)
 
 
-def _ord32_212(fid, c1, v, sb):
-    c6 = v["c6"]
+def _ord32_212(fid, c1, sign_branch=1, c2=0.0, c3=DEFAULT_C3, c4=DEFAULT_C4,
+               c5=0.0, c6=0.0):
     if c6 == 0.0:
         raise ConstraintViolation(fid, "c6 != 0", "c6 = %r" % c6)
     disc = 9.0 * c6 ** 2 - 36.0 * c6 + 24.0
@@ -325,14 +281,14 @@ def _ord32_212(fid, c1, v, sb):
         raise ConstraintViolation(fid, "9 c6^2 - 36 c6 + 24 >= 0",
                                   "discriminant = %r for c6 = %r"
                                   % (disc, c6))
-    sub = dict(v)
-    sub["c7"] = 0.5 * c6 + sb * math.sqrt(disc) / 6.0 - 1.0 / (3.0 * c6)
-    sub["c8"] = 1.0 / (3.0 * c6)
-    return _case_212(fid, c1, sub, sb)
+    return _case_212(
+        fid, c1, c2, c3, c4, c5, c6,
+        c7=0.5 * c6 + sign_branch * math.sqrt(disc) / 6.0 - 1.0 / (3.0 * c6),
+        c8=1.0 / (3.0 * c6))
 
 
-def _ord32_221a(fid, c1, v, sb):
-    c9 = v["c9"]
+def _ord32_221a(fid, c1, sign_branch=1, c3=DEFAULT_C3, c4=DEFAULT_C4,
+                c9=0.0):
     if c9 == 0.0:
         raise ConstraintViolation(fid, "c9 != 0", "c9 = %r" % c9)
     c7 = 1.0 / (4.0 * c9)
@@ -342,13 +298,12 @@ def _ord32_221a(fid, c1, v, sb):
     if -0.25 < c7 < 0.0:
         raise ConstraintViolation(fid, "c7 not in ]-1/4, 0[",
                                   "c7 = 1/(4 c9) = %r" % c7)
-    sub = dict(v)
-    sub["c6"], sub["c7"], sub["c8"] = 0.75, c7, 2.0 / 3.0
-    return _case_221(fid, c1, sub, sb)
+    return _case_221(fid, c1, sign_branch, c3, c4, c6=0.75, c7=c7,
+                     c8=2.0 / 3.0, c9=c9)
 
 
-def _ord32_221b(fid, c1, v, sb):
-    c9 = v["c9"]
+def _ord32_221b(fid, c1, sign_branch=1, c3=DEFAULT_C3, c4=DEFAULT_C4,
+                c9=0.0):
     if c9 == 0.0:
         raise ConstraintViolation(fid, "c9 != 0", "c9 = %r" % c9)
     c7 = 1.0 / (4.0 * c9)
@@ -356,13 +311,12 @@ def _ord32_221b(fid, c1, v, sb):
     if not (0.0 < c6 < 0.75 and c6 != 0.25):
         raise ConstraintViolation(fid, "c6 in ]0, 1/4[ u ]1/4, 3/4[",
                                   "c6 = 3/4 - 1/(4 c9) = %r" % c6)
-    sub = dict(v)
-    sub["c6"], sub["c7"], sub["c8"] = c6, c7, 2.0 / 3.0
-    return _case_221(fid, c1, sub, sb)
+    return _case_221(fid, c1, sign_branch, c3, c4, c6=c6, c7=c7,
+                     c8=2.0 / 3.0, c9=c9)
 
 
-def _ord32_221c(fid, c1, v, sb):
-    lam, c8 = v["lam"], v["c8"]
+def _ord32_221c(fid, c1, sign_branch=1, c3=DEFAULT_C3, c4=DEFAULT_C4,
+                c8=0.0, lam=0.0):
     if c8 in (0.0, 2.0 / 3.0):
         raise ConstraintViolation(fid, "c8 not in {0, 2/3}", "c8 = %r" % c8)
     if lam in (0.0, 2.0 / 3.0, c8, 2.0 / 3.0 - c8):
@@ -396,52 +350,51 @@ def _ord32_221c(fid, c1, v, sb):
                     fid, "lambda < 2/3 or lambda >= (3 c8 - 2)/(3 (c8 - 1)) "
                          "for c8 < 0 or c8 > 1",
                     "lambda = %r, bound = %r" % (lam, bound))
-    sub = dict(v)
-    sub["c6"] = (2.0 - 3.0 * lam) / (6.0 * c8 * (c8 - lam))
-    sub["c7"] = (3.0 * c8 - 2.0) / (6.0 * lam * (c8 - lam))
-    sub["c9"] = lam * (c8 - lam) / ((3.0 * c8 - 2.0) * c8)
-    return _case_221(fid, c1, sub, sb)
+    return _case_221(
+        fid, c1, sign_branch, c3, c4,
+        c6=(2.0 - 3.0 * lam) / (6.0 * c8 * (c8 - lam)),
+        c7=(3.0 * c8 - 2.0) / (6.0 * lam * (c8 - lam)),
+        c8=c8, c9=lam * (c8 - lam) / ((3.0 * c8 - 2.0) * c8))
 
 
-def _ord32_223a(fid, c1, v, sb):
-    sub = dict(v)
-    sub["c6"], sub["c7"], sub["c8"] = 0.75, 2.0 / 3.0, -1.0 / 3.0
-    return _case_223(fid, c1, sub, sb)
+def _ord32_223a(fid, c1, c3=DEFAULT_C3, c4=DEFAULT_C4):
+    return _case_223(fid, c1, c3, c4, c6=0.75, c7=2.0 / 3.0, c8=-1.0 / 3.0)
 
 
-def _ord32_223c(fid, c1, v, sb):
-    c7 = v["c7"]
+def _ord32_223c(fid, c1, c3=DEFAULT_C3, c4=DEFAULT_C4, c7=0.0):
     if c7 in (-1.0 / 6.0, 0.0, 1.0 / 3.0):
         raise ConstraintViolation(fid, "c7 not in {-1/6, 0, 1/3}",
                                   "c7 = %r" % c7)
     c6 = 1.0 / (4.0 * c7 - 4.0 / 3.0)
-    sub = dict(v)
-    sub["c6"] = c6
-    sub["c8"] = -1.0 / (6.0 * c6 * c7)
-    return _case_223(fid, c1, sub, sb)
+    return _case_223(fid, c1, c3, c4, c6=c6, c7=c7,
+                     c8=-1.0 / (6.0 * c6 * c7))
 
 
-# builder and free parameters (excluding c1 and sign_branch) per family;
-# the key order is that of FAMILY_IDS
+# the builder of each family, in the order of FAMILY_IDS; the keyword
+# parameters of a builder are the family's free parameters with their
+# defaults, and sign_branch among them marks a sign choice
 _FAMILIES = {
-    "ORD11": (_ord11, ()),
-    "ORD21": (_ord21, ("c2", "c3", "c4", "c5", "c6", "c7", "c8", "c9", "c10",
-                       "c11")),
-    "CASE_A": (_case_a, ("c3", "c4")),
-    "CASE_211": (_case_211, ("c2", "c3", "c4", "c5", "c6", "c7")),
-    "CASE_212": (_case_212, ("c2", "c3", "c4", "c5", "c6", "c7", "c8")),
-    "CASE_221": (_case_221, ("c3", "c4", "c6", "c7", "c8", "c9")),
-    "CASE_222": (_case_222, ("c3", "c4", "c6", "c7", "c8")),
-    "CASE_223": (_case_223, ("c3", "c4", "c6", "c7", "c8")),
-    "ORD32_212": (_ord32_212, ("c2", "c3", "c4", "c5", "c6")),
-    "ORD32_221A": (_ord32_221a, ("c3", "c4", "c9")),
-    "ORD32_221B": (_ord32_221b, ("c3", "c4", "c9")),
-    "ORD32_221C": (_ord32_221c, ("c3", "c4", "c8", "lam")),
-    "ORD32_223A": (_ord32_223a, ("c3", "c4")),
-    "ORD32_223C": (_ord32_223c, ("c3", "c4", "c7")),
+    "ORD11": _ord11,
+    "ORD21": _ord21,
+    "CASE_A": _case_a,
+    "CASE_211": _case_211,
+    "CASE_212": _case_212,
+    "CASE_221": _case_221,
+    "CASE_222": _case_222,
+    "CASE_223": _case_223,
+    "ORD32_212": _ord32_212,
+    "ORD32_221A": _ord32_221a,
+    "ORD32_221B": _ord32_221b,
+    "ORD32_221C": _ord32_221c,
+    "ORD32_223A": _ord32_223a,
+    "ORD32_223C": _ord32_223c,
 }
 
 FAMILY_IDS = tuple(_FAMILIES)
+
+# the keyword parameters of each builder (after fid and c1)
+_KEYWORDS = {fid: tuple(inspect.signature(builder).parameters)[2:]
+             for fid, builder in _FAMILIES.items()}
 
 _NAMED = {
     "EM": FamilyParams("ORD11"),
@@ -466,8 +419,9 @@ def make_family(params):
 
     Raises:
       UnknownFamilyError: if params.family is not a known id
-      FamilyParameterError: if a non-free parameter was supplied or a
-        free one is not finite
+      FamilyParameterError: if a non-free parameter was supplied (as
+        sign_branch = -1 is to a family without a sign choice) or a free
+        one is not finite
       ConstraintViolation: if a free parameter value is inadmissible
     """
     fid = params.family
@@ -475,10 +429,27 @@ def make_family(params):
         raise UnknownFamilyError(
             "unknown family %r; known families: %s"
             % (fid, ", ".join(FAMILY_IDS)))
-    c1 = _check_c1(fid, params.c1)
-    sb = _check_sign_branch(fid, params.sign_branch)
-    builder, free = _FAMILIES[fid]
-    return builder(fid, c1, _effective(params, fid, free), sb)
+    c1, sign_branch = params.c1, params.sign_branch
+    if not _is_finite(c1) or c1 not in (-1.0, 1.0):
+        raise ConstraintViolation(fid, "c1 in {-1, 1}", "c1 = %r" % c1)
+    if not _is_finite(sign_branch) or sign_branch not in (-1, 1):
+        raise ConstraintViolation(fid, "sign_branch in {-1, +1}",
+                                  "sign_branch = %r" % sign_branch)
+    keywords = _KEYWORDS[fid]
+    supplied = {"sign_branch": -1} if sign_branch == -1 else {}
+    supplied.update((key, getattr(params, key)) for key in _PARAM_NAMES
+                    if getattr(params, key) is not None)
+    for key, value in supplied.items():
+        if key not in keywords:
+            free = [k for k in keywords if k != "sign_branch"]
+            raise FamilyParameterError(
+                "parameter %s is not free in family %s; free parameters: %s"
+                % (key, fid, ", ".join(free) if free else "none (besides c1)"))
+        if not _is_finite(value):
+            raise FamilyParameterError(
+                "parameter %s must be finite, got %r" % (key, value))
+    return _FAMILIES[fid](fid, float(c1), **{
+        key: float(value) for key, value in supplied.items()})
 
 
 def named_scheme(name):

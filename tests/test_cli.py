@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import srkweak
+from srkweak import cli
 from srkweak.cli import main
 from srkweak.families import named_scheme
 from srkweak.tableau import deserialize, serialize
@@ -179,6 +180,18 @@ def test_family_foreign_parameter_exits_1(capsys):
     assert "parameter c5 is not free" in err
 
 
+def test_family_refuses_a_sign_choice_it_lacks(capsys):
+    code = main(["family", "case-a", "--sign-branch", "-1"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == ("error: parameter sign_branch is not free in family "
+                   "CASE_A; free parameters: c3, c4\n")
+    assert main(["family", "case-a", "--sign-branch", "1"]) == 0
+    assert deserialize(capsys.readouterr()[0]).with_name("RDI2WM") \
+        == named_scheme("RDI2WM")
+
+
 def test_family_unknown_id_exits_1(capsys):
     code = main(["family", "ord99"])
     _, err = capsys.readouterr()
@@ -256,6 +269,38 @@ def test_study_writes_reports_and_csvs(tmp_path, capsys):
     assert len(errors) == 1 + 4
     assert orders[0] == "scheme,problem,fitted_order"
     assert len(orders) == 1 + 2
+
+
+def test_study_refuses_an_out_dir_before_running(tmp_path, capsys,
+                                                monkeypatch):
+    def run_study(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(cli, "run_study", run_study)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out_dir = str(afile / "sub")
+    code = main(["study", "--problem", "nonlinear16", "--schemes", "em",
+                 "--h", "0.5,0.25", "--M", "8", "--batches", "2",
+                 "--out-dir", out_dir])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot write %s: " % out_dir)
+    assert err.count("\n") == 1
+
+
+def test_study_reports_a_csv_it_cannot_write(tmp_path, capsys):
+    (tmp_path / "orders.csv").mkdir()
+    code = main(["study", "--problem", "nonlinear16", "--schemes", "em",
+                 "--h", "0.5,0.25", "--M", "8", "--batches", "2",
+                 "--out-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot write %s: "
+                          % (tmp_path / "orders.csv"))
+    assert err.count("\n") == 1
 
 
 def test_study_thread_count_invariance(tmp_path, capsys):

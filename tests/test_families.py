@@ -193,17 +193,75 @@ def test_bool_sign_branch_is_a_constraint_violation(sign_branch):
     assert exc.value.constraint == "sign_branch in {-1, +1}"
 
 
-def test_non_free_parameters_rejected():
+#: the optional parameters of FamilyParams, in field order
+PARAM_NAMES = ("c2", "c3", "c4", "c5", "c6", "c7", "c8", "c9", "c10", "c11",
+               "lam")
+
+#: each family's free parameters in PARAM_NAMES order, and whether it
+#: has a sign choice (sign_branch)
+FAMILY_REGISTRY = {
+    "ORD11": ((), False),
+    "ORD21": (("c2", "c3", "c4", "c5", "c6", "c7", "c8", "c9", "c10",
+               "c11"), False),
+    "CASE_A": (("c3", "c4"), False),
+    "CASE_211": (("c2", "c3", "c4", "c5", "c6", "c7"), False),
+    "CASE_212": (("c2", "c3", "c4", "c5", "c6", "c7", "c8"), False),
+    "CASE_221": (("c3", "c4", "c6", "c7", "c8", "c9"), True),
+    "CASE_222": (("c3", "c4", "c6", "c7", "c8"), False),
+    "CASE_223": (("c3", "c4", "c6", "c7", "c8"), False),
+    "ORD32_212": (("c2", "c3", "c4", "c5", "c6"), True),
+    "ORD32_221A": (("c3", "c4", "c9"), True),
+    "ORD32_221B": (("c3", "c4", "c9"), True),
+    "ORD32_221C": (("c3", "c4", "c8", "lam"), True),
+    "ORD32_223A": (("c3", "c4"), False),
+    "ORD32_223C": (("c3", "c4", "c7"), False),
+}
+
+
+def _not_free(key, fid):
+    free = FAMILY_REGISTRY[fid][0]
+    return ("parameter %s is not free in family %s; free parameters: %s"
+            % (key, fid, ", ".join(free) if free else "none (besides c1)"))
+
+
+def _build(fid, **kwargs):
+    """make_family, where an inadmissible value counts as accepted."""
+    try:
+        make_family(FamilyParams(fid, **kwargs))
+    except ConstraintViolation:
+        pass
+
+
+def test_registry_lists_every_family():
+    assert tuple(FAMILY_REGISTRY) == FAMILY_IDS
+
+
+@pytest.mark.parametrize("fid", FAMILY_IDS)
+def test_non_free_parameters_rejected(fid):
+    free = FAMILY_REGISTRY[fid][0]
+    for key in PARAM_NAMES:
+        if key in free:
+            _build(fid, **{key: 0.5})
+            continue
+        with pytest.raises(FamilyParameterError) as exc:
+            make_family(FamilyParams(fid, **{key: 0.5}))
+        assert str(exc.value) == _not_free(key, fid)
+
+
+@pytest.mark.parametrize("fid", FAMILY_IDS)
+def test_sign_branch_only_where_the_family_has_a_sign_choice(fid):
+    _build(fid, sign_branch=1)
+    if FAMILY_REGISTRY[fid][1]:
+        _build(fid, sign_branch=-1)
+        return
     with pytest.raises(FamilyParameterError) as exc:
-        make_family(FamilyParams("ORD11", c2=0.5))
-    assert "none (besides c1)" in str(exc.value)
+        make_family(FamilyParams(fid, sign_branch=-1))
+    assert str(exc.value) == _not_free("sign_branch", fid)
+    # the sign choice is checked before the other parameters
     with pytest.raises(FamilyParameterError) as exc:
-        make_family(FamilyParams("CASE_A", c2=1.0))
-    assert "free parameters: c3, c4" in str(exc.value)
-    with pytest.raises(FamilyParameterError):
-        make_family(FamilyParams("ORD32_221C", c9=1.0))
-    with pytest.raises(FamilyParameterError):
-        make_family(FamilyParams("ORD32_223A", c7=0.5))
+        make_family(FamilyParams(fid, sign_branch=-1, c3=math.nan,
+                                 lam=0.5))
+    assert str(exc.value) == _not_free("sign_branch", fid)
 
 
 def test_unknown_ids():
