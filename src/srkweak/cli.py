@@ -20,8 +20,8 @@ import sys
 import numpy as np
 
 from . import conditions, families, increments, problems
-from .estimator import (DEFAULT_BATCHES, run_study, write_errors_csv,
-                        write_orders_csv)
+from .estimator import (DEFAULT_BATCHES, _check_study, run_study,
+                        write_errors_csv, write_orders_csv)
 from .families import (ConstraintViolation, FamilyParams, family_id_from_cli,
                        make_family, named_scheme)
 from .integrator import evaluation_cost
@@ -173,7 +173,10 @@ def _cmd_study(args):
     if not schemes:
         raise UsageError("empty scheme list")
     hs = _parse_floats(args.h, "step size")
-    # an unusable output directory is refused before any cell runs
+    # a refused study leaves no output directory behind, and an
+    # unusable output directory is refused before any cell runs
+    _check_study(schemes, prob, hs, args.M, args.seed, args.batches,
+                 args.threads)
     try:
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as exc:

@@ -16,6 +16,11 @@ sqrt(sigma2_mu).  Batches are independent by construction (each owns
 a dedicated counter-based stream), so results are identical for any
 thread count and any batch execution order.
 
+Every estimate runs its batches through one worker, which adds up
+weighted levels: a scheme is one level of weight 1, and EXEM, the
+extrapolation 2 u_{h/2} - u_h of Talay and Tubaro, is two levels of
+Euler-Maruyama, at h weighted -1 and at h/2 weighted 2.
+
 Schemes are compared through the fitted order, the least-squares
 slope of log2 |mu_hat| against log2 h.
 """
@@ -106,30 +111,24 @@ def _batch_sizes(M, batches):
 
 
 def _resolve(scheme, m):
-    """(label, tableau) for a tableau, a scheme name or "EXEM" (None).
+    """(label, levels) for a tableau, a scheme name or "EXEM".
 
-    A tableau is planned for m noises here, so a structurally invalid
-    one is refused before any path runs.
+    A level (tableau, r, weight) adds weight times the mean of f after
+    r * n steps of size h / r: one level for a scheme, two for EXEM.  A
+    tableau is planned for m noises here, so a structurally invalid one
+    is refused before any path runs.
     """
     if isinstance(scheme, CoefficientTableau):
         usage_plan(scheme, m)
-        return scheme.name or "custom", scheme
+        return scheme.name or "custom", ((scheme, 1, 1.0),)
     if not isinstance(scheme, str):
         raise EstimatorError("a scheme must be a name or a CoefficientTableau,"
                              " got a %s" % type(scheme).__name__)
     if scheme.upper() == EXTRAPOLATED:
-        return EXTRAPOLATED, None
+        em = named_scheme("EM")
+        return EXTRAPOLATED, ((em, 1, -1.0), (em, 2, 2.0))
     tab = named_scheme(scheme)
-    return tab.name, tab
-
-
-def _mean_over_valid(prob, values, diverged):
-    if diverged.all():
-        return math.nan, int(diverged.sum())
-    # f may overflow on extreme but representable states
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.asarray(prob.f(values[~diverged]), dtype=float)
-        return float(np.mean(vals)), int(diverged.sum())
+    return tab.name, ((tab, 1, 1.0),)
 
 
 def estimate(scheme, prob, h, M, seed, batches=DEFAULT_BATCHES, threads=1):
@@ -137,9 +136,10 @@ def estimate(scheme, prob, h, M, seed, batches=DEFAULT_BATCHES, threads=1):
 
     Args:
       scheme: CoefficientTableau, the name of a built-in scheme, or
-        the string "EXEM" for the extrapolated two-level
-        Euler-Maruyama estimator; a tableau with structural violations
-        raises TableauValueError before any path runs
+        the string "EXEM" for the extrapolated estimator, Euler-Maruyama
+        at h and at h/2 as two weighted levels of the same batch worker
+        (on substreams 0 and 1 of each batch); a tableau with structural
+        violations raises TableauValueError before any path runs
       prob: NamedProblem (must carry f and exact_functional)
       h: step size; must divide the problem interval
       M: total number of trajectories
@@ -154,30 +154,27 @@ def estimate(scheme, prob, h, M, seed, batches=DEFAULT_BATCHES, threads=1):
     if not isinstance(prob, NamedProblem):
         raise EstimatorError("a %s carries no f and exact_functional; use a "
                              "NamedProblem" % type(prob).__name__)
-    label, tab = _resolve(scheme, prob.m)
+    label, levels = _resolve(scheme, prob.m)
     _check_int("seed", seed, 0, EstimatorError)
     n_steps = _steps_for(prob, h)
     sizes = _batch_sizes(M, batches)
     _check_int("threads", threads, 1, EstimatorError)
     exact = float(prob.exact_functional(prob.t_end))
 
-    if tab is not None:
-        def worker(b):
-            stream = substream(seed, 0, b)
-            values, div = terminal_values(tab, prob, n_steps, sizes[b],
-                                          stream)
-            return _mean_over_valid(prob, values, div)
-    else:
-        em = named_scheme("EM")
-
-        def worker(b):
-            coarse, div_c = terminal_values(
-                em, prob, n_steps, sizes[b], substream(seed, 0, b))
-            fine, div_f = terminal_values(
-                em, prob, 2 * n_steps, sizes[b], substream(seed, 1, b))
-            v_c, n_c = _mean_over_valid(prob, coarse, div_c)
-            v_f, n_f = _mean_over_valid(prob, fine, div_f)
-            return 2.0 * v_f - v_c, n_c + n_f
+    def worker(b):
+        # level k draws on substream (seed, k, b); the sum starts from
+        # the first term, since 0.0 + -0.0 would turn a -0.0 into +0.0
+        value, diverged = None, 0
+        for k, (tab, r, weight) in enumerate(levels):
+            values, div = terminal_values(tab, prob, r * n_steps, sizes[b],
+                                          substream(seed, k, b))
+            # f may overflow on extreme but representable states
+            with np.errstate(over="ignore", invalid="ignore"):
+                term = weight * (math.nan if div.all() else float(np.mean(
+                    np.asarray(prob.f(values[~div]), dtype=float))))
+            value = term if value is None else value + term
+            diverged += int(div.sum())
+        return value, diverged
 
     if threads == 1:
         results = [worker(b) for b in range(len(sizes))]
@@ -237,35 +234,19 @@ def fit_order(hs, mu_hats):
     return float(slope)
 
 
-def run_study(schemes, prob, hs, M, seed, batches=DEFAULT_BATCHES,
-              threads=1):
-    """Run a convergence study over schemes and step sizes.
-
-    Randomness is derived from the master seed per (scheme position,
-    step-size position), so every combination uses its own
-    independent stream and the thread count never affects results.
-
-    Args:
-      schemes: iterable of scheme names ("EXEM" for the extrapolated
-        Euler-Maruyama estimator) and tableaux; a tableau is labelled
-        by its name ("custom" if it has none), and one with structural
-        violations raises TableauValueError before any cell runs; no two
-        may share a label
-      prob: NamedProblem
-      hs: step sizes, each dividing the problem interval, at least two
-        and no two equal; all are checked before any cell runs
-      M: trajectories per scheme and step size
-      seed: non-negative integer master seed
-      batches: batches per estimate
-      threads: worker threads per estimate
+def _check_study(schemes, prob, hs, M, seed, batches, threads):
+    """Check every argument of run_study before any cell runs.
 
     Returns:
-      (reports, orders): lists of WeakErrorReport and FittedOrder in
-      input order
+      (schemes, labels, hs): the schemes as given and their labels as
+      lists, and the step sizes as floats
     """
     _check_int("seed", seed, 0, EstimatorError)
-    resolved = [_resolve(item, prob.m) for item in schemes]
-    labels = [label for label, _ in resolved]
+    if isinstance(schemes, str):
+        raise EstimatorError("schemes must be a list of scheme names and "
+                             "tableaux, got the string %r" % schemes)
+    schemes = list(schemes)
+    labels = [_resolve(item, prob.m)[0] for item in schemes]
     for label in labels:
         if labels.count(label) > 1:
             hint = ("; give each tableau its own name with with_name"
@@ -284,11 +265,44 @@ def run_study(schemes, prob, hs, M, seed, batches=DEFAULT_BATCHES,
         if hs.count(h) > 1:
             raise EstimatorError("step size %r appears more than once in "
                                  "the study" % h)
+    _batch_sizes(M, batches)
+    _check_int("threads", threads, 1, EstimatorError)
+    return schemes, labels, hs
+
+
+def run_study(schemes, prob, hs, M, seed, batches=DEFAULT_BATCHES,
+              threads=1):
+    """Run a convergence study over schemes and step sizes.
+
+    Randomness is derived from the master seed per (scheme position,
+    step-size position), so every combination uses its own
+    independent stream and the thread count never affects results.
+    Every argument is checked before any cell runs.
+
+    Args:
+      schemes: iterable, not a string, of scheme names ("EXEM" for the
+        extrapolated Euler-Maruyama estimator) and tableaux; a tableau
+        is labelled by its name ("custom" if it has none), and one with
+        structural violations raises TableauValueError; no two may
+        share a label
+      prob: NamedProblem
+      hs: step sizes, each dividing the problem interval, at least two
+        and no two equal
+      M: trajectories per scheme and step size
+      seed: non-negative integer master seed
+      batches: batches per estimate
+      threads: worker threads per estimate
+
+    Returns:
+      (reports, orders): lists of WeakErrorReport and FittedOrder in
+      input order
+    """
+    schemes, labels, hs = _check_study(schemes, prob, hs, M, seed, batches,
+                                       threads)
     reports = []
     orders = []
-    for si, (label, tab) in enumerate(resolved):
-        rows = [estimate(EXTRAPOLATED if tab is None else tab, prob, h, M,
-                         derive_seed(seed, si, hi),
+    for si, (scheme, label) in enumerate(zip(schemes, labels)):
+        rows = [estimate(scheme, prob, h, M, derive_seed(seed, si, hi),
                          batches=batches, threads=threads)
                 for hi, h in enumerate(hs)]
         reports.extend(rows)

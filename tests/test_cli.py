@@ -303,6 +303,29 @@ def test_study_reports_a_csv_it_cannot_write(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("option,value,message", [
+    ("--h", "0.5", "a study needs at least two distinct step sizes, "
+     "got 0.5"),
+    ("--schemes", "em,srk9", "unknown scheme 'srk9'"),
+    ("--M", "5", "M must be an integer >= 20, got 5"),
+    ("--threads", "0", "threads must be an integer >= 1, got 0"),
+], ids=["h", "schemes", "M", "threads"])
+def test_refused_study_leaves_no_out_dir(tmp_path, capsys, option, value,
+                                         message):
+    options = {"--problem": "nonlinear16", "--schemes": "em",
+               "--h": "0.5,0.25", "--M": "40", "--threads": "1"}
+    options[option] = value
+    out_dir = tmp_path / "newdir"
+    code = main(["study"] + [w for pair in options.items() for w in pair]
+                + ["--out-dir", str(out_dir)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: %s" % message)
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 def test_study_thread_count_invariance(tmp_path, capsys):
     args = ["study", "--problem", "nonlinear16", "--schemes", "em,rdi2wm",
             "--h", "0.5,0.25", "--M", "40", "--batches", "4"]

@@ -9,7 +9,9 @@ from srkweak.estimator import (DEFAULT_BATCHES, ERRORS_HEADER, EXTRAPOLATED,
                                fit_order, run_study, write_errors_csv,
                                write_orders_csv)
 from srkweak.families import UnknownSchemeError, named_scheme
-from srkweak.integrator import SdeProblem, exact_one_step_expectation
+from srkweak.increments import substream
+from srkweak.integrator import (SdeProblem, exact_one_step_expectation,
+                                terminal_values)
 from srkweak.problems import NamedProblem, problem_linear
 from srkweak.tableau import (_MATRIX_KEYS, _VECTOR_KEYS, CoefficientTableau,
                              TableauValueError)
@@ -84,14 +86,19 @@ def test_uneven_batch_sizes_weighted_correctly():
     assert abs(rep.u_Mh - np.mean(vals)) < 1e-15
 
 
-def test_diverged_paths_excluded_and_counted():
-    prob = NamedProblem(
+def _explosive_problem():
+    # dX = X^5 dW: at h = 1 some but not all paths diverge
+    return NamedProblem(
         d=1, m=1,
         drift=lambda t, y: np.zeros_like(y),
         diffusion_column=lambda t, y, j: y ** 5,
         x0=np.array([1.0]), t_end=8.0,
         exact_functional=lambda t: 0.0,
         name="explosive", f=lambda y: y[..., 0] - 1.0)
+
+
+def test_diverged_paths_excluded_and_counted():
+    prob = _explosive_problem()
     rep = estimate("EM", prob, 1.0, 200, seed=2)
     assert 0 < rep.diverged < 200
     assert np.isfinite(rep.u_Mh)
@@ -128,6 +135,49 @@ def test_exem_on_ode():
     prob = problem_linear(a=1.0, b=0.0, power=1)
     rep = estimate("EXEM", prob, 0.5, 16, seed=1, batches=2)
     assert rep.u_Mh == 2.0 * 1.25 ** 4 - 1.5 ** 2
+
+
+def _exem_reference(prob, h, M, seed, batches):
+    """EXEM as first written, level by level: Euler-Maruyama at n steps
+    on substream (seed, 0, b) and at 2n steps on (seed, 1, b), 2 v_f -
+    v_c per batch, then the mean weighted by batch size."""
+    em = named_scheme("EM")
+    n = int(round((prob.t_end - prob.t0) / h))
+    base, extra = divmod(M, batches)
+    sizes = [base + (1 if b < extra else 0) for b in range(batches)]
+
+    def mean(values, div):
+        if div.all():
+            return math.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.mean(np.asarray(prob.f(values[~div]),
+                                            dtype=float)))
+
+    batch_values, diverged = [], 0
+    for b, size in enumerate(sizes):
+        coarse, div_c = terminal_values(em, prob, n, size,
+                                        substream(seed, 0, b))
+        fine, div_f = terminal_values(em, prob, 2 * n, size,
+                                      substream(seed, 1, b))
+        batch_values.append(2.0 * mean(fine, div_f) - mean(coarse, div_c))
+        diverged += int(div_c.sum()) + int(div_f.sum())
+    weights = np.array(sizes, dtype=float) / float(M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(weights @ np.array(batch_values)), diverged
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("prob,h,seed", [
+    (problem_linear(), 0.25, 5),
+    (_explosive_problem(), 1.0, 2),
+], ids=["linear", "explosive"])
+def test_exem_matches_frozen_two_level_reference(prob, h, seed, threads):
+    u, diverged = _exem_reference(prob, h, 200, seed, DEFAULT_BATCHES)
+    rep = estimate("EXEM", prob, h, 200, seed=seed, threads=threads)
+    assert float.hex(rep.u_Mh) == float.hex(u)
+    assert rep.diverged == diverged
+    if prob.name == "explosive":
+        assert 0 < diverged < 2 * 200
 
 
 def test_fit_order_exact_slope():
@@ -242,6 +292,10 @@ def test_run_study_checks_arguments_before_running():
     # a tableau's label is its name; there is no (label, scheme) form
     with pytest.raises(EstimatorError, match="got a tuple"):
         run_study(["EM", ("x", "EXEM")], prob, [0.25], M=1, seed=0)
+    # a string of schemes would be walked one character at a time
+    with pytest.raises(EstimatorError, match="schemes must be a list of "
+                       "scheme names and tableaux, got the string 'EM'"):
+        run_study("EM", prob, [0.5, 0.25], M=100, seed=0)
 
 
 @pytest.mark.parametrize("schemes,label", [

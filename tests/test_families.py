@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from family_sampling import (CLASSIFIED_IDS, CLASS_ORDERS, EXCLUSIONS,
                              draw_member)
+from srkweak import families
 from srkweak.conditions import evaluate_all
 from srkweak.families import (DEFAULT_C3, DEFAULT_C4, FAMILY_IDS,
                               ConstraintViolation, FamilyParameterError,
@@ -234,6 +236,29 @@ def _build(fid, **kwargs):
 
 def test_registry_lists_every_family():
     assert tuple(FAMILY_REGISTRY) == FAMILY_IDS
+
+
+def test_docstring_family_table_matches_the_families():
+    # the rows of "Families and their free parameters" in the families
+    # module docstring, c2..c11 expanded
+    lines = families.__doc__.split("Families and their free parameters",
+                                   1)[1].splitlines()[2:]
+    rows = lines[:lines.index("")]
+    assert [row.split()[0] for row in rows] == list(FAMILY_IDS)
+    rng = np.random.default_rng(0)
+    for row in rows:
+        match = re.fullmatch(r"  (\w+) +(.*?) *weak order \((\d), (\d)\), "
+                             r"s = (\d)", row)
+        assert match, row
+        fid, params, p, q, s = match.groups()
+        free = []
+        for item in filter(None, params.split(", ")):
+            lo, _, hi = item.partition("..")
+            free += ["c%d" % k for k in range(int(lo[1:]), int(hi[1:]) + 1)] \
+                if hi else [item]
+        assert tuple(free) == FAMILY_REGISTRY[fid][0], fid
+        assert (int(p), int(q)) == CLASS_ORDERS[fid], fid
+        assert draw_member(fid, rng).s == int(s), fid
 
 
 @pytest.mark.parametrize("fid", FAMILY_IDS)
