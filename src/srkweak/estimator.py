@@ -21,6 +21,20 @@ weighted levels: a scheme is one level of weight 1, and EXEM, the
 extrapolation 2 u_{h/2} - u_h of Talay and Tubaro, is two levels of
 Euler-Maruyama, at h weighted -1 and at h/2 weighted 2.
 
+The temporaries of a step do not grow with the batch size.  A batch
+of n paths is stepped in equal parts of at most _CHUNK_ELEMENTS state
+elements (paths times d), each through all steps by its own
+terminal_values call, so they scale with the part, not with n.  Each
+part draws from its own copy of the batch stream, positioned on the
+part's rows (increments._RowWindow), so it gets exactly the increments
+the whole batch would have given those paths.  The parts write their
+terminal states and divergence flags into one (n, d) array and one
+mask, and f and the mean then run on that array as they would on the
+whole batch: the summation order, and so every output bit, does not
+depend on the part size.  A part is one terminal_values call, not a
+slice inside its step loop, so each call still does evaluation_cost
+times steps callback calls.
+
 Schemes are compared through the fitted order, the least-squares
 slope of log2 |mu_hat| against log2 h.
 """
@@ -36,12 +50,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import named_scheme
-from .increments import derive_seed, substream
+from .increments import _RowWindow, derive_seed, substream
 from .integrator import terminal_values, usage_plan
 from .problems import NamedProblem
 from .tableau import CoefficientTableau, Error, _check_int, _is_finite
 
 DEFAULT_BATCHES = 20
+#: most state elements (paths times d) stepped at once: 256 KiB per
+#: float64 stage array, which keeps a step's temporaries near cache
+_CHUNK_ELEMENTS = 1 << 15
 
 #: Pseudo-scheme name: Euler-Maruyama runs at h and h/2 combined as
 #: 2 u_{h/2} - u_h, cancelling the leading weak error term.
@@ -164,10 +181,17 @@ def estimate(scheme, prob, h, M, seed, batches=DEFAULT_BATCHES, threads=1):
     def worker(b):
         # level k draws on substream (seed, k, b); the sum starts from
         # the first term, since 0.0 + -0.0 would turn a -0.0 into +0.0
+        n = sizes[b]
+        parts = -(-n // max(1, _CHUNK_ELEMENTS // prob.d))
+        bounds = [n * c // parts for c in range(parts + 1)]
         value, diverged = None, 0
         for k, (tab, r, weight) in enumerate(levels):
-            values, div = terminal_values(tab, prob, r * n_steps, sizes[b],
-                                          substream(seed, k, b))
+            values = np.empty((n, prob.d), order="F")
+            div = np.empty(n, dtype=bool)
+            for lo, hi in zip(bounds, bounds[1:]):
+                values[lo:hi], div[lo:hi] = terminal_values(
+                    tab, prob, r * n_steps, hi - lo,
+                    _RowWindow(substream(seed, k, b), n, lo, hi))
             # f may overflow on extreme but representable states
             with np.errstate(over="ignore", invalid="ignore"):
                 term = weight * (math.nan if div.all() else float(np.mean(

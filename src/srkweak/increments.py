@@ -29,6 +29,15 @@ the paths; the stepper multiplies them into path-contiguous states.
 The uniforms themselves are drawn in C order, so the layout does not
 change which uniform feeds which variate.
 
+A batch of n paths draws each block as one (n, k) C-ordered array, so
+path i reads the k uniforms in row i of the block.  _RowWindow hands
+a part of the paths, rows [lo, hi), exactly the rows the whole batch
+would have drawn: Philox yields 4 doubles per counter, and its
+advance() moves the counter directly, so any offset in the stream is
+reached by one advance and at most 3 discarded doubles.  Parts of a
+batch can then be stepped one after another, each on its own copy of
+the batch stream, and give the same numbers as the whole batch.
+
 The joint support is finite, of size 3^m 2^(m(m-1)/2), so one-step
 expectations can be computed exactly by enumeration; support_batch()
 returns it as one stacked batch with its probabilities for m <= 4,
@@ -52,6 +61,8 @@ from .tableau import Error, _check_int, _is_finite
 MAX_ENUM_M = 4
 # supports kept by support_batch, the least recently used evicted first
 _SUPPORT_CACHE_SIZE = 16
+# doubles per Philox counter: one 64-bit word of the 4x64 output each
+_PHILOX_DOUBLES = 4
 
 
 class IncrementError(Error):
@@ -97,6 +108,59 @@ class CountingStream:
         else:
             self.count += 1
         return self.stream.random(size)
+
+
+class _RowWindow:
+    """Rows [lo, hi) of the uniforms a batch of n paths draws.
+
+    Each random((hi - lo, ...)) call returns rows [lo, hi) of the next
+    (n, ...) C-ordered block that n paths would draw from the stream
+    as given, bit for bit.  The stream is positioned only when a read
+    does not start where the last one ended, so a window over the
+    whole batch never seeks.
+
+    Args:
+      stream: numpy Generator backed by Philox, owned by the window
+      n: rows of each block the whole batch draws
+      lo, hi: the rows this window reads, 0 <= lo < hi <= n
+    """
+
+    def __init__(self, stream, n, lo, hi):
+        if not isinstance(stream.bit_generator, np.random.Philox):
+            raise IncrementError("a row window needs a Philox stream, got %s"
+                                 % type(stream.bit_generator).__name__)
+        if not 0 <= lo < hi <= n:
+            raise IncrementError("rows [%r, %r) are not a part of %r rows"
+                                 % (lo, hi, n))
+        self._stream = stream
+        self._start = stream.bit_generator.state
+        # doubles of the start state's last counter not yet handed out
+        self._buffered = _PHILOX_DOUBLES - self._start["buffer_pos"]
+        self._n, self._lo, self._rows = n, lo, hi - lo
+        self._block = 0  # where the next block starts in the batch stream
+        self._at = 0  # where the stream stands, counted from the start
+
+    def random(self, size):
+        shape = (size,) if np.ndim(size) == 0 else tuple(size)
+        if shape[:1] != (self._rows,):
+            raise IncrementError("this window reads %d rows, asked for %r"
+                                 % (self._rows, size))
+        k = math.prod(shape[1:])
+        first = self._block + self._lo * k
+        if first != self._at:
+            self._seek(first)
+        self._block += self._n * k
+        self._at = first + self._rows * k
+        return self._stream.random(shape)
+
+    def _seek(self, offset):
+        bitgen = self._stream.bit_generator
+        bitgen.state = self._start
+        past = offset - self._buffered
+        if past >= 0:  # advance() also empties the buffer
+            bitgen.advance(past // _PHILOX_DOUBLES)
+            offset = past % _PHILOX_DOUBLES
+        self._stream.random(offset)
 
 
 @dataclass(frozen=True)
@@ -176,8 +240,8 @@ def draw(m, h, stream, size=None, with_offdiag=True):
       m: number of driving Wiener components, >= 1
       h: step size, > 0
       stream: generator with a random(size) method
-      size: leading shape for independent realisations; None gives a
-        single scalar realisation
+      size: leading shape for independent realisations, an int n
+        meaning (n,); None gives a single scalar realisation
       with_offdiag: draw the off-diagonal sign variates of V; schemes
         that never use the mixed Ihat_(k,l) skip them, leaving zeros
 
@@ -185,7 +249,13 @@ def draw(m, h, stream, size=None, with_offdiag=True):
       WeakIncrementBatch
     """
     m, h = _check_m_h(m, h)
-    shape = () if size is None else tuple(int(n) for n in size)
+    if size is None:
+        shape = ()
+    else:
+        shape = (size,) if np.ndim(size) == 0 else tuple(size)
+        for n in shape:
+            _check_int("each size entry", n, 0, IncrementError)
+        shape = tuple(int(n) for n in shape)
     u = stream.random(shape + (m,))
     w = None
     if with_offdiag and m > 1:

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from srkweak import estimator
 from srkweak.estimator import (DEFAULT_BATCHES, ERRORS_HEADER, EXTRAPOLATED,
                                ORDERS_HEADER, EstimatorError, FittedOrder,
                                WeakErrorReport, _t_quantile_95, estimate,
@@ -12,7 +14,7 @@ from srkweak.families import UnknownSchemeError, named_scheme
 from srkweak.increments import substream
 from srkweak.integrator import (SdeProblem, exact_one_step_expectation,
                                 terminal_values)
-from srkweak.problems import NamedProblem, problem_linear
+from srkweak.problems import NamedProblem, problem_2d, problem_linear
 from srkweak.tableau import (_MATRIX_KEYS, _VECTOR_KEYS, CoefficientTableau,
                              TableauValueError)
 
@@ -72,6 +74,17 @@ def test_thread_count_does_not_change_results():
 
 
 def test_uneven_batch_sizes_weighted_correctly():
+    _assert_uneven_batch_sizes_weighted_correctly()
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_uneven_batch_sizes_weighted_correctly_in_parts(monkeypatch, chunk):
+    # parts of at most 1 or 2 paths split every batch, or only the first
+    monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
+    _assert_uneven_batch_sizes_weighted_correctly()
+
+
+def _assert_uneven_batch_sizes_weighted_correctly():
     # M = 7 over 3 batches splits 3/2/2; the estimate must be the
     # plain mean over all trajectories, not the mean of batch means
     prob = problem_linear(a=1.0, b=1.0, power=1, t_end=0.5)
@@ -166,18 +179,72 @@ def _exem_reference(prob, h, M, seed, batches):
         return float(weights @ np.array(batch_values)), diverged
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-@pytest.mark.parametrize("prob,h,seed", [
+_REFERENCE_CASES = pytest.mark.parametrize("prob,h,seed", [
     (problem_linear(), 0.25, 5),
     (_explosive_problem(), 1.0, 2),
 ], ids=["linear", "explosive"])
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@_REFERENCE_CASES
 def test_exem_matches_frozen_two_level_reference(prob, h, seed, threads):
+    _assert_exem_matches_reference(prob, h, seed, threads)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@_REFERENCE_CASES
+def test_exem_in_parts_matches_frozen_two_level_reference(
+        monkeypatch, prob, h, seed, threads):
+    # parts of at most 3 paths split each batch of 10 into 4, at rows
+    # 0, 2, 5 and 7; on the explosive problem some parts diverge
+    monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 3)
+    paths = []
+
+    def spy(tab, prob, n_steps, n_paths, stream):
+        paths.append(n_paths)
+        return terminal_values(tab, prob, n_steps, n_paths, stream)
+
+    monkeypatch.setattr(estimator, "terminal_values", spy)
+    _assert_exem_matches_reference(prob, h, seed, threads)
+    assert sorted(set(paths)) == [2, 3] and sum(paths) == 2 * 200
+
+
+def _assert_exem_matches_reference(prob, h, seed, threads):
     u, diverged = _exem_reference(prob, h, 200, seed, DEFAULT_BATCHES)
     rep = estimate("EXEM", prob, h, 200, seed=seed, threads=threads)
     assert float.hex(rep.u_Mh) == float.hex(u)
     assert rep.diverged == diverged
     if prob.name == "explosive":
         assert 0 < diverged < 2 * 200
+
+
+@pytest.mark.parametrize("chunk", [3, 5, 7])
+@pytest.mark.parametrize("scheme", ["RDI2WM", "EXEM"])
+def test_estimate_in_parts_equals_the_whole_batch(monkeypatch, scheme, chunk):
+    # d = 2, so 3, 5 or 7 elements are parts of 1, 2 or 3 paths; RDI2WM
+    # draws the sign variates of m = 2 as well
+    whole = estimate(scheme, problem_2d(), 1.0, 60, seed=3, batches=3,
+                     threads=2)
+    monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
+    parts = estimate(scheme, problem_2d(), 1.0, 60, seed=3, batches=3,
+                     threads=2)
+    assert parts == whole
+
+
+def test_memory_does_not_grow_with_the_batch_size():
+    # batches of 5e4 and 1e5 paths; stepped whole they peak at 22 and 45 MB
+    prob = problem_2d()
+    estimate("RDI2WM", prob, 1.0, 200, 7, batches=2)  # imports scipy
+    peaks = []
+    for M in (100_000, 200_000):
+        tracemalloc.start()
+        try:
+            estimate("RDI2WM", prob, 1.0, M, 7, batches=2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 12e6, peaks
+    assert peaks[1] - peaks[0] < 3e6, peaks
 
 
 def test_fit_order_exact_slope():

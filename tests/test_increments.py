@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from srkweak.increments import (MAX_ENUM_M, CountingStream, IncrementError,
-                                WeakIncrementBatch, derive_seed, draw,
-                                substream, support_batch)
+                                WeakIncrementBatch, _RowWindow, derive_seed,
+                                draw, substream, support_batch)
 
 
 def _close(got, want, scale):
@@ -257,6 +257,79 @@ def test_invalid_arguments(m, h):
         draw(m, h, substream(0))
     with pytest.raises(IncrementError):
         support_batch(m, h)
+
+
+@pytest.mark.parametrize("size", [5, np.int64(5), (5,), [5]])
+def test_draw_accepts_an_int_size(size):
+    # an int n means (n,), as for numpy's own random(size)
+    got = draw(2, 0.5, substream(0), size=size)
+    want = draw(2, 0.5, substream(0), size=(5,))
+    assert got.Ihat.shape == (5, 2) and got.V.shape == (5, 2, 2)
+    assert np.array_equal(got.Ihat, want.Ihat)
+    assert np.array_equal(got.V, want.V)
+    assert draw(1, 0.5, substream(0), size=0).Ihat.shape == (0, 1)
+
+
+@pytest.mark.parametrize("size", [-1, (2, -1), 2.5, (2.0,), True, (3, True),
+                                  "3", (None,)])
+def test_draw_rejects_a_bad_size(size):
+    with pytest.raises(IncrementError, match="size entry"):
+        draw(1, 0.5, substream(0), size=size)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("with_offdiag", [True, False])
+@pytest.mark.parametrize("n", [1, 5, 7, 10])
+@pytest.mark.parametrize("used", [0, 1])
+def test_row_window_gives_the_rows_of_a_whole_draw(m, with_offdiag, n, used):
+    # every window [lo, hi), so every split of n paths into parts and
+    # every starting offset, also those that are not a multiple of the
+    # 4 doubles of a Philox counter; the stream may start part-used
+    def stream():
+        s = substream(31, m, n)
+        s.random(used)
+        return s
+
+    whole = stream()
+    steps = [draw(m, 0.3, whole, size=(n,), with_offdiag=with_offdiag)
+             for _ in range(3)]
+    for lo in range(n):
+        for hi in range(lo + 1, n + 1):
+            window = _RowWindow(stream(), n, lo, hi)
+            for want in steps:
+                got = draw(m, 0.3, window, size=(hi - lo,),
+                           with_offdiag=with_offdiag)
+                assert _bits(got.Ihat) == _bits(want.Ihat[lo:hi])
+                assert _bits(got.V) == _bits(want.V[lo:hi])
+
+
+def test_whole_batch_window_never_seeks():
+    window = _RowWindow(substream(4), 6, 0, 6)
+    window._seek = lambda offset: pytest.fail("seeked to %d" % offset)
+    plain = substream(4)
+    for _ in range(3):
+        got = draw(3, 0.5, window, size=(6,))
+        want = draw(3, 0.5, plain, size=(6,))
+        assert _bits(got.Ihat) == _bits(want.Ihat)
+        assert _bits(got.V) == _bits(want.V)
+
+
+def test_row_window_refusals():
+    with pytest.raises(IncrementError, match="Philox"):
+        _RowWindow(np.random.default_rng(0), 5, 0, 5)
+    window = _RowWindow(substream(0), 5, 1, 3)
+    for size in [(3, 2), (5,), 5, None]:
+        with pytest.raises(IncrementError, match="reads 2 rows"):
+            window.random(size)
+    with pytest.raises(IncrementError, match="reads 2 rows"):
+        draw(2, 0.5, window, size=(5,))
+    for lo, hi in [(-1, 2), (2, 2), (0, 6)]:
+        with pytest.raises(IncrementError, match="not a part"):
+            _RowWindow(substream(0), 5, lo, hi)
 
 
 def test_enumeration_size_limit():
