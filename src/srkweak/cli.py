@@ -8,7 +8,8 @@ Subcommands:
   enumerate  support atoms of the weak increment law
 
 Exit codes: 0 success, 1 usage error or unmet claim, 2 inadmissible
-family parameter, 3 numerical failure.
+family parameter, 3 numerical failure (a study with non-finite
+estimates or fitted orders, whose CSVs are still written).
 """
 
 from __future__ import annotations
@@ -199,8 +200,10 @@ def _cmd_study(args):
         print("%s %s fitted_order=%.5E" % (o.scheme, o.problem,
                                            o.fitted_order))
     print("wrote %s and %s" % (errors_path, orders_path))
-    if any(not np.isfinite(r.u_Mh) for r in reports):
-        print("numerical failure: non-finite estimates", file=sys.stderr)
+    if not (all(np.isfinite(r.u_Mh) for r in reports)
+            and all(np.isfinite(o.fitted_order) for o in orders)):
+        print("numerical failure: non-finite estimates or orders",
+              file=sys.stderr)
         return 3
     return 0
 

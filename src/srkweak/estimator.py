@@ -319,7 +319,8 @@ def run_study(schemes, prob, hs, M, seed, batches=DEFAULT_BATCHES,
 
     Returns:
       (reports, orders): lists of WeakErrorReport and FittedOrder in
-      input order
+      input order; a scheme with fewer than two nonzero finite weak
+      errors gets the fitted order nan, so that its rows are kept
     """
     schemes, labels, hs = _check_study(schemes, prob, hs, M, seed, batches,
                                        threads)
@@ -330,10 +331,14 @@ def run_study(schemes, prob, hs, M, seed, batches=DEFAULT_BATCHES,
                          batches=batches, threads=threads)
                 for hi, h in enumerate(hs)]
         reports.extend(rows)
-        orders.append(FittedOrder(
-            scheme=label, problem=prob.name,
-            fitted_order=fit_order([r.h for r in rows],
-                                   [r.mu_hat for r in rows])))
+        try:
+            order = fit_order([r.h for r in rows], [r.mu_hat for r in rows])
+        except EstimatorError:
+            # the step sizes were checked, so too few usable weak errors
+            # remain; fit_order has warned which ones it dropped
+            order = math.nan
+        orders.append(FittedOrder(scheme=label, problem=prob.name,
+                                  fitted_order=order))
     return reports, orders
 
 

@@ -44,11 +44,38 @@ evaluation and random-variable counts, and the stepper is
 instrumentable to match them exactly.
 
 The step keeps every diffusion column b^k(H_i^k) and every mixed
-value b^k(Hh_i^l) as an array of its own with the shape of the state,
-and adds each term as value * weight, the weights being per-path
-combinations of Ihat_k and V_kl.  All stepping code broadcasts over
-leading axes of the state, so a whole batch of trajectories advances
-in one call with identical results to stepping them one by one.
+value b^k(Hh_i^l) as an array of its own with the shape of the state.
+Each stage value, each sum_r b^r(H_i^r) Ihat_r and the update y' is
+one linear combination, formed by _lincomb as start + sum of c * v
+over its nonzero terms, added left to right in a fixed order:
+
+  - H0_i adds, for each j in turn, its drift term and then its noise
+    term;
+  - H_i^k and Hh_i^l add all their drift terms, then all their noise
+    terms;
+  - y' adds the alpha terms, then the beta1, beta2 and beta3/beta4
+    terms, each beta2 and beta3/beta4 term being a sum over k, or
+    over k != l, of its own, and a beta3/beta4 sum enters with the
+    weight 1.0;
+  - a term is left out when its tableau entry is zero (not when the
+    entry times h is), and a sum with no start begins at its first
+    product, since starting at 0.0 would turn a -0.0 into +0.0.
+
+Floating-point addition is not associative, so this order is part
+of the output: it is the order every earlier version of the step
+used, and a frozen copy in the tests checks it bit for bit.  A nested
+sum is formed only when the outer sum reaches it, and each product
+is left unnamed, so that a step holds no array longer than the order
+needs (an array held longer costs page faults, most with worker
+threads) and numpy can reuse a product's memory for the sum.  The
+weights Ihat_(k,k)/sqrt(h) and Ihat_(k,l)/sqrt(h) are slices of
+WeakIncrementBatch.ihat_pair() / sqrt(h), the one formula for the
+mixed integrals.  All stepping code broadcasts over leading axes of
+the state, so a whole batch of trajectories advances in one call with
+identical results to stepping them one by one.  A drift or diffusion
+value must broadcast to the shape of the state it was given: a
+scalar, or a constant of shape (d,), is accepted, and any other
+shape is refused with ValueError before it could blow up the batch.
 
 terminal_values() stores a batch of M states as an (M, d) array in
 Fortran order, so each state component is contiguous over the paths,
@@ -77,13 +104,14 @@ class SdeProblem:
     """An Ito SDE with fixed initial data on a time interval.
 
     drift(t, y) and diffusion_column(t, y, j) map a state array of
-    shape (..., d) to an array of the same shape; j is the 0-based
-    index of the driving Wiener component.  Both callables must
-    broadcast over leading axes of y.  Batched states arrive
-    path-contiguous, as Fortran-ordered (M, d) arrays; a callback that
-    returns an array laid out like y (np.empty_like(y)) keeps the
-    stepper on contiguous memory.  Any returned layout gives identical
-    numbers.
+    shape (..., d) to an array of the same shape, or of a shape that
+    broadcasts to it (a scalar, or a constant of shape (d,)); j is the
+    0-based index of the driving Wiener component.  A step refuses any
+    other shape with ValueError.  Both callables must broadcast over
+    leading axes of y.  Batched states arrive path-contiguous, as
+    Fortran-ordered (M, d) arrays; a callback that returns an array
+    laid out like y (np.empty_like(y)) keeps the stepper on contiguous
+    memory.  Any returned layout gives identical numbers.
     """
 
     d: int
@@ -247,31 +275,25 @@ def evaluation_cost(tab, m):
                           random_draws=int(draws))
 
 
-def _stage_points(y, h, sqrth, drift_row, noise_row, a_val, b_val, m):
-    """Return the m points y + sum_j A_j a_j h + sum_j B_j b_j^k sqrt(h),
-    j running over the nonzero entries of the rows."""
-    base = y
-    for j, a in enumerate(drift_row):
-        if a:
-            base = base + (a * h) * a_val[j]
-    if not any(noise_row):
-        return [base] * m
-    points = []
-    for k in range(m):
-        point = base
-        for j, b in enumerate(noise_row):
-            if b:
-                point = point + (b * sqrth) * b_val[j][k]
-        points.append(point)
-    return points
+def _lincomb(start, terms):
+    """Return start + the sum of c * v over the (c, v) terms, in order; a v
+    that is a list of terms is their sum, formed only at its turn.  With
+    start None the sum starts at the first product (0.0 + -0.0 is +0.0)."""
+    for c, v in terms:
+        if type(v) is list:
+            v = _lincomb(None, v)
+        start = c * v if start is None else start + c * v
+    return start
 
 
-def _weighted_sum(terms):
-    """Return sum of value * weight over (value, weight) pairs, in order."""
-    total = None
-    for value, weight in terms:
-        total = value * weight if total is None else total + value * weight
-    return total
+def _checked(name, value, point):
+    """Return value as a float array if its shape broadcasts to point's."""
+    value, want = np.asarray(value, dtype=float), point.shape
+    if value.shape != want and (value.ndim > len(want) or any(
+            n not in (1, w) for n, w in zip(value.shape[::-1], want[::-1]))):
+        raise ValueError("%s returned shape %r for a state of shape %r"
+                         % (name, value.shape, want))
+    return value
 
 
 def srk_step(tab, prob, ctx):
@@ -287,101 +309,77 @@ def srk_step(tab, prob, ctx):
       the state after the step, same shape as ctx.y
 
     Raises:
-      ValueError: if the increments do not match the problem or step
+      ValueError: if the increments do not match the problem or step, or
+        a drift or diffusion value does not broadcast to its stage point
       TableauValueError: if the tableau has structural violations
     """
-    inc = ctx.increments
-    m = prob.m
-    if inc.m != m:
-        raise ValueError("increments carry m = %d but the problem has m = %d"
-                         % (inc.m, m))
-    if inc.h != ctx.h:
-        raise ValueError("increments were drawn for h = %r, step has h = %r"
-                         % (inc.h, ctx.h))
+    inc, m = ctx.increments, prob.m
+    if inc.m != m or inc.h != ctx.h:
+        raise ValueError("increments for m = %d, h = %r do not fit a step "
+                         "with m = %d, h = %r" % (inc.m, inc.h, m, ctx.h))
     plan = usage_plan(tab, m)
-    alpha, beta1, beta2, beta3, beta4 = (getattr(tab, k).tolist()
-                                         for k in _VECTOR_KEYS)
-    A0, A1, A2, B0, B1, B2 = (getattr(tab, k).tolist() for k in _MATRIX_KEYS)
-    c0, c1, c2 = tab.c0.tolist(), tab.c1v.tolist(), tab.c2v.tolist()
-    t, h = ctx.t, ctx.h
-    y = np.asarray(ctx.y, dtype=float)
-    sqrth = math.sqrt(h)
+    alpha, beta1, beta2, A0, A1, B0, B1, c0, c1 = (
+        tab.alpha.tolist(), tab.beta1.tolist(), tab.beta2.tolist(),
+        tab.A0.tolist(), tab.A1.tolist(), tab.B0.tolist(), tab.B1.tolist(),
+        tab.c0.tolist(), tab.c1v.tolist())
+    t, h, y = ctx.t, ctx.h, np.asarray(ctx.y, dtype=float)
+    sqrth, s = math.sqrt(h), tab.s
     ihat = [inc.Ihat[..., k, None] for k in range(m)]  # Ihat_k, (..., 1)
-    s = tab.s
-
-    a_val = [None] * s  # a(H0_i), shape (..., d)
-    b_val = [None] * s  # b_val[i][k] = b^k(H_i^k), shape (..., d)
-    b_dot = [None] * s  # sum_r b^r(H_i^r) Ihat_r, shape (..., d)
-    bhat = [None] * s   # bhat[i][k][l] = b^k(Hh_i^l) for k != l
+    # a(H0_i), b^k(H_i^k) by k, sum_r b^r(H_i^r) Ihat_r, b^k(Hh_i^l) by pair
+    a_val, b_val, b_dot, bhat = [None] * s, [None] * s, [None] * s, [None] * s
+    kinds = [(A1, B1, c1, plan.need_b, list(zip(range(m), range(m))), b_val)]
+    if any(plan.need_bhat):  # only then are A2, B2, c2 and beta3/4 read
+        A2, B2, c2 = tab.A2.tolist(), tab.B2.tolist(), tab.c2v.tolist()
+        beta3, beta4 = tab.beta3.tolist(), tab.beta4.tolist()
+        pairs = [(k, l) for k in range(m) for l in range(m) if k != l]
+        kinds.append((A2, B2, c2, (False,) + plan.need_bhat[1:], pairs, bhat))
 
     for i in range(s):
         if plan.need_a[i]:
-            h0 = y
-            for j in range(i):
-                a, b = A0[i][j], B0[i][j]
-                if a:
-                    h0 = h0 + (a * h) * a_val[j]
-                if b:
-                    h0 = h0 + b * b_dot[j]
-            a_val[i] = np.asarray(prob.drift(t + c0[i] * h, h0),
-                                  dtype=float)
-        if plan.need_b[i]:
-            points = _stage_points(y, h, sqrth, A1[i][:i], B1[i][:i],
-                                   a_val, b_val, m)
-            tnode = t + c1[i] * h
-            b_val[i] = [np.asarray(prob.diffusion_column(tnode, points[k], k),
-                                   dtype=float) for k in range(m)]
-            if plan.need_bdot[i]:
-                b_dot[i] = _weighted_sum(zip(b_val[i], ihat))
-        if plan.need_bhat[i]:
-            if i == 0:
-                # Hh_1^l = H_1^k = y and both node offsets vanish, so
-                # b^k(Hh_1^l) = b^k(t, y) for every l; reuse the columns
-                bhat[0] = [[col] * m for col in b_val[0]]
-                continue
-            points = _stage_points(y, h, sqrth, A2[i][:i], B2[i][:i],
-                                   a_val, b_val, m)
-            tnode = t + c2[i] * h
-            vals = [[None] * m for _ in range(m)]
-            for l in range(m):
-                for k in range(m):
-                    if k != l:
-                        vals[k][l] = np.asarray(
-                            prob.diffusion_column(tnode, points[l], k),
-                            dtype=float)
-            bhat[i] = vals
-
-    out = y
-    for i, w in enumerate(alpha):
-        if w:
-            out = out + (w * h) * a_val[i]
-    for i, w in enumerate(beta1):
-        if w:
-            out = out + w * b_dot[i]
-    if any(beta2):
-        # Ihat_(k,k)/sqrt(h)
-        ikk = [0.5 * (ih ** 2 - h) / sqrth for ih in ihat]
-        for i, w in enumerate(beta2):
-            if w:
-                out = out + w * _weighted_sum(zip(b_val[i], ikk))
-    if any(plan.need_bhat):
-        pairs = [(k, l) for k in range(m) for l in range(m) if k != l]
-        if plan.needs_offdiag:
-            # Ihat_(k,l)/sqrt(h) = (Ihat_k Ihat_l + V_kl) / (2 sqrt(h))
-            ikl = {(k, l): 0.5 * (ihat[k] * ihat[l] + inc.V[..., k, l, None])
-                   / sqrth for k, l in pairs}
-        for i in range(s):
-            if not plan.need_bhat[i]:
-                continue
-            w3, w4 = beta3[i], beta4[i]
             terms = []
-            for k, l in pairs:
-                weight = w3 * ihat[k]
-                if w4:
-                    weight = weight + w4 * ikl[k, l]
-                terms.append((bhat[i][k][l], weight))
-            out = out + _weighted_sum(terms)
-    return out
+            for j in range(i):
+                if A0[i][j]:
+                    terms.append((A0[i][j] * h, a_val[j]))
+                if B0[i][j]:
+                    terms.append((B0[i][j], b_dot[j]))
+            h0 = _lincomb(y, terms)
+            a_val[i] = _checked("drift", prob.drift(t + c0[i] * h, h0), h0)
+        for A, B, c, need, keys, vals in kinds:
+            if need[i]:
+                drift, noise = [], []
+                for j in range(i):
+                    if A[i][j]:
+                        drift.append((A[i][j] * h, a_val[j]))
+                    if B[i][j]:
+                        noise.append((B[i][j] * sqrth, b_val[j]))
+                base = _lincomb(y, drift)
+                points = ([_lincomb(base, [(w, v[l]) for w, v in noise])
+                           for l in range(m)] if noise else [base] * m)
+                vals[i] = [_checked("diffusion_column", prob.diffusion_column(
+                    t + c[i] * h, points[l], k), points[l]) for k, l in keys]
+        if plan.need_bdot[i]:
+            b_dot[i] = _lincomb(None, zip(ihat, b_val[i]))
+        h0 = base = points = None  # no stage point outlives its stage
+    if plan.need_bhat[0]:  # Hh_1^l = H_1^k = y at node 0: reuse b^k(y)
+        bhat[0] = [b_val[0][k] for k, l in pairs]
+
+    if any(beta2) or plan.needs_offdiag:
+        ipair = inc.ihat_pair() / sqrth  # Ihat_(k,l)/sqrt(h), (..., m, m)
+        ikk = [ipair[..., k, k, None] for k in range(m)]
+    by_alpha, by_beta1, by_beta2, by_beta34 = [], [], [], []
+    for i in range(s):
+        if alpha[i]:
+            by_alpha.append((alpha[i] * h, a_val[i]))
+        if beta1[i]:
+            by_beta1.append((beta1[i], b_dot[i]))
+        if beta2[i]:
+            by_beta2.append((beta2[i], list(zip(ikk, b_val[i]))))
+        if plan.need_bhat[i]:
+            w3, w4 = beta3[i], beta4[i]
+            weights = [w3 * ihat[k] + w4 * ipair[..., k, l, None] if w4
+                       else w3 * ihat[k] for k, l in pairs]
+            by_beta34.append((1.0, list(zip(weights, bhat[i]))))
+    return _lincomb(y, by_alpha + by_beta1 + by_beta2 + by_beta34)
 
 
 def terminal_values(tab, prob, n_steps, n_paths, stream):

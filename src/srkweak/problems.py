@@ -29,7 +29,9 @@ class NamedProblem(SdeProblem):
 
     f maps states of shape (..., d) to values of shape (...);
     exact_functional maps t to E f(X_t).  At construction the value
-    f(x0) is checked against exact_functional(t0).
+    f(x0) is checked against exact_functional(t0), and a functional
+    that overflows or is not finite at t0 or t_end is refused: a weak
+    error measured against it would be meaningless.
     """
 
     name: str = ""
@@ -43,11 +45,22 @@ class NamedProblem(SdeProblem):
         if not callable(self.exact_functional):
             raise ValueError("exact_functional must be callable")
         got = float(np.asarray(self.f(self.x0)))
-        want = float(self.exact_functional(self.t0))
+        want = self._exact_at(self.t0)
         if abs(got - want) > _CONSISTENCY_TOL * max(1.0, abs(want)):
             raise ValueError(
                 "inconsistent problem %r: f(x0) = %r but the exact "
                 "functional gives %r at t0" % (self.name, got, want))
+        self._exact_at(self.t_end)
+
+    def _exact_at(self, t):
+        try:
+            value = float(self.exact_functional(t))
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError("the exact functional of problem %r is not "
+                             "finite at t = %r" % (self.name, t))
+        return value
 
 
 def problem_nonlinear():
@@ -156,8 +169,9 @@ def problem_linear(a=1.0, b=1.0, power=2, x0=1.0, t_end=1.0):
 
     Raises:
       ValueError: for an a, b, x0 or t_end that is not a finite int or
-        float (a bool or a string is not), a t_end <= 0, or a power
-        other than 1, 2
+        float (a bool or a string is not), a t_end <= 0, a power
+        other than 1, 2, or an exact expectation that overflows at
+        t_end
     """
     for key, val in (("a", a), ("b", b), ("x0", x0)):
         if not _is_finite(val):
@@ -198,7 +212,8 @@ def problem_from_cli(token):
 
     Raises:
       UnknownProblemError: for an unrecognised name, a malformed
-        parameter list or parameter values problem_linear rejects
+        parameter list, a parameter given twice or parameter values
+        problem_linear rejects
     """
     if not isinstance(token, str):
         raise UnknownProblemError("problem name must be a string, got %r"
@@ -216,6 +231,9 @@ def problem_from_cli(token):
                 raise UnknownProblemError(
                     "unknown problem parameter %r in %r" % (key, token))
             name, kind = _LINEAR_KEYS[key]
+            if name in kwargs:
+                raise UnknownProblemError(
+                    "repeated problem parameter %r in %r" % (key, token))
             try:
                 kwargs[name] = kind(val)
             except ValueError:

@@ -355,6 +355,36 @@ def test_study_nonfinite_estimates_exit_3(tmp_path, capsys):
     assert (tmp_path / "errors.csv").exists()
 
 
+def test_study_all_nonfinite_keeps_results_exit_3(tmp_path, capsys):
+    # every estimate is inf or nan, so no order can be fitted; the rows
+    # are still written, with the fitted order nan
+    with pytest.warns(UserWarning, match="order fit drops"):
+        code = main(["study", "--problem", "linear:a=-1e200,b=1",
+                     "--schemes", "em", "--h", "1,0.5", "--M", "40",
+                     "--batches", "2", "--out-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert "numerical failure: non-finite estimates or orders" in err
+    assert "fitted_order=NAN" in out
+    errors = (tmp_path / "errors.csv").read_text().splitlines()
+    assert len(errors) == 3
+    assert (tmp_path / "orders.csv").read_text().splitlines()[1:] == [
+        'EM,"linear:a=-1e+200,b=1,p=2",NAN']
+
+
+def test_study_refuses_overflowing_exact_expectation(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code = main(["study", "--problem", "linear:b=40",
+                 "--schemes", "em,rdi2wm", "--h", "0.5,0.25", "--M", "40",
+                 "--batches", "2", "--out-dir", str(out_dir)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bad problem 'linear:b=40': the exact "
+                          "functional")
+    assert not out_dir.exists()
+
+
 def test_study_unknown_problem(capsys):
     code = main(["study", "--problem", "bogus", "--schemes", "em",
                  "--h", "0.5"])

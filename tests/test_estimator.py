@@ -482,3 +482,18 @@ def test_csv_bytes_identical_across_threads(tmp_path):
         blobs.append((epath.read_bytes(), opath.read_bytes()))
     assert blobs[0] == blobs[1]
     assert DEFAULT_BATCHES == 20
+
+
+def test_run_study_records_nan_order_without_usable_errors():
+    # with a = b = 0 every path stays at x0, so each weak error is
+    # exactly zero: the rows are kept and the order is nan, while
+    # fit_order itself still refuses
+    prob = problem_linear(a=0.0, b=0.0)
+    with pytest.warns(UserWarning, match="order fit drops"):
+        reports, orders = run_study(["EM"], prob, [0.5, 0.25], M=8, seed=1,
+                                    batches=2)
+    assert [r.mu_hat for r in reports] == [0.0, 0.0]
+    assert math.isnan(orders[0].fitted_order)
+    with pytest.warns(UserWarning, match="order fit drops"):
+        with pytest.raises(EstimatorError, match="at least two nonzero"):
+            fit_order([0.5, 0.25], [0.0, 0.0])

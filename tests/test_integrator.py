@@ -732,6 +732,43 @@ def test_step_matches_frozen_reference_bitwise():
                 assert got.tobytes() == want.tobytes(), (tab.name, m)
 
 
+def test_step_refuses_values_that_do_not_fit_their_point():
+    # a value that drops the state axis would broadcast (5,) against
+    # (5, 1) into (5, 5) states; it is refused, naming both shapes
+    tab = named_scheme("RDI2WM")
+    for drift, diffusion, name in (
+            (lambda t, y: 0.5 * y[..., 0], lambda t, y, j: y, "drift"),
+            (lambda t, y: y, lambda t, y, j: y[..., 0], "diffusion_column")):
+        prob = SdeProblem(d=1, m=1, drift=drift, diffusion_column=diffusion,
+                          x0=np.array([1.0]))
+        with pytest.raises(ValueError, match=r"^%s returned shape \(5,\) "
+                           r"for a state of shape \(5, 1\)$" % name):
+            terminal_values(tab, prob, 2, 5, substream(0))
+    prob = SdeProblem(d=2, m=2, drift=lambda t, y: y,
+                      diffusion_column=lambda t, y, j: y[..., j],
+                      x0=np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match=r"shape \(4,\) for a state of "
+                       r"shape \(4, 2\)"):
+        terminal_values(tab, prob, 1, 4, substream(0))
+
+
+def test_step_accepts_scalar_and_constant_values():
+    # a scalar and a constant of shape (d,) broadcast to every point,
+    # and step as they did before values were checked
+    prob = SdeProblem(d=2, m=2, drift=lambda t, y: 0.5,
+                      diffusion_column=lambda t, y, j: np.array([0.1, 0.2 * j]),
+                      x0=np.array([1.0, 2.0]))
+    ctx = StepContext(t=0.0, h=0.25, y=np.ones((6, 2)),
+                      increments=draw(2, 0.25, substream(3), size=(6,)))
+    for name in NAMED_SCHEMES:
+        tab = named_scheme(name)
+        got = srk_step(tab, prob, ctx)
+        assert got.tobytes() == _reference_step(tab, prob, ctx).tobytes()
+    values, diverged = terminal_values(named_scheme("RDI2WM"), prob, 2, 6,
+                                       substream(0))
+    assert values.shape == (6, 2) and not diverged.any()
+
+
 def test_plans_live_and_die_with_their_tableau():
     tab = draw_member("CASE_A", np.random.default_rng(3))
     terminal_values(tab, problem_2d(), 1, 2, substream(0))

@@ -172,6 +172,29 @@ def test_consistency_check_rejects_bad_functional():
             name="bad", f=None)
 
 
+@pytest.mark.parametrize("b", [40.0, 1e200])
+def test_linear_problem_rejects_overflowing_expectation(b):
+    # exp((2 a + b^2) t) overflows at t_end = 1 for b = 40; for b = 1e200
+    # the exponent rate is inf, which gives nan at t0 and inf after it
+    with pytest.raises(ValueError, match="exact functional .* not finite"):
+        problem_linear(b=b)
+
+
+@pytest.mark.parametrize("exact", [
+    lambda t: math.exp(1e4 * t),
+    lambda t: math.nan if t > 0 else 1.0,
+    lambda t: np.inf if t > 0 else 1.0,
+])
+def test_named_problem_rejects_non_finite_expectation_at_t_end(exact):
+    with pytest.raises(ValueError, match=r"not finite at t = 1\.0"):
+        NamedProblem(
+            d=1, m=1,
+            drift=lambda t, y: y,
+            diffusion_column=lambda t, y, j: y,
+            x0=np.array([1.0]), exact_functional=exact,
+            name="bad", f=lambda y: y[..., 0])
+
+
 def test_problem_from_cli():
     assert problem_from_cli("nonlinear16").name == "nonlinear16"
     assert problem_from_cli("system18").name == "system18"
@@ -188,6 +211,12 @@ def test_problem_from_cli():
 ])
 def test_problem_from_cli_rejects(token):
     with pytest.raises(UnknownProblemError):
+        problem_from_cli(token)
+
+
+@pytest.mark.parametrize("token", ["linear:a=1,a=2", "linear:p=1,b=2,p=2"])
+def test_problem_from_cli_rejects_repeated_parameter(token):
+    with pytest.raises(UnknownProblemError, match="repeated problem parameter"):
         problem_from_cli(token)
 
 

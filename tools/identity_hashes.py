@@ -1,0 +1,89 @@
+"""Print the four byte-identity hashes of srkweak's outputs.
+
+A change that must not move any output bit is checked by running this
+script on both trees and comparing the lines:
+
+    python tools/identity_hashes.py
+
+Each hash is the first 16 hex digits of the sha256 of:
+
+  criterion-9   errors.csv then orders.csv of the criterion-9 study
+                (nonlinear16, em,rdi2wm,exem, h = 0.5,0.25, M = 400,
+                8 batches, seed 7) with --threads 1;
+  nl16-serial   errors.csv then orders.csv of the nl16-serial-sized
+                study (nonlinear16, em,rdi4wm,exem, h = 0.5,0.25,0.125,
+                M = 500000, 20 batches, 1 thread, seed 7);
+  sys18-wide    errors.csv then orders.csv of the sys18-wide-sized
+                study (system18, em,rdi2wm, h = 1.0,0.5, M = 400000,
+                4 batches, 2 threads, seed 7);
+  families      the stdout of "srkweak family <id>" for the 14
+                families, in FAMILY_IDS order; a family that refuses
+                its default parameters prints nothing there.
+
+The package is imported from the src/ directory next to this script,
+so each checkout hashes its own code.
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from srkweak.cli import main  # noqa: E402
+from srkweak.families import FAMILY_IDS  # noqa: E402
+
+STUDIES = (
+    ("criterion-9", ["--problem", "nonlinear16", "--schemes", "em,rdi2wm,exem",
+                     "--h", "0.5,0.25", "--M", "400", "--batches", "8",
+                     "--threads", "1", "--seed", "7"]),
+    ("nl16-serial", ["--problem", "nonlinear16", "--schemes", "em,rdi4wm,exem",
+                     "--h", "0.5,0.25,0.125", "--M", "500000",
+                     "--batches", "20", "--threads", "1", "--seed", "7"]),
+    ("sys18-wide", ["--problem", "system18", "--schemes", "em,rdi2wm",
+                    "--h", "1.0,0.5", "--M", "400000", "--batches", "4",
+                    "--threads", "2", "--seed", "7"]),
+)
+
+
+def _run(argv, codes=(0,)):
+    """Run the CLI in this process and return its stdout; stderr is
+    dropped, and an exit code outside codes stops the script."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    if code not in codes:
+        raise SystemExit("srkweak %s exited %d" % (" ".join(argv), code))
+    return out.getvalue()
+
+
+def _digest(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def study_hash(args):
+    with tempfile.TemporaryDirectory() as out_dir:
+        _run(["study"] + args + ["--out-dir", out_dir])
+        data = b"".join((Path(out_dir) / name).read_bytes()
+                        for name in ("errors.csv", "orders.csv"))
+    return _digest(data)
+
+
+def families_hash():
+    # exit 2: the default parameters are inadmissible for this family
+    text = "".join(_run(["family", fid], codes=(0, 2)) for fid in FAMILY_IDS)
+    return _digest(text.encode("utf-8"))
+
+
+def print_hashes():
+    for name, args in STUDIES:
+        print("%-12s %s" % (name, study_hash(args)), flush=True)
+    print("%-12s %s" % ("families", families_hash()))
+
+
+if __name__ == "__main__":
+    print_hashes()
