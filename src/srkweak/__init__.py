@@ -32,8 +32,6 @@ from .conditions import (
     DET_ORDER3_IDS,
     DET_ORDER4_IDS,
     NODE_IDS,
-    condition_ids,
-    evaluate,
     evaluate_all,
     infer_orders,
 )

@@ -26,8 +26,8 @@ sub-expression (t.B1 @ e, (t.B1 @ e) ** 2, t.beta1 @ e, ...) gets one
 local name, and a single generated function, lhs_all(t, e), evaluates
 each of them once and returns all 57 left sides in canonical order.
 Each step is the numpy operation of the written condition on the same
-operands.  lhs_all is the only compiled form of the conditions:
-evaluate() and evaluate_all() both read their residuals from it.
+operands.  lhs_all is the only compiled form of the conditions, and
+evaluate_all() the only reader of residuals from it.
 
 The weak order attributed to a scheme is 2 if W1..W50 all hold, 1 if
 W1..W7 all hold, and 0 otherwise.  The deterministic order is read off
@@ -51,8 +51,7 @@ DEFAULT_TOL = 1e-12
 
 
 class UnknownConditionError(Error):
-    """An unknown condition id was requested."""
-    pass
+    """An unknown condition group was requested."""
 
 
 @dataclass(frozen=True)
@@ -192,42 +191,10 @@ CONDITIONS = tuple(ConditionSpec(cid, group, rhs, text)
 #: lhs_all(t, e) -> the 57 left sides L(t) in canonical order, each
 #: distinct sub-expression evaluated once; e is np.ones(t.s)
 lhs_all = _shared(lhs for lhs, _ in _REWRITTEN)
-_BY_ID = {c.cid: i for i, c in enumerate(CONDITIONS)}  # cid -> index
 GROUPS = tuple(dict.fromkeys(c.group for c in CONDITIONS))
 
 WEAK_ORDER1_IDS, WEAK_ORDER2_IDS, DET_ORDER3_IDS, DET_ORDER4_IDS, NODE_IDS = (
     tuple(c.cid for c in CONDITIONS if c.group == group) for group in GROUPS)
-
-
-def condition_ids():
-    """Return all condition ids in canonical order."""
-    return [c.cid for c in CONDITIONS]
-
-
-def evaluate(t, cid):
-    """Return the residual of one order condition on a tableau.
-
-    The left side is read from lhs_all, as in evaluate_all(), so the
-    residual is bit for bit the one evaluate_all() reports.
-
-    Args:
-      t: CoefficientTableau
-      cid: condition id, e.g. "W13" or "D3A"
-
-    Returns:
-      the residual L(t) - r as a float; the condition holds iff the
-      residual vanishes
-
-    Raises:
-      UnknownConditionError: if cid is not in the registry
-    """
-    try:
-        i = _BY_ID[cid]
-    except KeyError:
-        raise UnknownConditionError(
-            "unknown condition id %r; known ids are W1..W50, D3A, D3B, "
-            "D4A..D4C, T1, T2" % (cid,)) from None
-    return float(lhs_all(t, np.ones(t.s))[i]) - CONDITIONS[i].rhs
 
 
 def infer_orders(satisfied):
@@ -268,10 +235,6 @@ class ConditionReport:
     residuals: dict
     satisfied: dict
     inferred: OrderClaim
-
-    def satisfied_ids(self):
-        """Return the ids of all satisfied conditions, in registry order."""
-        return [cid for cid in self.residuals if self.satisfied[cid]]
 
     def failed_ids(self, group=None):
         """Return the ids of all failed conditions, in registry order.

@@ -51,7 +51,7 @@ import numpy as np
 
 from .families import named_scheme
 from .increments import _RowWindow, derive_seed, substream
-from .integrator import terminal_values, usage_plan
+from .integrator import _checked, terminal_values, usage_plan
 from .problems import NamedProblem
 from .tableau import CoefficientTableau, Error, _check_int, _is_finite
 
@@ -194,8 +194,9 @@ def estimate(scheme, prob, h, M, seed, batches=DEFAULT_BATCHES, threads=1):
                     _RowWindow(substream(seed, k, b), n, lo, hi))
             # f may overflow on extreme but representable states
             with np.errstate(over="ignore", invalid="ignore"):
+                kept = values[~div]
                 term = weight * (math.nan if div.all() else float(np.mean(
-                    np.asarray(prob.f(values[~div]), dtype=float))))
+                    _checked("f", prob.f(kept), kept, kept.shape[:-1]))))
             value = term if value is None else value + term
             diverged += int(div.sum())
         return value, diverged
@@ -347,22 +348,21 @@ ERRORS_HEADER = ("scheme", "problem", "h", "M", "u_Mh", "mu_hat",
 ORDERS_HEADER = ("scheme", "problem", "fitted_order")
 
 
+def _write_csv(path, header, rows):
+    """Write rows of formatted fields to a CSV file under a header."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+
+
 def write_errors_csv(path, reports):
     """Write weak-error rows to a CSV file with a fixed header."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(ERRORS_HEADER)
-        for r in reports:
-            w.writerow([r.scheme, r.problem, "%.5E" % r.h, "%d" % r.M,
-                        "%.5E" % r.u_Mh, "%.5E" % r.mu_hat,
-                        "%.5E" % r.sigma2_mu, "%.5E" % r.ci_a,
-                        "%.5E" % r.ci_b, "%d" % r.diverged])
+    _write_csv(path, ERRORS_HEADER, (
+        [r.scheme, r.problem, "%.5E" % r.h, "%d" % r.M, "%.5E" % r.u_Mh,
+         "%.5E" % r.mu_hat, "%.5E" % r.sigma2_mu, "%.5E" % r.ci_a,
+         "%.5E" % r.ci_b, "%d" % r.diverged] for r in reports))
 
 
 def write_orders_csv(path, orders):
     """Write fitted-order rows to a CSV file with a fixed header."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(ORDERS_HEADER)
-        for o in orders:
-            w.writerow([o.scheme, o.problem, "%.5E" % o.fitted_order])
+    _write_csv(path, ORDERS_HEADER, (
+        [o.scheme, o.problem, "%.5E" % o.fitted_order] for o in orders))

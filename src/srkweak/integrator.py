@@ -76,6 +76,8 @@ identical results to stepping them one by one.  A drift or diffusion
 value must broadcast to the shape of the state it was given: a
 scalar, or a constant of shape (d,), is accepted, and any other
 shape is refused with ValueError before it could blow up the batch.
+A functional f is held to the same rule, _checked, with the states'
+shape less its last axis: f maps (..., d) to (...), or to a scalar.
 
 terminal_values() stores a batch of M states as an (M, d) array in
 Fortran order, so each state component is contiguous over the paths,
@@ -108,10 +110,12 @@ class SdeProblem:
     broadcasts to it (a scalar, or a constant of shape (d,)); j is the
     0-based index of the driving Wiener component.  A step refuses any
     other shape with ValueError.  Both callables must broadcast over
-    leading axes of y.  Batched states arrive path-contiguous, as
-    Fortran-ordered (M, d) arrays; a callback that returns an array
-    laid out like y (np.empty_like(y)) keeps the stepper on contiguous
-    memory.  Any returned layout gives identical numbers.
+    leading axes of y.  By the same rule a functional f of the states
+    (a NamedProblem's) maps (..., d) to (...), or to a scalar.  Batched
+    states arrive path-contiguous, as Fortran-ordered (M, d) arrays; a
+    callback that returns an array laid out like y (np.empty_like(y))
+    keeps the stepper on contiguous memory.  Any returned layout gives
+    identical numbers.
     """
 
     d: int
@@ -286,13 +290,15 @@ def _lincomb(start, terms):
     return start
 
 
-def _checked(name, value, point):
-    """Return value as a float array if its shape broadcasts to point's."""
-    value, want = np.asarray(value, dtype=float), point.shape
+def _checked(name, value, point, want=None):
+    """Return value as a float array if it broadcasts to want (point's)."""
+    value, shape = np.asarray(value, dtype=float), point.shape
+    want = shape if want is None else want
     if value.shape != want and (value.ndim > len(want) or any(
             n not in (1, w) for n, w in zip(value.shape[::-1], want[::-1]))):
-        raise ValueError("%s returned shape %r for a state of shape %r"
-                         % (name, value.shape, want))
+        raise ValueError("%s returned shape %r for a state of shape %r%s" % (
+            name, value.shape, shape,
+            "" if want == shape else "; it must broadcast to %r" % (want,)))
     return value
 
 
@@ -309,20 +315,24 @@ def srk_step(tab, prob, ctx):
       the state after the step, same shape as ctx.y
 
     Raises:
-      ValueError: if the increments do not match the problem or step, or
-        a drift or diffusion value does not broadcast to its stage point
+      ValueError: if the state's last axis is not d, the increments do
+        not match the problem or step, or a drift or diffusion value
+        does not broadcast to its stage point
       TableauValueError: if the tableau has structural violations
     """
     inc, m = ctx.increments, prob.m
     if inc.m != m or inc.h != ctx.h:
         raise ValueError("increments for m = %d, h = %r do not fit a step "
                          "with m = %d, h = %r" % (inc.m, inc.h, m, ctx.h))
+    t, h, y = ctx.t, ctx.h, np.asarray(ctx.y, dtype=float)
+    if y.shape[-1:] != (prob.d,):
+        raise ValueError("a state of shape %r does not fit a problem with "
+                         "d = %d" % (y.shape, prob.d))
     plan = usage_plan(tab, m)
     alpha, beta1, beta2, A0, A1, B0, B1, c0, c1 = (
         tab.alpha.tolist(), tab.beta1.tolist(), tab.beta2.tolist(),
         tab.A0.tolist(), tab.A1.tolist(), tab.B0.tolist(), tab.B1.tolist(),
         tab.c0.tolist(), tab.c1v.tolist())
-    t, h, y = ctx.t, ctx.h, np.asarray(ctx.y, dtype=float)
     sqrth, s = math.sqrt(h), tab.s
     ihat = [inc.Ihat[..., k, None] for k in range(m)]  # Ihat_k, (..., 1)
     # a(H0_i), b^k(H_i^k) by k, sum_r b^r(H_i^r) Ihat_r, b^k(Hh_i^l) by pair
@@ -439,7 +449,8 @@ def exact_one_step_expectation(tab, prob, f, h):
     Args:
       tab: CoefficientTableau
       prob: SdeProblem with m <= 4; the step starts from (t0, x0)
-      f: functional mapping states (..., d) to values (...)
+      f: functional mapping states (..., d) to values (...) or a scalar;
+        any other shape raises ValueError
       h: step size, > 0
 
     Returns:
@@ -449,5 +460,6 @@ def exact_one_step_expectation(tab, prob, f, h):
     states = np.broadcast_to(prob.x0, (len(probs), prob.d))
     out = srk_step(tab, prob, StepContext(t=prob.t0, h=float(h), y=states,
                                           increments=batch))
-    vals = np.asarray(f(out), dtype=float)
-    return float(probs @ vals)
+    vals = _checked("f", f(out), out, probs.shape)
+    return float(probs @ vals if vals.shape == probs.shape
+                 else probs.sum() * vals.item())  # a constant f

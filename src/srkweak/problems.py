@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrator import SdeProblem
+from .integrator import SdeProblem, _checked
 from .tableau import Error, _is_finite
 
 
@@ -27,7 +27,8 @@ _CONSISTENCY_TOL = 1e-12
 class NamedProblem(SdeProblem):
     """An SdeProblem bundled with its study functional.
 
-    f maps states of shape (..., d) to values of shape (...);
+    f maps states of shape (..., d) to values of shape (...), or to a
+    scalar; other shapes are refused with ValueError, as in a step.
     exact_functional maps t to E f(X_t).  At construction the value
     f(x0) is checked against exact_functional(t0), and a functional
     that overflows or is not finite at t0 or t_end is refused: a weak
@@ -44,7 +45,7 @@ class NamedProblem(SdeProblem):
             raise ValueError("f must be callable")
         if not callable(self.exact_functional):
             raise ValueError("exact_functional must be callable")
-        got = float(np.asarray(self.f(self.x0)))
+        got = float(_checked("f", self.f(self.x0), self.x0, ()))
         want = self._exact_at(self.t0)
         if abs(got - want) > _CONSISTENCY_TOL * max(1.0, abs(want)):
             raise ValueError(

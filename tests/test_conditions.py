@@ -5,8 +5,8 @@ from family_sampling import draw_member
 from srkweak.conditions import (CONDITIONS, DEFAULT_TOL, DET_ORDER3_IDS,
                                 DET_ORDER4_IDS, NODE_IDS, UnknownConditionError,
                                 WEAK_ORDER1_IDS, WEAK_ORDER2_IDS, _rewrite,
-                                _shared, condition_ids, evaluate,
-                                evaluate_all, infer_orders, lhs_all)
+                                _shared, evaluate_all, infer_orders,
+                                lhs_all)
 from srkweak.families import (FAMILY_IDS, NAMED_SCHEMES, FamilyParams,
                               make_family, named_scheme)
 from srkweak.tableau import CoefficientTableau
@@ -16,7 +16,7 @@ RDI1WM_FAILED_W = {"W9", "W11", "W13", "W14", "W15", "W16"}
 
 
 def test_registry_layout():
-    ids = condition_ids()
+    ids = [c.cid for c in CONDITIONS]
     assert len(ids) == 57
     assert ids[:50] == ["W%d" % k for k in range(1, 51)]
     assert ids[50:] == ["D3A", "D3B", "D4A", "D4B", "D4C", "T1", "T2"]
@@ -29,12 +29,11 @@ def test_registry_layout():
 
 
 def test_single_residual_values():
-    rdi1 = named_scheme("RDI1WM")
-    assert evaluate(rdi1, "W1") == 0.0
-    assert evaluate(rdi1, "W13") == -1.0
-    assert abs(evaluate(named_scheme("RDI2WM"), "W13")) < 1e-15
-    with pytest.raises(UnknownConditionError):
-        evaluate(rdi1, "W51")
+    rdi1 = evaluate_all(named_scheme("RDI1WM")).residuals
+    assert rdi1["W1"] == 0.0
+    assert rdi1["W13"] == -1.0
+    assert abs(evaluate_all(named_scheme("RDI2WM")).residuals["W13"]) < 1e-15
+    assert "W51" not in rdi1
 
 
 @pytest.mark.parametrize("name,orders", [
@@ -96,9 +95,10 @@ def test_order_inference_structure():
 
 
 def test_exact_zeros_on_rational_member():
-    t = make_family(FamilyParams("ORD21", c2=0.5, c3=0.5))
+    residuals = evaluate_all(
+        make_family(FamilyParams("ORD21", c2=0.5, c3=0.5))).residuals
     for cid in ("W1", "W2", "W3", "W4", "W5", "W8", "W10"):
-        assert evaluate(t, cid) == 0.0
+        assert residuals[cid] == 0.0
 
 
 def test_every_coefficient_is_constrained():
@@ -156,8 +156,9 @@ def test_report_csv_format():
 
 def test_report_id_lists():
     rep = evaluate_all(named_scheme("EM"))
-    assert set(rep.satisfied_ids()) | set(rep.failed_ids()) \
-        == set(condition_ids())
+    assert set(rep.failed_ids()) \
+        == {cid for cid, ok in rep.satisfied.items() if not ok}
+    assert list(rep.satisfied) == [c.cid for c in CONDITIONS]
     assert rep.failed_ids(group="weak1") == []
     assert set(rep.failed_ids(group="weak2")) == EM_FAILED_W
 
@@ -262,7 +263,7 @@ def _reference_tableaux():
 
 
 def test_compiled_conditions_match_frozen_reference():
-    assert list(_REFERENCE) == condition_ids()
+    assert list(_REFERENCE) == [c.cid for c in CONDITIONS]
     for spec in CONDITIONS:
         assert spec.rhs == float(_REFERENCE[spec.cid][0]), spec.cid
     for t in _reference_tableaux():
@@ -302,14 +303,6 @@ def test_compile_reads_both_sides():
     e = np.ones(t.s)
     assert rhs == 1.0 / 3.0
     assert both(t, e) == (t.alpha @ (t.A0 @ (t.A0 @ e)) ** 2, t.alpha @ e)
-
-
-def test_evaluate_matches_evaluate_all():
-    for t in _reference_tableaux():
-        residuals = evaluate_all(t).residuals
-        for cid in condition_ids():
-            assert np.float64(evaluate(t, cid)).tobytes() \
-                == np.float64(residuals[cid]).tobytes(), cid
 
 
 def test_unknown_group_is_rejected():

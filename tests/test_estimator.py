@@ -142,6 +142,34 @@ def test_exem_counts_divergence_of_both_levels():
     assert math.isnan(rep.u_Mh)
 
 
+def test_estimate_refuses_f_of_the_wrong_shape():
+    # f fits x0 but returns 3 values for every batch; its mean would
+    # otherwise be taken as the batch value
+    prob = NamedProblem(
+        d=1, m=1,
+        drift=lambda t, y: y,
+        diffusion_column=lambda t, y, j: y,
+        x0=np.array([1.0]), exact_functional=lambda t: 1.0, name="three",
+        f=lambda y: np.ones(3) if y.ndim > 1 else y[0])
+    for scheme in ("EM", "EXEM"):
+        with pytest.raises(ValueError, match=r"^f returned shape \(3,\) for "
+                           r"a state of shape \(10, 1\); it must broadcast "
+                           r"to \(10,\)$"):
+            estimate(scheme, prob, 0.5, 40, seed=0, batches=4)
+
+
+def test_estimate_accepts_scalar_f():
+    # a constant f passes the NamedProblem check and every batch mean
+    prob = NamedProblem(
+        d=1, m=1,
+        drift=lambda t, y: y,
+        diffusion_column=lambda t, y, j: y,
+        x0=np.array([1.0]), exact_functional=lambda t: 2.0, name="const",
+        f=lambda y: 2.0)
+    rep = estimate("RDI2WM", prob, 0.5, 40, seed=0, batches=4)
+    assert rep.u_Mh == 2.0 and rep.mu_hat == 0.0 and rep.sigma2_mu == 0.0
+
+
 def test_exem_on_ode():
     # without noise both levels are deterministic, so the combination
     # is exactly 2 (1 + h/2)^(2n) - (1 + h)^n

@@ -316,7 +316,7 @@ def test_random_members_satisfy_classified_conditions(fid):
     for _ in range(10):
         t = draw_member(fid, rng)
         rep = evaluate_all(t, tol=1e-9)
-        sat = set(rep.satisfied_ids())
+        sat = {cid for cid, ok in rep.satisfied.items() if ok}
         assert want <= sat, (fid, want - sat)
         assert rep.inferred.p_det >= p_det
         assert rep.inferred.p_stoch >= p_stoch

@@ -1,0 +1,37 @@
+"""Tier-1 byte-identity gate: two of the four hashes that
+tools/identity_hashes.py prints, pinned.
+
+The hash recipes are imported from that script, not copied, so the
+gate and the script cannot drift apart.  The other two hashes, of the
+benchmark-sized studies, take seconds and stay with the script.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "identity_hashes.py"
+_spec = importlib.util.spec_from_file_location("identity_hashes", _SCRIPT)
+identity_hashes = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(identity_hashes)
+
+PINNED_NUMPY = "2.4.6"
+
+
+def test_families_json_is_byte_identical():
+    # the JSON of the 14 families at their default parameters: a change
+    # here is a change to a family's float operations or to the format
+    assert identity_hashes.families_hash() == "8028f500af569bb6"
+
+
+def test_criterion_9_csvs_are_byte_identical():
+    args = dict(identity_hashes.STUDIES)["criterion-9"]
+    got = identity_hashes.study_hash(args)
+    assert got == "fb925f981d59aa08", (
+        "the criterion-9 errors.csv/orders.csv hash is %s under numpy %s; "
+        "it was pinned under numpy %s.  Under that numpy a mismatch means "
+        "an output bit of the study moved.  Under another numpy the last "
+        "bit of arcsinh, which f of nonlinear16 uses, may differ: compare "
+        "python tools/identity_hashes.py on the parent tree before "
+        "blaming the change." % (got, np.__version__, PINNED_NUMPY))

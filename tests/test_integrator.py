@@ -752,6 +752,35 @@ def test_step_refuses_values_that_do_not_fit_their_point():
         terminal_values(tab, prob, 1, 4, substream(0))
 
 
+def test_step_refuses_state_of_the_wrong_width():
+    # the last axis of a state is its d components; a third column on
+    # a d = 2 problem would come back as uninitialised memory
+    ctx = StepContext(t=0.0, h=0.25, y=np.ones((4, 3)),
+                      increments=draw(2, 0.25, substream(3), size=(4,)))
+    with pytest.raises(ValueError, match=r"^a state of shape \(4, 3\) does "
+                       r"not fit a problem with d = 2$"):
+        srk_step(named_scheme("RDI2WM"), problem_2d(), ctx)
+
+
+def test_exact_expectation_refuses_f_of_the_wrong_shape():
+    prob = problem_linear(a=1.0, b=1.0, power=2)
+    em = named_scheme("EM")
+    with pytest.raises(ValueError, match=r"^f returned shape \(3, 1\) for a "
+                       r"state of shape \(3, 1\); it must broadcast to "
+                       r"\(3,\)$"):
+        exact_one_step_expectation(em, prob, lambda x: x ** 2, 0.25)
+
+
+def test_exact_expectation_accepts_constant_f():
+    prob = problem_linear(a=1.0, b=1.0, power=2)
+    em = named_scheme("EM")
+    # a constant is weighted by every support probability, which sum
+    # to 1 up to rounding
+    for const in (0.5, [0.5]):
+        got = exact_one_step_expectation(em, prob, lambda x: const, 0.25)
+        assert got == pytest.approx(0.5, abs=1e-15)
+
+
 def test_step_accepts_scalar_and_constant_values():
     # a scalar and a constant of shape (d,) broadcast to every point,
     # and step as they did before values were checked

@@ -172,6 +172,18 @@ def test_consistency_check_rejects_bad_functional():
             name="bad", f=None)
 
 
+def test_named_problem_refuses_f_of_the_wrong_shape():
+    # f must drop the state axis: a value of shape (d,) for x0 is refused
+    with pytest.raises(ValueError, match=r"^f returned shape \(2,\) for a "
+                       r"state of shape \(2,\); it must broadcast to \(\)$"):
+        NamedProblem(
+            d=2, m=1,
+            drift=lambda t, y: y,
+            diffusion_column=lambda t, y, j: y,
+            x0=np.array([0.0, 1.0]), exact_functional=lambda t: 1.0,
+            name="bad", f=lambda y: y ** 2)
+
+
 @pytest.mark.parametrize("b", [40.0, 1e200])
 def test_linear_problem_rejects_overflowing_expectation(b):
     # exp((2 a + b^2) t) overflows at t_end = 1 for b = 40; for b = 1e200
