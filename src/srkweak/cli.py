@@ -78,26 +78,28 @@ def _family_params(args, family_id):
 
 
 def _resolve_tableau(args):
+    """Return the selected tableau; refuse it if validate() faults it."""
     if args.scheme:
-        return named_scheme(args.scheme)
-    if args.family:
+        tab, source = named_scheme(args.scheme), "scheme " + args.scheme
+    elif args.family:
         fid = family_id_from_cli(args.family)
-        return make_family(_family_params(args, fid))
-    if args.file:
+        tab = make_family(_family_params(args, fid))
+        source = "the %s member" % fid
+    elif args.file:
         try:
             with open(args.file, encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError("cannot read %s: %s" % (args.file, exc))
-        tab = deserialize(text)
-        violations = validate(tab)
-        if violations:
-            for v in violations:
-                print("invalid tableau: %s" % v.detail, file=sys.stderr)
-            raise UsageError("%s is not a valid explicit tableau"
-                             % args.file)
-        return tab
-    raise UsageError("one of --scheme, --family or --file is required")
+        tab, source = deserialize(text), args.file
+    else:
+        raise UsageError("one of --scheme, --family or --file is required")
+    violations = validate(tab)
+    for v in violations:
+        print("invalid tableau: %s" % v.detail, file=sys.stderr)
+    if violations:
+        raise UsageError("%s is not a valid explicit tableau" % source)
+    return tab
 
 
 def _checked(func, *args, **kwargs):

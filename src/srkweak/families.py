@@ -5,8 +5,8 @@ satisfy prescribed blocks of order conditions form a small number of
 parametric families.  Each family fixes most of the tableau and leaves
 a handful of free constants; admissible values are restricted by
 explicit constraints (non-vanishing denominators, a sign condition on
-the discriminant kappa, interval conditions).  Violated constraints
-raise ConstraintViolation naming the constraint exactly as stated.
+the discriminant kappa, interval conditions).  A violated constraint
+is reported as a ConstraintViolation naming it exactly as stated.
 
 Families and their free parameters (c1 in {-1, 1} everywhere):
 
@@ -25,12 +25,15 @@ Families and their free parameters (c1 in {-1, 1} everywhere):
   ORD32_223A  c3, c4                         weak order (3, 2), s = 3
   ORD32_223C  c3, c4, c7                     weak order (3, 2), s = 3
 
-The three-stage families share fixed beta weights and diffusion stage
-matrices parametrised by the nodes c3 != 0 and c4 != 0; these default
-to sqrt(2/3) and sqrt(2), the values singled out by two additional
-third-order conditions.  CASE_221 and its order-(3,2) refinements
-carry a sign choice (sign_branch) for the square root of kappa in the
-B0 entries; ORD32_212 uses the same switch for the sign in its
+The three-stage families share one skeleton, _stage3: the beta weights
+and A1, A2, B1, B2 are fixed by the nodes c3 != 0 and c4 != 0 (and by
+c2, c5 in the CASE_21x families), which default to sqrt(2/3) and
+sqrt(2), the values singled out by two additional third-order
+conditions.  A CASE builder adds its checks and closed forms for
+alpha, A0 and B0_21, B0_31 (B0_32 = 0); an ORD32 builder specialises
+its CASE parent.  CASE_221 and its order-(3,2) refinements carry a
+sign choice (sign_branch) for the square root of kappa in the B0
+entries; ORD32_212 uses the same switch for the sign in its
 discriminant formula; the other families reject sign_branch = -1.
 
 Each family is built by one function whose keyword parameters, after
@@ -77,8 +80,9 @@ class UnknownSchemeError(Error):
 
 
 class FamilyParameterError(Error):
-    """A parameter was supplied that the family does not leave free, or
-    a free parameter is not finite."""
+    """A parameter was supplied that the family does not leave free, a
+    free parameter is not finite, or admissible values underflow to a zero
+    denominator (c3^2 for c3 = 1e-200 in CASE_A) or overflow a power."""
     pass
 
 
@@ -143,6 +147,13 @@ def family_id_from_cli(token):
     return fid
 
 
+def _require(fid, ok, constraint, detail, *values):
+    """Raise ConstraintViolation(fid, constraint, detail % values) unless
+    ok holds; the detail is formatted only for a violation."""
+    if not ok:
+        raise ConstraintViolation(fid, constraint, detail % values)
+
+
 def _ord11(fid, c1):
     return CoefficientTableau(
         s=1, alpha=[1.0], beta1=[c1], beta2=[0.0], beta3=[0.0], beta4=[0.0],
@@ -151,14 +162,9 @@ def _ord11(fid, c1):
 
 def _ord21(fid, c1, c2=0.0, c3=0.0, c4=0.0, c5=0.0, c6=0.0, c7=0.0, c8=0.0,
            c9=0.0, c10=0.0, c11=0.0):
-    if c2 == 0.0:
-        raise ConstraintViolation(fid, "c2 != 0", "c2 = %r" % c2)
-    if c4 * c10 != 0.0:
-        raise ConstraintViolation(
-            fid, "c4 c10 = 0", "c4 = %r, c10 = %r" % (c4, c10))
-    if c6 * c11 != 0.0:
-        raise ConstraintViolation(
-            fid, "c6 c11 = 0", "c6 = %r, c11 = %r" % (c6, c11))
+    _require(fid, c2 != 0.0, "c2 != 0", "c2 = %r", c2)
+    _require(fid, c4 * c10 == 0.0, "c4 c10 = 0", "c4 = %r, c10 = %r", c4, c10)
+    _require(fid, c6 * c11 == 0.0, "c6 c11 = 0", "c6 = %r, c11 = %r", c6, c11)
     return CoefficientTableau(
         s=2,
         alpha=[1.0 - 1.0 / (2.0 * c2), 1.0 / (2.0 * c2)],
@@ -169,118 +175,87 @@ def _ord21(fid, c1, c2=0.0, c3=0.0, c4=0.0, c5=0.0, c6=0.0, c7=0.0, c8=0.0,
         B1=[[0.0, 0.0], [c10, 0.0]], B2=[[0.0, 0.0], [c11, 0.0]])
 
 
-def _shared3(fid, c1, c2, c3, c4, c5):
-    """Weights and diffusion stage matrices common to all s = 3 families."""
-    if c3 == 0.0:
-        raise ConstraintViolation(fid, "c3 != 0", "c3 = %r" % c3)
-    if c4 == 0.0:
-        raise ConstraintViolation(fid, "c4 != 0", "c4 = %r" % c4)
-    return dict(
+def _stage3(fid, c1, alpha, a0, b0, c3, c4, c2=0.0, c5=0.0):
+    """The s = 3 tableau with weights alpha, A0 from a0 = (A0_21, A0_31,
+    A0_32) and B0 from b0 = (B0_21, B0_31), B0_32 = 0; the beta weights
+    and A1, A2, B1, B2 are those that all s = 3 families share."""
+    _require(fid, c3 != 0.0, "c3 != 0", "c3 = %r", c3)
+    _require(fid, c4 != 0.0, "c4 != 0", "c4 = %r", c4)
+
+    def lower(x21, x31, x32=0.0):
+        return [[0.0, 0.0, 0.0], [x21, 0.0, 0.0], [x31, x32, 0.0]]
+
+    return CoefficientTableau(
+        s=3, alpha=alpha,
         beta1=[c1 - c1 / (2.0 * c3 ** 2),
                c1 / (4.0 * c3 ** 2), c1 / (4.0 * c3 ** 2)],
         beta2=[0.0, 1.0 / (2.0 * c3), -1.0 / (2.0 * c3)],
         beta3=[-c1 / (2.0 * c4 ** 2),
                c1 / (4.0 * c4 ** 2), c1 / (4.0 * c4 ** 2)],
         beta4=[0.0, 1.0 / (2.0 * c4), -1.0 / (2.0 * c4)],
-        A1=[[0.0, 0.0, 0.0], [c3 ** 2, 0.0, 0.0], [c3 ** 2 - c2, c2, 0.0]],
-        B1=[[0.0, 0.0, 0.0], [c3, 0.0, 0.0], [-c3, 0.0, 0.0]],
-        A2=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [c5, -c5, 0.0]],
-        B2=[[0.0, 0.0, 0.0], [c4, 0.0, 0.0], [-c4, 0.0, 0.0]])
+        A0=lower(*a0), A1=lower(c3 ** 2, c3 ** 2 - c2, c2),
+        A2=lower(0.0, c5, -c5), B0=lower(*b0), B1=lower(c3, -c3),
+        B2=lower(c4, -c4))
 
 
 def _case_a(fid, c1, c3=DEFAULT_C3, c4=DEFAULT_C4):
-    shared = _shared3(fid, c1, 0.0, c3, c4, 0.0)
-    return CoefficientTableau(
-        s=3, alpha=[0.5, 0.5, 0.0],
-        A0=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
-        B0=[[0.0, 0.0, 0.0], [c1, 0.0, 0.0], [0.0, 0.0, 0.0]], **shared)
+    return _stage3(fid, c1, [0.5, 0.5, 0.0], (1.0, 0.0, 0.0), (c1, 0.0),
+                   c3, c4)
 
 
 def _case_211(fid, c1, c2=0.0, c3=DEFAULT_C3, c4=DEFAULT_C4, c5=0.0, c6=0.0,
               c7=0.0):
-    shared = _shared3(fid, c1, c2, c3, c4, c5)
-    return CoefficientTableau(
-        s=3, alpha=[0.5 - c6, c6, 0.5],
-        A0=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [c7, 1.0 - c7, 0.0]],
-        B0=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [c1, 0.0, 0.0]], **shared)
+    return _stage3(fid, c1, [0.5 - c6, c6, 0.5], (0.0, c7, 1.0 - c7),
+                   (0.0, c1), c3, c4, c2, c5)
 
 
 def _case_212(fid, c1, c2=0.0, c3=DEFAULT_C3, c4=DEFAULT_C4, c5=0.0, c6=0.0,
               c7=0.0, c8=0.0):
-    if c6 == 0.0:
-        raise ConstraintViolation(fid, "c6 != 0", "c6 = %r" % c6)
-    shared = _shared3(fid, c1, c2, c3, c4, c5)
+    _require(fid, c6 != 0.0, "c6 != 0", "c6 = %r", c6)
     alpha2 = (1.0 - c7 - c8) / (2.0 * c6)
-    return CoefficientTableau(
-        s=3, alpha=[0.5 - alpha2, alpha2, 0.5],
-        A0=[[0.0, 0.0, 0.0], [c6, 0.0, 0.0], [c7, c8, 0.0]],
-        B0=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [c1, 0.0, 0.0]], **shared)
+    return _stage3(fid, c1, [0.5 - alpha2, alpha2, 0.5], (c6, c7, c8),
+                   (0.0, c1), c3, c4, c2, c5)
 
 
 def _case_221(fid, c1, sign_branch=1, c3=DEFAULT_C3, c4=DEFAULT_C4, c6=0.0,
               c7=0.0, c8=0.0, c9=0.0):
-    if c6 == 0.0:
-        raise ConstraintViolation(fid, "c6 != 0", "c6 = %r" % c6)
-    if c7 == 0.0:
-        raise ConstraintViolation(fid, "c7 != 0", "c7 = %r" % c7)
-    if c6 == -c7:
-        raise ConstraintViolation(fid, "c6 != -c7",
-                                  "c6 = %r, c7 = %r" % (c6, c7))
+    _require(fid, c6 != 0.0, "c6 != 0", "c6 = %r", c6)
+    _require(fid, c7 != 0.0, "c7 != 0", "c7 = %r", c7)
+    _require(fid, c6 != -c7, "c6 != -c7", "c6 = %r, c7 = %r", c6, c7)
     kappa = c6 * c7 * (2.0 * c6 + 2.0 * c7 - 1.0)
-    if kappa < 0.0:
-        raise ConstraintViolation(fid, "kappa >= 0",
-                                  "kappa = %r for c6 = %r, c7 = %r"
-                                  % (kappa, c6, c7))
+    _require(fid, not kappa < 0.0, "kappa >= 0",
+             "kappa = %r for c6 = %r, c7 = %r", kappa, c6, c7)
     root = math.sqrt(kappa)
-    if c6 == root or c6 == -root:
-        raise ConstraintViolation(fid, "c6 != +/-sqrt(kappa)",
-                                  "c6 = %r, sqrt(kappa) = %r" % (c6, root))
+    _require(fid, not (c6 == root or c6 == -root), "c6 != +/-sqrt(kappa)",
+             "c6 = %r, sqrt(kappa) = %r", c6, root)
     lam = (1.0 - 2.0 * c6 * c8) / (2.0 * c7)
-    shared = _shared3(fid, c1, 0.0, c3, c4, 0.0)
-    return CoefficientTableau(
-        s=3, alpha=[1.0 - c6 - c7, c6, c7],
-        A0=[[0.0, 0.0, 0.0], [c8, 0.0, 0.0], [lam - c9, c9, 0.0]],
-        B0=[[0.0, 0.0, 0.0],
-            [0.5 * c1 * (c6 - sign_branch * root) / (c6 * (c6 + c7)),
-             0.0, 0.0],
-            [0.5 * c1 * (c7 + sign_branch * root) / (c7 * (c6 + c7)),
-             0.0, 0.0]],
-        **shared)
+    return _stage3(
+        fid, c1, [1.0 - c6 - c7, c6, c7], (c8, lam - c9, c9),
+        (0.5 * c1 * (c6 - sign_branch * root) / (c6 * (c6 + c7)),
+         0.5 * c1 * (c7 + sign_branch * root) / (c7 * (c6 + c7))), c3, c4)
 
 
 def _case_222(fid, c1, c3=DEFAULT_C3, c4=DEFAULT_C4, c6=0.0, c7=0.0, c8=0.0):
-    if c8 == 0.0:
-        raise ConstraintViolation(fid, "c8 != 0", "c8 = %r" % c8)
-    shared = _shared3(fid, c1, 0.0, c3, c4, 0.0)
-    return CoefficientTableau(
-        s=3, alpha=[0.5, 0.0, 0.5],
-        A0=[[0.0, 0.0, 0.0], [c6, 0.0, 0.0], [1.0 - c7, c7, 0.0]],
-        B0=[[0.0, 0.0, 0.0], [c8, 0.0, 0.0], [c1, 0.0, 0.0]], **shared)
+    _require(fid, c8 != 0.0, "c8 != 0", "c8 = %r", c8)
+    return _stage3(fid, c1, [0.5, 0.0, 0.5], (c6, 1.0 - c7, c7), (c8, c1),
+                   c3, c4)
 
 
 def _case_223(fid, c1, c3=DEFAULT_C3, c4=DEFAULT_C4, c6=0.0, c7=0.0, c8=0.0):
-    if c6 == 0.0 or c6 == -0.5:
-        raise ConstraintViolation(fid, "c6 not in {-1/2, 0}", "c6 = %r" % c6)
-    shared = _shared3(fid, c1, 0.0, c3, c4, 0.0)
+    _require(fid, not (c6 == 0.0 or c6 == -0.5), "c6 not in {-1/2, 0}",
+             "c6 = %r", c6)
     row_sum = (1.0 - 2.0 * c6 * c7) / (-2.0 * c6)
-    return CoefficientTableau(
-        s=3, alpha=[1.0, c6, -c6],
-        A0=[[0.0, 0.0, 0.0], [c7, 0.0, 0.0], [row_sum - c8, c8, 0.0]],
-        B0=[[0.0, 0.0, 0.0],
-            [0.5 * c1 * (1.0 + 1.0 / (2.0 * c6)), 0.0, 0.0],
-            [0.5 * c1 * (1.0 - 1.0 / (2.0 * c6)), 0.0, 0.0]],
-        **shared)
+    return _stage3(fid, c1, [1.0, c6, -c6], (c7, row_sum - c8, c8),
+                   (0.5 * c1 * (1.0 + 1.0 / (2.0 * c6)),
+                    0.5 * c1 * (1.0 - 1.0 / (2.0 * c6))), c3, c4)
 
 
 def _ord32_212(fid, c1, sign_branch=1, c2=0.0, c3=DEFAULT_C3, c4=DEFAULT_C4,
                c5=0.0, c6=0.0):
-    if c6 == 0.0:
-        raise ConstraintViolation(fid, "c6 != 0", "c6 = %r" % c6)
+    _require(fid, c6 != 0.0, "c6 != 0", "c6 = %r", c6)
     disc = 9.0 * c6 ** 2 - 36.0 * c6 + 24.0
-    if disc < 0.0:
-        raise ConstraintViolation(fid, "9 c6^2 - 36 c6 + 24 >= 0",
-                                  "discriminant = %r for c6 = %r"
-                                  % (disc, c6))
+    _require(fid, not disc < 0.0, "9 c6^2 - 36 c6 + 24 >= 0",
+             "discriminant = %r for c6 = %r", disc, c6)
     return _case_212(
         fid, c1, c2, c3, c4, c5, c6,
         c7=0.5 * c6 + sign_branch * math.sqrt(disc) / 6.0 - 1.0 / (3.0 * c6),
@@ -289,67 +264,55 @@ def _ord32_212(fid, c1, sign_branch=1, c2=0.0, c3=DEFAULT_C3, c4=DEFAULT_C4,
 
 def _ord32_221a(fid, c1, sign_branch=1, c3=DEFAULT_C3, c4=DEFAULT_C4,
                 c9=0.0):
-    if c9 == 0.0:
-        raise ConstraintViolation(fid, "c9 != 0", "c9 = %r" % c9)
+    _require(fid, c9 != 0.0, "c9 != 0", "c9 = %r", c9)
     c7 = 1.0 / (4.0 * c9)
-    if c7 in (-0.75, 0.0, 0.5):
-        raise ConstraintViolation(fid, "c7 not in {-3/4, 0, 1/2}",
-                                  "c7 = 1/(4 c9) = %r" % c7)
-    if -0.25 < c7 < 0.0:
-        raise ConstraintViolation(fid, "c7 not in ]-1/4, 0[",
-                                  "c7 = 1/(4 c9) = %r" % c7)
+    _require(fid, c7 not in (-0.75, 0.0, 0.5), "c7 not in {-3/4, 0, 1/2}",
+             "c7 = 1/(4 c9) = %r", c7)
+    _require(fid, not -0.25 < c7 < 0.0, "c7 not in ]-1/4, 0[",
+             "c7 = 1/(4 c9) = %r", c7)
     return _case_221(fid, c1, sign_branch, c3, c4, c6=0.75, c7=c7,
                      c8=2.0 / 3.0, c9=c9)
 
 
 def _ord32_221b(fid, c1, sign_branch=1, c3=DEFAULT_C3, c4=DEFAULT_C4,
                 c9=0.0):
-    if c9 == 0.0:
-        raise ConstraintViolation(fid, "c9 != 0", "c9 = %r" % c9)
+    _require(fid, c9 != 0.0, "c9 != 0", "c9 = %r", c9)
     c7 = 1.0 / (4.0 * c9)
     c6 = 0.75 - c7
-    if not (0.0 < c6 < 0.75 and c6 != 0.25):
-        raise ConstraintViolation(fid, "c6 in ]0, 1/4[ u ]1/4, 3/4[",
-                                  "c6 = 3/4 - 1/(4 c9) = %r" % c6)
+    _require(fid, 0.0 < c6 < 0.75 and c6 != 0.25,
+             "c6 in ]0, 1/4[ u ]1/4, 3/4[", "c6 = 3/4 - 1/(4 c9) = %r", c6)
     return _case_221(fid, c1, sign_branch, c3, c4, c6=c6, c7=c7,
                      c8=2.0 / 3.0, c9=c9)
 
 
 def _ord32_221c(fid, c1, sign_branch=1, c3=DEFAULT_C3, c4=DEFAULT_C4,
                 c8=0.0, lam=0.0):
-    if c8 in (0.0, 2.0 / 3.0):
-        raise ConstraintViolation(fid, "c8 not in {0, 2/3}", "c8 = %r" % c8)
-    if lam in (0.0, 2.0 / 3.0, c8, 2.0 / 3.0 - c8):
-        raise ConstraintViolation(fid,
-                                  "lambda not in {0, 2/3, c8, 2/3 - c8}",
-                                  "lambda = %r, c8 = %r" % (lam, c8))
-    if (lam - 1.0) * c8 == lam ** 2 - 2.0 / 3.0:
-        raise ConstraintViolation(fid, "(lambda - 1) c8 != lambda^2 - 2/3",
-                                  "lambda = %r, c8 = %r" % (lam, c8))
+    _require(fid, c8 not in (0.0, 2.0 / 3.0), "c8 not in {0, 2/3}",
+             "c8 = %r", c8)
+    _require(fid, lam not in (0.0, 2.0 / 3.0, c8, 2.0 / 3.0 - c8),
+             "lambda not in {0, 2/3, c8, 2/3 - c8}",
+             "lambda = %r, c8 = %r", lam, c8)
+    _require(fid, (lam - 1.0) * c8 != lam ** 2 - 2.0 / 3.0,
+             "(lambda - 1) c8 != lambda^2 - 2/3",
+             "lambda = %r, c8 = %r", lam, c8)
     if c8 == 1.0:
-        if not lam < 2.0 / 3.0:
-            raise ConstraintViolation(fid, "lambda < 2/3 for c8 = 1",
-                                      "lambda = %r" % lam)
+        _require(fid, lam < 2.0 / 3.0, "lambda < 2/3 for c8 = 1",
+                 "lambda = %r", lam)
     else:
         bound = (3.0 * c8 - 2.0) / (3.0 * (c8 - 1.0))
         if 2.0 / 3.0 < c8 < 1.0:
-            if not bound <= lam < 2.0 / 3.0:
-                raise ConstraintViolation(
-                    fid, "(3 c8 - 2)/(3 (c8 - 1)) <= lambda < 2/3 "
-                         "for 2/3 < c8 < 1",
-                    "lambda = %r, bound = %r" % (lam, bound))
+            ok = bound <= lam < 2.0 / 3.0
+            constraint = ("(3 c8 - 2)/(3 (c8 - 1)) <= lambda < 2/3 "
+                          "for 2/3 < c8 < 1")
         elif 0.0 < c8 < 2.0 / 3.0:
-            if not (lam > 2.0 / 3.0 or lam <= bound):
-                raise ConstraintViolation(
-                    fid, "lambda > 2/3 or lambda <= (3 c8 - 2)/(3 (c8 - 1)) "
-                         "for 0 < c8 < 2/3",
-                    "lambda = %r, bound = %r" % (lam, bound))
+            ok = lam > 2.0 / 3.0 or lam <= bound
+            constraint = ("lambda > 2/3 or lambda <= (3 c8 - 2)/(3 (c8 - 1)) "
+                          "for 0 < c8 < 2/3")
         else:
-            if not (lam < 2.0 / 3.0 or lam >= bound):
-                raise ConstraintViolation(
-                    fid, "lambda < 2/3 or lambda >= (3 c8 - 2)/(3 (c8 - 1)) "
-                         "for c8 < 0 or c8 > 1",
-                    "lambda = %r, bound = %r" % (lam, bound))
+            ok = lam < 2.0 / 3.0 or lam >= bound
+            constraint = ("lambda < 2/3 or lambda >= (3 c8 - 2)/(3 (c8 - 1)) "
+                          "for c8 < 0 or c8 > 1")
+        _require(fid, ok, constraint, "lambda = %r, bound = %r", lam, bound)
     return _case_221(
         fid, c1, sign_branch, c3, c4,
         c6=(2.0 - 3.0 * lam) / (6.0 * c8 * (c8 - lam)),
@@ -362,9 +325,8 @@ def _ord32_223a(fid, c1, c3=DEFAULT_C3, c4=DEFAULT_C4):
 
 
 def _ord32_223c(fid, c1, c3=DEFAULT_C3, c4=DEFAULT_C4, c7=0.0):
-    if c7 in (-1.0 / 6.0, 0.0, 1.0 / 3.0):
-        raise ConstraintViolation(fid, "c7 not in {-1/6, 0, 1/3}",
-                                  "c7 = %r" % c7)
+    _require(fid, c7 not in (-1.0 / 6.0, 0.0, 1.0 / 3.0),
+             "c7 not in {-1/6, 0, 1/3}", "c7 = %r", c7)
     c6 = 1.0 / (4.0 * c7 - 4.0 / 3.0)
     return _case_223(fid, c1, c3, c4, c6=c6, c7=c7,
                      c8=-1.0 / (6.0 * c6 * c7))
@@ -420,8 +382,9 @@ def make_family(params):
     Raises:
       UnknownFamilyError: if params.family is not a known id
       FamilyParameterError: if a non-free parameter was supplied (as
-        sign_branch = -1 is to a family without a sign choice) or a free
-        one is not finite
+        sign_branch = -1 is to a family without a sign choice), a free
+        one is not finite, or admissible values underflow or overflow in
+        the closed forms
       ConstraintViolation: if a free parameter value is inadmissible
     """
     fid = params.family
@@ -430,11 +393,10 @@ def make_family(params):
             "unknown family %r; known families: %s"
             % (fid, ", ".join(FAMILY_IDS)))
     c1, sign_branch = params.c1, params.sign_branch
-    if not _is_finite(c1) or c1 not in (-1.0, 1.0):
-        raise ConstraintViolation(fid, "c1 in {-1, 1}", "c1 = %r" % c1)
-    if not _is_finite(sign_branch) or sign_branch not in (-1, 1):
-        raise ConstraintViolation(fid, "sign_branch in {-1, +1}",
-                                  "sign_branch = %r" % sign_branch)
+    _require(fid, _is_finite(c1) and c1 in (-1.0, 1.0), "c1 in {-1, 1}",
+             "c1 = %r", c1)
+    _require(fid, _is_finite(sign_branch) and sign_branch in (-1, 1),
+             "sign_branch in {-1, +1}", "sign_branch = %r", sign_branch)
     keywords = _KEYWORDS[fid]
     supplied = {"sign_branch": -1} if sign_branch == -1 else {}
     supplied.update((key, getattr(params, key)) for key in _PARAM_NAMES
@@ -448,8 +410,13 @@ def make_family(params):
         if not _is_finite(value):
             raise FamilyParameterError(
                 "parameter %s must be finite, got %r" % (key, value))
-    return _FAMILIES[fid](fid, float(c1), **{
-        key: float(value) for key, value in supplied.items()})
+    try:
+        return _FAMILIES[fid](fid, float(c1), **{
+            key: float(value) for key, value in supplied.items()})
+    except (ZeroDivisionError, OverflowError):
+        given = ", ".join("%s = %r" % item for item in supplied.items())
+        raise FamilyParameterError("family %s: the closed forms underflow or "
+                                   "overflow for %s" % (fid, given)) from None
 
 
 def named_scheme(name):

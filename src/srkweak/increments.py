@@ -278,8 +278,8 @@ def support_batch(m, h):
     Returns:
       (batch, probabilities): a WeakIncrementBatch with one leading
       axis of length 3^m 2^(m(m-1)/2), in Fortran order, and the
-      matching probability vector, which sums to 1; both are shared
-      by every call with the same m and h, and read-only
+      matching probability vector, which sums to 1 up to rounding;
+      both are shared by every call with the same m and h, and read-only
     """
     m, h = _check_m_h(m, h)
     if m > MAX_ENUM_M:

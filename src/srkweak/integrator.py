@@ -462,4 +462,4 @@ def exact_one_step_expectation(tab, prob, f, h):
                                           increments=batch))
     vals = _checked("f", f(out), out, probs.shape)
     return float(probs @ vals if vals.shape == probs.shape
-                 else probs.sum() * vals.item())  # a constant f
+                 else vals.item())  # a constant f is its own expectation

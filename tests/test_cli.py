@@ -140,6 +140,19 @@ def test_check_rejects_non_finite_family_parameter(capsys):
     assert err == "error: parameter c6 must be finite, got nan\n"
 
 
+def test_check_refuses_an_invalid_family_member(capsys):
+    # admissible parameters whose B0 entries overflow to nan
+    code = main(["check", "--family", "case-221", "--c6", "1e200",
+                 "--c7", "1e200"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == ("invalid tableau: B0[2][1] = nan\n"
+                   "invalid tableau: B0[3][1] = nan\n"
+                   "error: the CASE_221 member is not a valid explicit "
+                   "tableau\n")
+
+
 def test_family_prints_tableau_json(capsys):
     code = main(["family", "ord32-221c", "--lambda", "0.75", "--c8", "0.5"])
     out, err = capsys.readouterr()
@@ -171,6 +184,15 @@ def test_family_constraint_violation_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "c2 != 0" in err
+
+
+def test_family_underflowing_parameter_exits_1(capsys):
+    code = main(["family", "case-a", "--c3", "1e-200"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == ("error: family CASE_A: the closed forms underflow or "
+                   "overflow for c3 = 1e-200\n")
 
 
 def test_family_foreign_parameter_exits_1(capsys):

@@ -153,6 +153,35 @@ def test_exclusions_raise_named_constraint(fid, kwargs, constraint):
     assert constraint in str(exc.value)
 
 
+@pytest.mark.parametrize("fid,kwargs,message", [
+    # a builder's own constraints come before the nodes c3 and c4
+    ("CASE_221", dict(c3=0.0), "c6 != 0 (c6 = 0.0)"),
+    ("CASE_223", dict(c4=0.0, c6=0.5), "c4 != 0 (c4 = 0.0)"),
+    ("ORD32_212", dict(c3=0.0, c6=1.0),
+     "9 c6^2 - 36 c6 + 24 >= 0 (discriminant = -3.0 for c6 = 1.0)"),
+])
+def test_first_violated_constraint_is_reported(fid, kwargs, message):
+    with pytest.raises(ConstraintViolation) as exc:
+        make_family(FamilyParams(fid, **kwargs))
+    assert str(exc.value) == "family %s: constraint violated: %s" % (
+        fid, message)
+
+
+@pytest.mark.parametrize("fid,kwargs,given", [
+    ("CASE_A", dict(c3=1e-200), "c3 = 1e-200"),
+    ("CASE_A", dict(c4=1e200), "c4 = 1e+200"),
+    ("CASE_221", dict(c6=1e-170, c7=1e-170), "c6 = 1e-170, c7 = 1e-170"),
+    ("ORD32_221C", dict(c8=1e-170, lam=2e-170), "c8 = 1e-170, lam = 2e-170"),
+])
+def test_underflow_and_overflow_are_parameter_errors(fid, kwargs, given):
+    # the values are admissible, but a denominator underflows to 0 or a
+    # power overflows in floating point
+    with pytest.raises(FamilyParameterError) as exc:
+        make_family(FamilyParams(fid, **kwargs))
+    assert str(exc.value) == ("family %s: the closed forms underflow or "
+                              "overflow for %s" % (fid, given))
+
+
 @pytest.mark.parametrize("fid,key", [
     ("CASE_221", "c6"), ("ORD21", "c2"), ("ORD21", "c11"),
     ("CASE_A", "c3"), ("ORD32_221C", "lam"),

@@ -1,4 +1,4 @@
-"""Tier-1 byte-identity gate: two of the four hashes that
+"""Tier-1 byte-identity gate: three of the five hashes that
 tools/identity_hashes.py prints, pinned.
 
 The hash recipes are imported from that script, not copied, so the
@@ -23,6 +23,20 @@ def test_families_json_is_byte_identical():
     # the JSON of the 14 families at their default parameters: a change
     # here is a change to a family's float operations or to the format
     assert identity_hashes.families_hash() == "8028f500af569bb6"
+
+
+def test_family_members_are_byte_identical():
+    # 20 random members of every family, the 10 whose defaults are
+    # inadmissible included
+    got = identity_hashes.members_hash()
+    assert got == "724b011f1a4c131c", (
+        "the hash of 20 random members per family is %s under numpy %s; "
+        "it was pinned under numpy %s.  Under that numpy a mismatch means "
+        "a family's float operations, the JSON format or draw_member "
+        "changed.  Under another numpy the parameter draws of "
+        "np.random.default_rng may differ: compare python "
+        "tools/identity_hashes.py on the parent tree before blaming the "
+        "change." % (got, np.__version__, PINNED_NUMPY))
 
 
 def test_criterion_9_csvs_are_byte_identical():

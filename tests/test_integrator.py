@@ -774,11 +774,11 @@ def test_exact_expectation_refuses_f_of_the_wrong_shape():
 def test_exact_expectation_accepts_constant_f():
     prob = problem_linear(a=1.0, b=1.0, power=2)
     em = named_scheme("EM")
-    # a constant is weighted by every support probability, which sum
-    # to 1 up to rounding
+    # the expectation of a constant is the constant itself, although
+    # the support probabilities sum to 1 only up to rounding
     for const in (0.5, [0.5]):
         got = exact_one_step_expectation(em, prob, lambda x: const, 0.25)
-        assert got == pytest.approx(0.5, abs=1e-15)
+        assert got == 0.5
 
 
 def test_step_accepts_scalar_and_constant_values():

@@ -1,4 +1,4 @@
-"""Print the four byte-identity hashes of srkweak's outputs.
+"""Print the five byte-identity hashes of srkweak's outputs.
 
 A change that must not move any output bit is checked by running this
 script on both trees and comparing the lines:
@@ -18,10 +18,15 @@ Each hash is the first 16 hex digits of the sha256 of:
                 4 batches, 2 threads, seed 7);
   families      the stdout of "srkweak family <id>" for the 14
                 families, in FAMILY_IDS order; a family that refuses
-                its default parameters prints nothing there.
+                its default parameters prints nothing there;
+  members       the serialized JSON of 20 random members of each of
+                the 14 families, in FAMILY_IDS order, drawn by
+                tests/family_sampling.py's draw_member from one
+                np.random.default_rng(2024).
 
 The package is imported from the src/ directory next to this script,
-so each checkout hashes its own code.
+and draw_member from the tests/ directory, so each checkout hashes its
+own code.
 """
 
 import contextlib
@@ -31,10 +36,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+_ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "tests")]
 
+import numpy as np  # noqa: E402
+from family_sampling import draw_member  # noqa: E402
 from srkweak.cli import main  # noqa: E402
 from srkweak.families import FAMILY_IDS  # noqa: E402
+from srkweak.tableau import serialize  # noqa: E402
 
 STUDIES = (
     ("criterion-9", ["--problem", "nonlinear16", "--schemes", "em,rdi2wm,exem",
@@ -79,10 +88,18 @@ def families_hash():
     return _digest(text.encode("utf-8"))
 
 
+def members_hash():
+    rng = np.random.default_rng(2024)
+    text = "".join(serialize(draw_member(fid, rng)) for fid in FAMILY_IDS
+                   for _ in range(20))
+    return _digest(text.encode("utf-8"))
+
+
 def print_hashes():
     for name, args in STUDIES:
         print("%-12s %s" % (name, study_hash(args)), flush=True)
     print("%-12s %s" % ("families", families_hash()))
+    print("%-12s %s" % ("members", members_hash()))
 
 
 if __name__ == "__main__":
