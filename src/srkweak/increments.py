@@ -21,11 +21,12 @@ three-point variates, then the m(m-1)/2 sign variates for the strict
 lower triangle of V in row-major order.  Schemes that never touch the
 off-diagonal Ihat_(k,l) can skip the sign draws (with_offdiag=False),
 which keeps the random-variable count equal to what the step actually
-needs; V then carries zeros off the diagonal.
+needs; V is then -h I, one read-only matrix viewed at every path.
 
-draw() returns Ihat and V in Fortran order, so that with a leading
-path axis each Ihat[..., k] and each V[..., k, l] is contiguous over
-the paths; the stepper multiplies them into path-contiguous states.
+draw() returns Ihat and a drawn V in Fortran order, so that with a
+leading path axis each Ihat[..., k] and each V[..., k, l] is
+contiguous over the paths; the stepper multiplies them into
+path-contiguous states.
 The uniforms themselves are drawn in C order, so the layout does not
 change which uniform feeds which variate.
 
@@ -170,8 +171,9 @@ class WeakIncrementBatch:
     Ihat has shape (..., m) and V shape (..., m, m); leading axes, if
     any, enumerate independent realisations.  draw() stores both in
     Fortran order; any layout gives the same steps.  V has -h on the
-    diagonal and is antisymmetric off it (or zero there when the
-    off-diagonal part was not drawn).
+    diagonal and is antisymmetric off it.  When the off-diagonal part
+    was not drawn, V is -h I with +0.0 off the diagonal, a read-only
+    view of one (m, m) matrix with zero strides on the leading axes.
     """
 
     h: float
@@ -185,10 +187,12 @@ class WeakIncrementBatch:
     def ihat_pair(self):
         """Return the matrix Ihat_(k,l) = (Ihat_k Ihat_l + V_kl)/2.
 
-        Shape (..., m, m).  The diagonal equals (Ihat_k^2 - h)/2.
+        Shape (..., m, m), a new array.  The diagonal equals
+        (Ihat_k^2 - h)/2.
         """
-        outer = self.Ihat[..., :, None] * self.Ihat[..., None, :]
-        return 0.5 * (outer + self.V)
+        pair = self.Ihat[..., :, None] * self.Ihat[..., None, :] + self.V
+        pair *= 0.5
+        return pair
 
 
 def _check_m_h(m, h):
@@ -200,29 +204,32 @@ def _check_m_h(m, h):
 
 
 def _increments(h, u, w):
-    """Map uniforms to (Ihat, V), read-only and in Fortran order.
+    """Map uniforms to (Ihat, V), read-only; Ihat and a drawn V in
+    Fortran order, an undrawn V a zero-stride view of -h I.
 
     u (..., m): u < 1/6 gives -sqrt(3 h), u >= 5/6 +sqrt(3 h), else 0.
     w (..., m(m-1)/2), one per V_kl, l < k, in row-major order: w < 1/2
-    gives +h, else -h; w None leaves zeros off the diagonal of V.
+    gives +h, else -h; w None leaves +0.0 off the diagonal of V.
     """
     m = u.shape[-1]
-    # 1 for u >= 5/6, -1 for u < 1/6, else +0.0 (never -0.0), scaled
-    ihat = np.empty(u.shape, order="F")
-    np.subtract(u >= 5.0 / 6.0, u < 1.0 / 6.0, out=ihat, dtype=float)
+    # 1 for u >= 5/6, -1 for u < 1/6, else +0.0 (never -0.0), scaled;
+    # formed in the uniforms' C order, then laid out once
+    ihat = (u >= 5.0 / 6.0).astype(float)
+    ihat -= u < 1.0 / 6.0
     ihat *= math.sqrt(3.0 * h)
-    signs = None if w is None else np.where(w < 0.5, h, -h)
-    v = np.empty(u.shape + (m,), order="F")
-    pair = 0
-    for k in range(m):
-        v[..., k, k] = -h
-        for l in range(k):  # the strict lower triangle in row-major order
-            if signs is None:
-                v[..., k, l] = v[..., l, k] = 0.0
-            else:
+    ihat = np.asfortranarray(ihat)
+    if w is None:  # one constant -h I, viewed at every path
+        v = np.broadcast_to(np.diag(np.full(m, -h)), u.shape + (m,))
+    else:
+        signs = np.where(w < 0.5, h, -h)
+        v = np.empty(u.shape + (m,), order="F")
+        pair = 0
+        for k in range(m):
+            v[..., k, k] = -h
+            for l in range(k):  # the strict lower triangle, row-major
                 v[..., k, l] = signs[..., pair]
                 np.negative(signs[..., pair], out=v[..., l, k])
-            pair += 1
+                pair += 1
     ihat.setflags(write=False)
     v.setflags(write=False)
     return ihat, v

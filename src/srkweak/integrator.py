@@ -67,15 +67,19 @@ used, and a frozen copy in the tests checks it bit for bit.  A nested
 sum is formed only when the outer sum reaches it, and each product
 is left unnamed, so that a step holds no array longer than the order
 needs (an array held longer costs page faults, most with worker
-threads) and numpy can reuse a product's memory for the sum.  The
-weights Ihat_(k,k)/sqrt(h) and Ihat_(k,l)/sqrt(h) are slices of
-WeakIncrementBatch.ihat_pair() / sqrt(h), the one formula for the
-mixed integrals.  All stepping code broadcasts over leading axes of
-the state, so a whole batch of trajectories advances in one call with
-identical results to stepping them one by one.  A drift or diffusion
-value must broadcast to the shape of the state it was given: a
-scalar, or a constant of shape (d,), is accepted, and any other
-shape is refused with ValueError before it could blow up the batch.
+threads).  Once a sum is an array _lincomb made, each later term of
+the same shape is added into it in place: the same additions, one
+allocation fewer.  A weight of exactly 1.0 (EM's beta1, every
+beta3/beta4 sum) adds v itself, as 1.0 * v == v bit for bit.  The
+weights Ihat_(k,k)/sqrt(h) and Ihat_(k,l)/sqrt(h) are slices of the
+new array WeakIncrementBatch.ihat_pair(), divided in place by sqrt(h):
+the one formula for the mixed integrals.  All stepping code
+broadcasts over leading axes of the state, so a whole batch of
+trajectories advances in one call with identical results to stepping
+them one by one.  A drift or diffusion value must broadcast to the
+shape of the state it was given: a scalar, or a constant of shape
+(d,), is accepted, and any other shape is refused with ValueError
+before it could blow up the batch.
 A functional f is held to the same rule, _checked, with the states'
 shape less its last axis: f maps (..., d) to (...), or to a scalar.
 
@@ -85,8 +89,11 @@ as are the Ihat_k and V_kl that draw() returns.  Every value * weight
 product then runs over contiguous memory, and numpy's elementwise
 operations carry the layout from one stage to the next.  The drift
 and diffusion callbacks receive these path-contiguous states; one
-that returns an np.empty_like(y)-shaped array keeps the layout, and
-any layout gives identical numbers.
+that writes with out= into np.empty_like(y) keeps the layout, and
+any layout gives identical numbers.  Divergence costs one reduction
+per step: a finite sum of the states means every entry is finite, so
+only a sum that is not (an inf, a NaN or an overflow), or a path
+frozen earlier, takes the exact per-path test.
 """
 
 from __future__ import annotations
@@ -113,9 +120,9 @@ class SdeProblem:
     leading axes of y.  By the same rule a functional f of the states
     (a NamedProblem's) maps (..., d) to (...), or to a scalar.  Batched
     states arrive path-contiguous, as Fortran-ordered (M, d) arrays; a
-    callback that returns an array laid out like y (np.empty_like(y))
-    keeps the stepper on contiguous memory.  Any returned layout gives
-    identical numbers.
+    callback that writes with out= into np.empty_like(y) keeps the
+    stepper on contiguous memory and makes no temporaries.  Any layout
+    it returns gives identical numbers.
     """
 
     d: int
@@ -282,11 +289,21 @@ def evaluation_cost(tab, m):
 def _lincomb(start, terms):
     """Return start + the sum of c * v over the (c, v) terms, in order; a v
     that is a list of terms is their sum, formed only at its turn.  With
-    start None the sum starts at the first product (0.0 + -0.0 is +0.0)."""
+    start None the sum starts at the first product (0.0 + -0.0 is +0.0).
+    Only an array made here is added into in place, never start."""
+    own = False
     for c, v in terms:
         if type(v) is list:
             v = _lincomb(None, v)
-        start = c * v if start is None else start + c * v
+        if start is None:
+            start, own = c * v, True
+            continue
+        if not (type(c) is float and c == 1.0):  # 1.0 * v == v, bit for bit
+            v = c * v
+        if own and start.shape == v.shape:
+            start += v
+        else:
+            start, own = start + v, True
     return start
 
 
@@ -374,7 +391,8 @@ def srk_step(tab, prob, ctx):
         bhat[0] = [b_val[0][k] for k, l in pairs]
 
     if any(beta2) or plan.needs_offdiag:
-        ipair = inc.ihat_pair() / sqrth  # Ihat_(k,l)/sqrt(h), (..., m, m)
+        ipair = inc.ihat_pair()  # a new array: Ihat_(k,l)/sqrt(h) in place
+        ipair /= sqrth
         ikk = [ipair[..., k, k, None] for k in range(m)]
     by_alpha, by_beta1, by_beta2, by_beta34 = [], [], [], []
     for i in range(s):
@@ -419,7 +437,7 @@ def terminal_values(tab, prob, n_steps, n_paths, stream):
     # path-contiguous: each component y[:, k] is one contiguous run
     y = np.array(np.broadcast_to(prob.x0, (n_paths, prob.d)), order="F")
     diverged = np.zeros(n_paths, dtype=bool)
-    t = prob.t0
+    t, frozen = prob.t0, False
     if not plan.needs_ihat:
         # a scheme that reads no increment gets the same zeros each
         # step: uniforms of 1/2 map to Ihat = 0 and V = -h I
@@ -433,9 +451,11 @@ def terminal_values(tab, prob, n_steps, n_paths, stream):
             y = srk_step(tab, prob, StepContext(t=t, h=h, y=y,
                                                 increments=inc))
             t = prob.t0 + (n + 1) * h
-            diverged |= ~np.all(np.isfinite(y), axis=-1)
-            if diverged.any():
-                y[diverged] = prob.x0  # freeze, the mask keeps the record
+            if frozen or not np.isfinite(y.sum()):
+                diverged |= ~np.all(np.isfinite(y), axis=-1)
+                frozen = bool(diverged.any())
+                if frozen:
+                    y[diverged] = prob.x0  # freeze, the mask keeps the record
     return y, diverged
 
 

@@ -75,13 +75,17 @@ def problem_nonlinear():
 
     which vanishes at the endpoint t = 2.
     """
-    def drift(t, y):
-        x = y[..., 0]
-        return (0.5 * x + np.sqrt(x * x + 1.0))[..., None]
-
+    # d = 1, so the state is x itself; each value is formed in place in
+    # one new array, by the operations of 0.5 x + sqrt(x x + 1)
     def diffusion_column(t, y, j):
-        x = y[..., 0]
-        return np.sqrt(x * x + 1.0)[..., None]
+        r = y * y
+        r += 1.0
+        return np.sqrt(r, out=r)
+
+    def drift(t, y):
+        out = 0.5 * y
+        out += diffusion_column(t, y, 0)
+        return out
 
     def f(y):
         z = np.arcsinh(y[..., 0])
@@ -116,30 +120,30 @@ def problem_2d():
     f22 = -785.0 / 512.0 + sqrt2 / 8.0
     g1_22 = (1.0 - 2.0 * sqrt2) / 4.0
 
-    # each callback writes its components into an array laid out like
-    # y, so a path-contiguous batch stays path-contiguous
-    def drift(t, y):
-        x1 = y[..., 0]
-        x2 = y[..., 1]
-        out = np.empty_like(y, dtype=float)
-        out[..., 0] = f11 * x1
-        out[..., 1] = f21 * x1 + f22 * x2
+    # each callback writes with out= into one array laid out like y, so
+    # a path-contiguous batch stays path-contiguous: y * (c1, c2) or
+    # y / (c1, c2) forms both columns' terms, each by the operation a
+    # column would use, then column 1 takes their sum and column 0 its
+    # own value
+    drift_w, col0_w, col1_d = (np.array(w) for w in (
+        (f21, f22), (0.25, g1_22), (10.0, 16.0)))
+
+    def summed(op, y, w, first):
+        out = op(y, w, out=np.empty_like(y, dtype=float))
+        np.add(out[..., 0], out[..., 1], out=out[..., 1])
+        op(y[..., 0], first, out=out[..., 0])
         return out
+
+    def drift(t, y):
+        return summed(np.multiply, y, drift_w, f11)
 
     def diffusion_column(t, y, j):
         if j not in (0, 1):
             raise IndexError("column index %r out of range for m = 2"
                              % (j,))
-        x1 = y[..., 0]
-        x2 = y[..., 1]
-        out = np.empty_like(y, dtype=float)
         if j == 0:
-            out[..., 0] = 0.25 * x1
-            out[..., 1] = g1_22 * x2
-        else:
-            out[..., 0] = x1 / 16.0
-            out[..., 1] = x1 / 10.0 + x2 / 16.0
-        return out
+            return np.multiply(y, col0_w, out=np.empty_like(y, dtype=float))
+        return summed(np.divide, y, col1_d, 16.0)
 
     def f(y):
         return y[..., 0] ** 2

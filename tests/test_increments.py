@@ -354,3 +354,23 @@ def test_batch_dataclass():
                                V=np.zeros((4, 2, 2)))
     assert batch.m == 2
     assert batch.ihat_pair().shape == (4, 2, 2)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("size", [(7,), (2, 5)])
+def test_undrawn_v_is_one_read_only_matrix(m, size):
+    # without sign variates V is -h I viewed at every path: read-only,
+    # zero strides on the leading axes, +0.0 (not -0.0) off the diagonal
+    h = 0.3
+    v = draw(m, h, substream(4), size=size, with_offdiag=False).V
+    assert v.shape == size + (m, m)
+    assert not v.flags.writeable
+    assert v.strides[:len(size)] == (0,) * len(size)
+    want = np.zeros((m, m))
+    np.fill_diagonal(want, -h)
+    for idx in np.ndindex(size):
+        assert v[idx].tobytes() == want.tobytes()
+    off = ~np.eye(m, dtype=bool)
+    assert not np.signbit(v[..., off]).any() and (v[..., off] == 0.0).all()
+    with pytest.raises(ValueError):
+        v[(0,) * len(size)][0, 0] = 1.0

@@ -865,3 +865,148 @@ def test_concurrent_steps_match_serial():
     serial = [run(tab) for tab in tabs]
     for want, have in zip(serial, got):
         assert all(np.array_equal(a, b) for a, b in zip(want, have))
+
+
+# --- fast paths pinned against copies of the formulas they replaced ---
+
+_SPECIAL = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1.0, -2.5, 1e155, -3e300])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _reference_lincomb(start, terms):
+    # the sum as first written: start + c * v for every term
+    for c, v in terms:
+        if type(v) is list:
+            v = _reference_lincomb(None, v)
+        start = c * v if start is None else start + c * v
+    return start
+
+
+def test_lincomb_unit_weight_adds_v_bitwise():
+    # 1.0 * v == v in every bit: signed zeros, infinities, NaN and
+    # subnormals keep their bits through the shortcut
+    _lincomb = integrator._lincomb
+    v = _SPECIAL[:, None]
+    for start in (np.zeros_like(v), -np.zeros_like(v), v[::-1].copy(),
+                  np.full_like(v, np.nan), np.full_like(v, 5e-324)):
+        before = _bits(start)
+        with np.errstate(all="ignore"):
+            got = _lincomb(start, [(1.0, v)])
+            want = _reference_lincomb(start, [(1.0, v)])
+        assert _bits(got) == _bits(want)
+        assert _bits(start) == before and got is not start
+    # with no start the first product is still a new array
+    got = _lincomb(None, [(1.0, v)])
+    assert got is not v and _bits(got) == _bits(1.0 * v)
+    assert np.array_equal(np.signbit(got), np.signbit(v))
+
+
+def test_lincomb_in_place_sums_match_reference_bitwise():
+    _lincomb = integrator._lincomb
+    rng = np.random.default_rng(5)
+    y = rng.standard_normal((12, 1))
+    v = _SPECIAL[:, None]
+    w = rng.standard_normal((12, 1)) * 1e-310
+    const = np.array([-0.0])  # a (d,) constant, as a callback may return
+    weight = rng.standard_normal((12, 1))
+    cases = [
+        (y, [(2.0, v), (1.0, w), (-0.5, v)]),
+        (None, [(1.0, w), (2.0, v), (weight, w)]),
+        # a constant start may not take a batch term in place
+        (None, [(3.0, const), (1.0, v), (2.0, w)]),
+        (const, [(1.0, const), (0.5, v)]),
+        (y, [(1.0, [(weight, v), (weight, w)]), (1.0, [(2.0, w)])]),
+    ]
+    inputs = [_bits(a) for a in (y, v, w, const, weight)]
+    for start, terms in cases:
+        with np.errstate(all="ignore"):
+            got = _lincomb(start, terms)
+            want = _reference_lincomb(start, terms)
+        assert got.shape == want.shape and _bits(got) == _bits(want)
+    # neither start nor any term was written
+    assert [_bits(a) for a in (y, v, w, const, weight)] == inputs
+
+
+def _reference_terminal_values(tab, prob, n_steps, n_paths, stream):
+    # the divergence test as first written: the per-path mask every step
+    h = (prob.t_end - prob.t0) / n_steps
+    y = np.array(np.broadcast_to(prob.x0, (n_paths, prob.d)), order="F")
+    diverged = np.zeros(n_paths, dtype=bool)
+    t = prob.t0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for n in range(n_steps):
+            inc = draw(prob.m, h, stream, size=(n_paths,),
+                       with_offdiag=usage_plan(tab, prob.m).needs_offdiag)
+            y = srk_step(tab, prob, StepContext(t=t, h=h, y=y,
+                                                increments=inc))
+            t = prob.t0 + (n + 1) * h
+            diverged |= ~np.all(np.isfinite(y), axis=-1)
+            if diverged.any():
+                y[diverged] = prob.x0
+    return y, diverged
+
+
+def _recording(drift, d=1, x0=(2.0,)):
+    # a noise-free problem that keeps every state its drift is given
+    seen = []
+
+    def rec(t, y):
+        seen.append(np.array(y))
+        return drift(t, y)
+
+    prob = SdeProblem(
+        d=d, m=1, drift=rec,
+        diffusion_column=lambda t, y, j: np.zeros_like(y),
+        x0=np.array(x0), t_end=1.0)
+    return prob, seen
+
+
+def test_divergence_flags_nothing_when_only_the_sum_overflows():
+    # every entry finite, the sum over the paths is not: the exact
+    # per-path test runs and flags nothing
+    prob, _ = _recording(lambda t, y: np.zeros_like(y), d=2,
+                         x0=(1.5e308, 1.5e308))
+    vals, mask = terminal_values(named_scheme("EM"), prob, 3, 5,
+                                 substream(2))
+    assert not mask.any()
+    assert (vals == 1.5e308).all()
+    neg, _ = _recording(lambda t, y: np.zeros_like(y), x0=(-1.5e308,))
+    vals, mask = terminal_values(named_scheme("EM"), neg, 3, 4, substream(2))
+    assert not mask.any() and (vals == -1.5e308).all()
+
+
+@pytest.mark.parametrize("name", ["EM", "RDI2WM"])
+def test_divergence_flags_and_freezes_on_the_same_step(name):
+    # row 1 overflows to +inf and row 3 to -inf within a few steps (and
+    # again after each freeze), row 2 is NaN at step 1 only and finite
+    # if stepped on from x0; rows 0 and 4 stay finite.  The states each
+    # step starts from, frozen rows at x0, match the per-path test of
+    # every step bit for bit.
+    def drift(t, y):
+        nan = np.nan if t == 0.0 else 0.1
+        return np.array([[0.0], [1e100], [nan], [-1e300], [1e-3]]) * (y * y)
+
+    runs = []
+    for stepper in (terminal_values, _reference_terminal_values):
+        prob, seen = _recording(drift)
+        vals, mask = stepper(named_scheme(name), prob, 6, 5, substream(9))
+        runs.append((vals, mask, seen))
+    (vals, mask, seen), (ref_vals, ref_mask, ref_seen) = runs
+    assert mask.tolist() == ref_mask.tolist() == [False, True, True, True,
+                                                  False]
+    assert _bits(vals) == _bits(ref_vals)
+    assert len(seen) == len(ref_seen)
+    assert all(_bits(a) == _bits(b) for a, b in zip(seen, ref_seen))
+    # a frozen path stays frozen: once a flagged row starts a step from
+    # x0 it does so on every later step (stage one reads the state)
+    per_step = len(seen) // 6
+    starts = [seen[k * per_step][:, 0] for k in range(6)]
+    assert starts[1][2] == 2.0  # NaN at step 1, frozen at once
+    for row in (1, 2, 3):
+        first = next(k for k in range(1, 6) if starts[k][row] == 2.0)
+        assert all(s[row] == 2.0 for s in starts[first:]), row
+    assert all(s[4] != 2.0 for s in starts[1:])

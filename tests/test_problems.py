@@ -239,3 +239,50 @@ def test_unknown_problem_message_lists_choices():
     for pid in ("nonlinear16", "system18", "linear:a=..,b=..,p=.."):
         assert pid in msg
     assert PROBLEM_IDS == ("nonlinear16", "system18", "linear")
+
+
+# the callbacks as first written, one column at a time
+_SQRT2 = math.sqrt(2.0)
+_F11, _F21 = -273.0 / 512.0, -1.0 / 160.0
+_F22 = -785.0 / 512.0 + _SQRT2 / 8.0
+_G1_22 = (1.0 - 2.0 * _SQRT2) / 4.0
+_OLD = {
+    "nonlinear16": {
+        "drift": lambda y: (0.5 * y[..., 0]
+                            + np.sqrt(y[..., 0] * y[..., 0] + 1.0))[..., None],
+        0: lambda y: np.sqrt(y[..., 0] * y[..., 0] + 1.0)[..., None],
+    },
+    "system18": {
+        "drift": lambda y: np.stack(
+            [_F11 * y[..., 0], _F21 * y[..., 0] + _F22 * y[..., 1]], -1),
+        0: lambda y: np.stack([0.25 * y[..., 0], _G1_22 * y[..., 1]], -1),
+        1: lambda y: np.stack(
+            [y[..., 0] / 16.0, y[..., 0] / 10.0 + y[..., 1] / 16.0], -1),
+    },
+}
+_EDGE = [-0.0, 0.0, math.inf, -math.inf, math.nan, 1e155, -1e155, 5e-324,
+         -2.2250738585072014e-308, 1e-160, 1.0, -3.5]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("lead", [(40,), (4, 10)])
+@pytest.mark.parametrize("name", ["nonlinear16", "system18"])
+def test_callbacks_match_their_first_formulas_bitwise(name, lead, order):
+    # random states plus signed zeros, infinities, NaN, 1e155 (whose
+    # square overflows) and subnormals, in every component
+    prob = problem_from_cli(name)
+    d = prob.d
+    flat = substream(3).standard_normal((40, d)) * 10.0
+    for k in range(d):  # each component meets each edge value
+        flat[:len(_EDGE), k] = np.roll(_EDGE, 5 * k)
+    y = np.array(flat.reshape(lead + (d,)), order=order)
+    calls = {"drift": lambda y: prob.drift(0.0, y)}
+    calls.update({j: (lambda y, j=j: prob.diffusion_column(0.0, y, j))
+                  for j in range(prob.m)})
+    for key, call in calls.items():
+        with np.errstate(all="ignore"):
+            got, want = call(y), _OLD[name][key](y)
+        assert got.shape == y.shape, key
+        assert got.tobytes(order="C") == want.tobytes(order="C"), key
+        assert np.array_equal(np.signbit(got), np.signbit(want)), key
+        assert got.flags[order + "_CONTIGUOUS"], key
