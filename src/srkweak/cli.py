@@ -212,15 +212,12 @@ def _cmd_study(args):
 
 def _cmd_enumerate(args):
     batch, probs = increments.support_batch(args.m, args.h)
-    pairs = [(k, l) for k in range(args.m) for l in range(k)]
     header = ["p"] + ["I%d" % (k + 1) for k in range(args.m)]
-    header += ["V%d%d" % (k + 1, l + 1) for k, l in pairs]
+    header += ["V%d%d" % (k + 1, l + 1)  # the signs, as drawn
+               for k in range(args.m) for l in range(k)]
     print(",".join(header))
-    for p, ihat, v in zip(probs, batch.Ihat, batch.V):
-        row = ["%.17g" % p]
-        row += ["%.17g" % x for x in ihat]
-        row += ["%.17g" % v[k, l] for k, l in pairs]
-        print(",".join(row))
+    for p, ihat, signs in zip(probs, batch.Ihat, batch.signs):
+        print(",".join("%.17g" % x for x in (p, *ihat, *signs)))
     return 0
 
 

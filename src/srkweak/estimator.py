@@ -194,7 +194,7 @@ def estimate(scheme, prob, h, M, seed, batches=DEFAULT_BATCHES, threads=1):
                     _RowWindow(substream(seed, k, b), n, lo, hi))
             # f may overflow on extreme but representable states
             with np.errstate(over="ignore", invalid="ignore"):
-                kept = values[~div]
+                kept = values[~div] if div.any() else values
                 term = weight * (math.nan if div.all() else float(np.mean(
                     _checked("f", prob.f(kept), kept, kept.shape[:-1]))))
             value = term if value is None else value + term

@@ -82,7 +82,8 @@ class UnknownSchemeError(Error):
 class FamilyParameterError(Error):
     """A parameter was supplied that the family does not leave free, a
     free parameter is not finite, or admissible values underflow to a zero
-    denominator (c3^2 for c3 = 1e-200 in CASE_A) or overflow a power."""
+    denominator (c3^2 for c3 = 1e-200 in CASE_A) or overflow to an
+    entry that is not finite (c6 = c7 = 1e200 in CASE_221)."""
     pass
 
 
@@ -154,6 +155,16 @@ def _require(fid, ok, constraint, detail, *values):
         raise ConstraintViolation(fid, constraint, detail % values)
 
 
+def _tableau(s, **entries):
+    """CoefficientTableau(s, **entries), each entry a list of floats or
+    of rows; an entry that overflowed to inf or NaN through * or /
+    raises OverflowError, as an overflow through ** does."""
+    rows = [v if isinstance(v[0], list) else [v] for v in entries.values()]
+    if not all(math.isfinite(x) for m in rows for row in m for x in row):
+        raise OverflowError
+    return CoefficientTableau(s=s, **entries)
+
+
 def _ord11(fid, c1):
     return CoefficientTableau(
         s=1, alpha=[1.0], beta1=[c1], beta2=[0.0], beta3=[0.0], beta4=[0.0],
@@ -165,7 +176,7 @@ def _ord21(fid, c1, c2=0.0, c3=0.0, c4=0.0, c5=0.0, c6=0.0, c7=0.0, c8=0.0,
     _require(fid, c2 != 0.0, "c2 != 0", "c2 = %r", c2)
     _require(fid, c4 * c10 == 0.0, "c4 c10 = 0", "c4 = %r, c10 = %r", c4, c10)
     _require(fid, c6 * c11 == 0.0, "c6 c11 = 0", "c6 = %r, c11 = %r", c6, c11)
-    return CoefficientTableau(
+    return _tableau(
         s=2,
         alpha=[1.0 - 1.0 / (2.0 * c2), 1.0 / (2.0 * c2)],
         beta1=[c1 - c4, c4], beta2=[c5, -c5], beta3=[c6, -c6],
@@ -185,7 +196,7 @@ def _stage3(fid, c1, alpha, a0, b0, c3, c4, c2=0.0, c5=0.0):
     def lower(x21, x31, x32=0.0):
         return [[0.0, 0.0, 0.0], [x21, 0.0, 0.0], [x31, x32, 0.0]]
 
-    return CoefficientTableau(
+    return _tableau(
         s=3, alpha=alpha,
         beta1=[c1 - c1 / (2.0 * c3 ** 2),
                c1 / (4.0 * c3 ** 2), c1 / (4.0 * c3 ** 2)],

@@ -7,26 +7,26 @@ For a step of size h the schemes consume, per trajectory,
                1/6, 2/3, 1/6; they mimic the Wiener increments up to
                the moments needed for weak order two,
   Ihat_(k,l)   = (Ihat_k Ihat_l + V_kl) / 2: stand-ins for the double
-               integrals, built from an auxiliary antisymmetric-plus-
-               diagonal matrix V with V_kk = -h, V_kl = +/-h with
-               probability 1/2 each for l < k, and V_lk = -V_kl.
+               integrals, built from an auxiliary matrix V with
+               V_kk = -h, V_kl = +/-h with probability 1/2 each for
+               l < k, and V_lk = -V_kl.
 
 Exact moments of the three-point law: E I = E I^3 = E I^5 = 0,
 E I^2 = h, E I^4 = 3 h^2; and E Ihat_(k,l) = 0, E Ihat_(k,l)^2 = h^2/2
 for k != l.
 
-Sampling draws exactly one uniform per variate from a counter-based
-generator (Philox), in a fixed documented order: first the m
-three-point variates, then the m(m-1)/2 sign variates for the strict
-lower triangle of V in row-major order.  Schemes that never touch the
-off-diagonal Ihat_(k,l) can skip the sign draws (with_offdiag=False),
-which keeps the random-variable count equal to what the step actually
-needs; V is then -h I, one read-only matrix viewed at every path.
+Only V_kl for l < k is random, so a batch holds just those m(m-1)/2
+signs, and WeakIncrementBatch.ihat_pair() alone applies V_kk = -h and
+V_lk = -V_kl.  Sampling draws exactly one uniform per variate from a
+counter-based generator (Philox), in a fixed documented order: first
+the m three-point variates, then the signs in row-major order.  Schemes
+that never touch the off-diagonal Ihat_(k,l) skip the sign draws
+(with_offdiag=False), which keeps the random-variable count equal to
+what the step actually needs.
 
-draw() returns Ihat and a drawn V in Fortran order, so that with a
-leading path axis each Ihat[..., k] and each V[..., k, l] is
-contiguous over the paths; the stepper multiplies them into
-path-contiguous states.
+draw() returns Ihat and the signs in Fortran order, so that with a
+leading path axis each Ihat[..., k] and each sign is contiguous over
+the paths; the stepper multiplies them into path-contiguous states.
 The uniforms themselves are drawn in C order, so the layout does not
 change which uniform feeds which variate.
 
@@ -166,19 +166,19 @@ class _RowWindow:
 
 @dataclass(frozen=True)
 class WeakIncrementBatch:
-    """The random input of one scheme step.
+    """The random input of one scheme step of size h.
 
-    Ihat has shape (..., m) and V shape (..., m, m); leading axes, if
-    any, enumerate independent realisations.  draw() stores both in
-    Fortran order; any layout gives the same steps.  V has -h on the
-    diagonal and is antisymmetric off it.  When the off-diagonal part
-    was not drawn, V is -h I with +0.0 off the diagonal, a read-only
-    view of one (m, m) matrix with zero strides on the leading axes.
+    Ihat has shape (..., m); leading axes, if any, enumerate
+    independent realisations.  signs has shape (..., m(m-1)/2) and
+    holds V_kl for l < k in row-major order, each +h or -h; it is None
+    when draw() skipped them (with_offdiag off).  draw() stores
+    both in Fortran order and read-only; any layout gives the same
+    steps.
     """
 
     h: float
     Ihat: np.ndarray
-    V: np.ndarray
+    signs: np.ndarray | None = None
 
     @property
     def m(self):
@@ -187,10 +187,18 @@ class WeakIncrementBatch:
     def ihat_pair(self):
         """Return the matrix Ihat_(k,l) = (Ihat_k Ihat_l + V_kl)/2.
 
-        Shape (..., m, m), a new array.  The diagonal equals
-        (Ihat_k^2 - h)/2.
+        Shape (..., m, m), a new array; x - h and x - s are x + (-h) and
+        x + (-s) bit for bit.  Without signs, the entries off the
+        diagonal, which no step reads, are Ihat_k Ihat_l / 2.
         """
-        pair = self.Ihat[..., :, None] * self.Ihat[..., None, :] + self.V
+        pair = self.Ihat[..., :, None] * self.Ihat[..., None, :]
+        for k in range(self.m):
+            pair[..., k, k] -= self.h
+        if self.signs is not None:
+            lower = [(k, l) for k in range(self.m) for l in range(k)]
+            for p, (k, l) in enumerate(lower):
+                pair[..., k, l] += self.signs[..., p]
+                pair[..., l, k] -= self.signs[..., p]
         pair *= 0.5
         return pair
 
@@ -204,44 +212,33 @@ def _check_m_h(m, h):
 
 
 def _increments(h, u, w):
-    """Map uniforms to (Ihat, V), read-only; Ihat and a drawn V in
-    Fortran order, an undrawn V a zero-stride view of -h I.
+    """Map uniforms to (Ihat, signs), read-only and in Fortran order.
 
     u (..., m): u < 1/6 gives -sqrt(3 h), u >= 5/6 +sqrt(3 h), else 0.
     w (..., m(m-1)/2), one per V_kl, l < k, in row-major order: w < 1/2
-    gives +h, else -h; w None leaves +0.0 off the diagonal of V.
+    gives +h, else -h; w None gives signs None.
     """
-    m = u.shape[-1]
     # 1 for u >= 5/6, -1 for u < 1/6, else +0.0 (never -0.0), scaled;
     # formed in the uniforms' C order, then laid out once
     ihat = (u >= 5.0 / 6.0).astype(float)
     ihat -= u < 1.0 / 6.0
     ihat *= math.sqrt(3.0 * h)
     ihat = np.asfortranarray(ihat)
-    if w is None:  # one constant -h I, viewed at every path
-        v = np.broadcast_to(np.diag(np.full(m, -h)), u.shape + (m,))
-    else:
-        signs = np.where(w < 0.5, h, -h)
-        v = np.empty(u.shape + (m,), order="F")
-        pair = 0
-        for k in range(m):
-            v[..., k, k] = -h
-            for l in range(k):  # the strict lower triangle, row-major
-                v[..., k, l] = signs[..., pair]
-                np.negative(signs[..., pair], out=v[..., l, k])
-                pair += 1
     ihat.setflags(write=False)
-    v.setflags(write=False)
-    return ihat, v
+    signs = None
+    if w is not None:
+        signs = np.asfortranarray(np.where(w < 0.5, h, -h))
+        signs.setflags(write=False)
+    return ihat, signs
 
 
 def draw(m, h, stream, size=None, with_offdiag=True):
     """Sample one weak increment batch.
 
     Consumption order from the stream, one uniform per variate: the m
-    three-point variates first, then, if with_offdiag holds and m > 1,
-    the m(m-1)/2 two-point sign variates for V_kl, l < k, in row-major
-    order; _increments() maps them to values.
+    three-point variates first, then, if with_offdiag holds, the
+    m(m-1)/2 two-point sign variates for V_kl, l < k, in row-major order
+    (none for m = 1); _increments() maps them to values.
 
     Args:
       m: number of driving Wiener components, >= 1
@@ -249,8 +246,9 @@ def draw(m, h, stream, size=None, with_offdiag=True):
       stream: generator with a random(size) method
       size: leading shape for independent realisations, an int n
         meaning (n,); None gives a single scalar realisation
-      with_offdiag: draw the off-diagonal sign variates of V; schemes
-        that never use the mixed Ihat_(k,l) skip them, leaving zeros
+      with_offdiag: draw the sign variates V_kl, l < k; schemes that
+        never use the mixed Ihat_(k,l) skip them, and the batch holds no
+        signs
 
     Returns:
       WeakIncrementBatch
@@ -264,11 +262,8 @@ def draw(m, h, stream, size=None, with_offdiag=True):
             _check_int("each size entry", n, 0, IncrementError)
         shape = tuple(int(n) for n in shape)
     u = stream.random(shape + (m,))
-    w = None
-    if with_offdiag and m > 1:
-        w = stream.random(shape + (m * (m - 1) // 2,))
-    ihat, v = _increments(h, u, w)
-    return WeakIncrementBatch(h=h, Ihat=ihat, V=v)
+    w = stream.random(shape + (m * (m - 1) // 2,)) if with_offdiag else None
+    return WeakIncrementBatch(h, *_increments(h, u, w))
 
 
 def support_batch(m, h):
@@ -303,11 +298,11 @@ def _support(m, h):
         *[range(3)] * m, *[range(2)] * npairs)))
     u = np.array([0.0, 0.5, 1.0])[digits[:, :m]]
     w = np.array([0.0, 1.0])[digits[:, m:]]
-    ihat, v = _increments(h, u, w)
+    batch = WeakIncrementBatch(h, *_increments(h, u, w))
     point_probs = np.array([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0])
     probs = np.ones(len(digits))
     for d in digits[:, :m].T:  # a left-to-right product over the digits
         probs = probs * point_probs[d]
     probs = probs * 0.5 ** npairs
     probs.setflags(write=False)
-    return WeakIncrementBatch(h=h, Ihat=ihat, V=v), probs
+    return batch, probs

@@ -1,11 +1,11 @@
 """Stepping engine for explicit stochastic Runge-Kutta schemes.
 
-One step of size h from (t, y) for the Ito SDE
+One step from (t, y) for the Ito SDE
 
     dX = a(t, X) dt + sum_k b^k(t, X) dW^k,   X in R^d,  W in R^m,
 
 reads, with the weights and stage matrices of a CoefficientTableau and
-the increments Ihat_k, Ihat_(k,l) of a WeakIncrementBatch,
+the increments Ihat_k, Ihat_(k,l) and step h of a WeakIncrementBatch,
 
     y' = y + sum_i alpha_i a(t + c0_i h, H0_i) h
            + sum_{i,k} beta1_i b^k(t + c1_i h, H_i^k) Ihat_k
@@ -85,7 +85,7 @@ shape less its last axis: f maps (..., d) to (...), or to a scalar.
 
 terminal_values() stores a batch of M states as an (M, d) array in
 Fortran order, so each state component is contiguous over the paths,
-as are the Ihat_k and V_kl that draw() returns.  Every value * weight
+as are the Ihat_k and the signs that draw() returns.  Every value * weight
 product then runs over contiguous memory, and numpy's elementwise
 operations carry the layout from one stage to the next.  The drift
 and diffusion callbacks receive these path-contiguous states; one
@@ -103,7 +103,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .increments import WeakIncrementBatch, _increments, draw, support_batch
+from .increments import WeakIncrementBatch, draw, support_batch
 from .tableau import (_MATRIX_KEYS, _VECTOR_KEYS, _check_int, _is_finite,
                       _require_valid)
 
@@ -159,10 +159,9 @@ class SdeProblem:
 
 @dataclass(frozen=True)
 class StepContext:
-    """Input of one scheme step: time, step size, state and increments."""
+    """Input of one scheme step: time, state and increments (with h)."""
 
     t: float
-    h: float
     y: np.ndarray
     increments: WeakIncrementBatch
 
@@ -326,22 +325,23 @@ def srk_step(tab, prob, ctx):
       tab: CoefficientTableau
       prob: SdeProblem (or anything with d, m, drift, diffusion_column)
       ctx: StepContext; ctx.y may carry leading batch axes, and the
-        increment arrays must broadcast against them
+        increment arrays, of step size ctx.increments.h, broadcast
+        against them
 
     Returns:
       the state after the step, same shape as ctx.y
 
     Raises:
-      ValueError: if the state's last axis is not d, the increments do
-        not match the problem or step, or a drift or diffusion value
+      ValueError: if the state's last axis is not d, the increments are
+        not for the problem's m, or a drift or diffusion value
         does not broadcast to its stage point
       TableauValueError: if the tableau has structural violations
     """
     inc, m = ctx.increments, prob.m
-    if inc.m != m or inc.h != ctx.h:
-        raise ValueError("increments for m = %d, h = %r do not fit a step "
-                         "with m = %d, h = %r" % (inc.m, inc.h, m, ctx.h))
-    t, h, y = ctx.t, ctx.h, np.asarray(ctx.y, dtype=float)
+    if inc.m != m:
+        raise ValueError("increments for m = %d do not fit a problem with "
+                         "m = %d" % (inc.m, m))
+    t, h, y = ctx.t, inc.h, np.asarray(ctx.y, dtype=float)
     if y.shape[-1:] != (prob.d,):
         raise ValueError("a state of shape %r does not fit a problem with "
                          "d = %d" % (y.shape, prob.d))
@@ -438,18 +438,14 @@ def terminal_values(tab, prob, n_steps, n_paths, stream):
     y = np.array(np.broadcast_to(prob.x0, (n_paths, prob.d)), order="F")
     diverged = np.zeros(n_paths, dtype=bool)
     t, frozen = prob.t0, False
-    if not plan.needs_ihat:
-        # a scheme that reads no increment gets the same zeros each
-        # step: uniforms of 1/2 map to Ihat = 0 and V = -h I
-        inc = WeakIncrementBatch(
-            h, *_increments(h, np.full((n_paths, prob.m), 0.5), None))
+    if not plan.needs_ihat:  # the same zero increments at every step
+        inc = WeakIncrementBatch(h, np.zeros(prob.m))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in range(n_steps):
             if plan.needs_ihat:
                 inc = draw(prob.m, h, stream, size=(n_paths,),
                            with_offdiag=plan.needs_offdiag)
-            y = srk_step(tab, prob, StepContext(t=t, h=h, y=y,
-                                                increments=inc))
+            y = srk_step(tab, prob, StepContext(t=t, y=y, increments=inc))
             t = prob.t0 + (n + 1) * h
             if frozen or not np.isfinite(y.sum()):
                 diverged |= ~np.all(np.isfinite(y), axis=-1)
@@ -478,7 +474,7 @@ def exact_one_step_expectation(tab, prob, f, h):
     """
     batch, probs = support_batch(prob.m, h)
     states = np.broadcast_to(prob.x0, (len(probs), prob.d))
-    out = srk_step(tab, prob, StepContext(t=prob.t0, h=float(h), y=states,
+    out = srk_step(tab, prob, StepContext(t=prob.t0, y=states,
                                           increments=batch))
     vals = _checked("f", f(out), out, probs.shape)
     return float(probs @ vals if vals.shape == probs.shape

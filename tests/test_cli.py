@@ -141,16 +141,24 @@ def test_check_rejects_non_finite_family_parameter(capsys):
 
 
 def test_check_refuses_an_invalid_family_member(capsys):
-    # admissible parameters whose B0 entries overflow to nan
+    # admissible parameters whose B0 entries overflow to nan: the
+    # family builder refuses the member, with one error line
     code = main(["check", "--family", "case-221", "--c6", "1e200",
                  "--c7", "1e200"])
     out, err = capsys.readouterr()
     assert code == 1
     assert out == ""
-    assert err == ("invalid tableau: B0[2][1] = nan\n"
-                   "invalid tableau: B0[3][1] = nan\n"
-                   "error: the CASE_221 member is not a valid explicit "
-                   "tableau\n")
+    assert err == ("error: family CASE_221: the closed forms underflow or "
+                   "overflow for c6 = 1e+200, c7 = 1e+200\n")
+
+
+def test_family_overflowing_member_exits_1(capsys):
+    code = main(["family", "case-221", "--c6", "1e200", "--c7", "1e200"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == ("error: family CASE_221: the closed forms underflow or "
+                   "overflow for c6 = 1e+200, c7 = 1e+200\n")
 
 
 def test_family_prints_tableau_json(capsys):

@@ -172,10 +172,16 @@ def test_first_violated_constraint_is_reported(fid, kwargs, message):
     ("CASE_A", dict(c4=1e200), "c4 = 1e+200"),
     ("CASE_221", dict(c6=1e-170, c7=1e-170), "c6 = 1e-170, c7 = 1e-170"),
     ("ORD32_221C", dict(c8=1e-170, lam=2e-170), "c8 = 1e-170, lam = 2e-170"),
+    # overflows through * or /, to NaN B0 entries, A0[3][1] = inf and
+    # alpha = (-inf, inf), and betas of c1 / (2 c3^2) = inf
+    ("CASE_221", dict(c6=1e200, c7=1e200), "c6 = 1e+200, c7 = 1e+200"),
+    ("CASE_223", dict(c6=1e300, c7=1e10), "c6 = 1e+300, c7 = 10000000000.0"),
+    ("ORD21", dict(c2=1e-310), "c2 = 1e-310"),
+    ("CASE_A", dict(c3=1e-160), "c3 = 1e-160"),
 ])
 def test_underflow_and_overflow_are_parameter_errors(fid, kwargs, given):
-    # the values are admissible, but a denominator underflows to 0 or a
-    # power overflows in floating point
+    # the values are admissible, but a denominator underflows to 0, or
+    # a power, a product or a quotient overflows in floating point
     with pytest.raises(FamilyParameterError) as exc:
         make_family(FamilyParams(fid, **kwargs))
     assert str(exc.value) == ("family %s: the closed forms underflow or "

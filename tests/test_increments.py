@@ -33,12 +33,11 @@ def test_exact_moments(m, h):
 def test_support_size(m, size):
     batch, probs = support_batch(m, 0.5)
     assert batch.Ihat.shape == (size, m)
-    assert batch.V.shape == (size, m, m)
+    assert batch.signs.shape == (size, m * (m - 1) // 2)
     assert abs(probs.sum() - 1.0) <= 1e-15
     assert (probs > 0.0).all()
     # no outcome listed twice
-    flat = np.concatenate([batch.Ihat.reshape(size, -1),
-                           batch.V.reshape(size, -1)], axis=1)
+    flat = np.concatenate([batch.Ihat, batch.signs], axis=1)
     assert len(np.unique(flat, axis=0)) == size
 
 
@@ -47,12 +46,10 @@ def test_support_values():
     batch, _ = support_batch(3, h)
     root3h = math.sqrt(3.0 * h)
     assert set(np.unique(batch.Ihat)) == {-root3h, 0.0, root3h}
-    idx = np.arange(3)
-    assert (batch.V[:, idx, idx] == -h).all()
-    assert np.array_equal(batch.V, -np.swapaxes(batch.V, 1, 2)
-                          - 2.0 * h * np.eye(3))
-    offdiag = batch.V[:, 1, 0]
-    assert set(np.unique(offdiag)) == {-h, h}
+    # each sign is exactly +h or -h
+    assert batch.signs.shape == (len(batch.Ihat), 3)
+    for p in range(3):
+        assert set(np.unique(batch.signs[:, p])) == {-h, h}
 
 
 def test_ihat_pair_diagonal():
@@ -66,17 +63,19 @@ def test_ihat_pair_diagonal():
 def test_draw_reproducible():
     a = draw(3, 0.1, substream(42, 5), size=(7,))
     b = draw(3, 0.1, substream(42, 5), size=(7,))
-    assert np.array_equal(a.Ihat, b.Ihat) and np.array_equal(a.V, b.V)
+    assert np.array_equal(a.Ihat, b.Ihat)
+    assert np.array_equal(a.signs, b.signs)
     c = draw(3, 0.1, substream(42, 6), size=(7,))
     assert not np.array_equal(a.Ihat, c.Ihat)
 
 
 def test_draw_scalar_shape():
     inc = draw(2, 0.1, substream(0))
-    assert inc.Ihat.shape == (2,) and inc.V.shape == (2, 2)
+    assert inc.Ihat.shape == (2,) and inc.signs.shape == (1,)
     assert inc.m == 2
-    with pytest.raises(ValueError):
-        inc.Ihat[0] = 1.0
+    for arr in (inc.Ihat, inc.signs):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_draw_consumption_order():
@@ -90,24 +89,21 @@ def test_draw_consumption_order():
     ihat = np.where(u < 1 / 6, -root3h, np.where(u >= 5 / 6, root3h, 0.0))
     assert np.array_equal(inc.Ihat, ihat)
     w = raw.random((n, m * (m - 1) // 2))
-    rows, cols = np.tril_indices(m, -1)
-    v = np.zeros((n, m, m))
-    v[:, np.arange(m), np.arange(m)] = -h
-    v[:, rows, cols] = np.where(w < 0.5, h, -h)
-    v[:, cols, rows] = -v[:, rows, cols]
-    assert np.array_equal(inc.V, v)
+    assert np.array_equal(inc.signs, np.where(w < 0.5, h, -h))
 
 
 def test_draw_without_offdiag():
     cs = CountingStream(substream(3))
     inc = draw(3, 0.2, cs, size=(10,), with_offdiag=False)
     assert cs.count == 30
-    off = inc.V.copy()
-    off[:, np.arange(3), np.arange(3)] = 0.0
-    assert not off.any()
+    assert inc.signs is None
     cs = CountingStream(substream(3))
-    draw(3, 0.2, cs, size=(10,))
+    assert draw(3, 0.2, cs, size=(10,)).signs.shape == (10, 3)
     assert cs.count == 30 + 10 * 3
+    # m = 1 has no sign to draw
+    cs = CountingStream(substream(3))
+    assert draw(1, 0.2, cs, size=(10,)).signs.shape == (10, 0)
+    assert cs.count == 10
 
 
 class _FixedStream:
@@ -132,22 +128,15 @@ _EDGE_UNIFORMS = [0.0, np.nextafter(1 / 6, 0.0), 1 / 6, 0.25,
 
 
 def _reference_draw(m, h, stream, shape, with_offdiag):
-    """The draw as first written: nested np.where and a zero-filled V
-    written by fancy indexing."""
+    """The draw as first written: nested np.where for both variates."""
     root3h = math.sqrt(3.0 * h)
     u = stream.random(shape + (m,))
     ihat = np.where(u < 1.0 / 6.0, -root3h,
                     np.where(u >= 5.0 / 6.0, root3h, 0.0))
-    v = np.zeros(shape + (m, m))
-    idx = np.arange(m)
-    v[..., idx, idx] = -h
-    if with_offdiag and m > 1:
-        rows, cols = np.tril_indices(m, -1)
-        w = stream.random(shape + (len(rows),))
-        signs = np.where(w < 0.5, h, -h)
-        v[..., rows, cols] = signs
-        v[..., cols, rows] = -signs
-    return ihat, v
+    if not with_offdiag:
+        return ihat, None
+    w = stream.random(shape + (m * (m - 1) // 2,))
+    return ihat, np.where(w < 0.5, h, -h)
 
 
 def _same_bits(got, want):
@@ -160,28 +149,31 @@ def _same_bits(got, want):
 @pytest.mark.parametrize("with_offdiag", [True, False])
 @pytest.mark.parametrize("size", [None, (13,), (2, 7)])
 def test_draw_matches_reference_mapping_bitwise(m, with_offdiag, size):
-    # signed zeros included: 0 * sqrt(3 h) must stay +0.0, and V holds
-    # +0.0 off the diagonal when the signs are not drawn
+    # signed zeros included: 0 * sqrt(3 h) must stay +0.0
     h = 0.3
     shape = () if size is None else size
     got = draw(m, h, _FixedStream(_EDGE_UNIFORMS), size=size,
                with_offdiag=with_offdiag)
-    ihat, v = _reference_draw(m, h, _FixedStream(_EDGE_UNIFORMS), shape,
-                              with_offdiag)
+    ihat, signs = _reference_draw(m, h, _FixedStream(_EDGE_UNIFORMS), shape,
+                                  with_offdiag)
     assert _same_bits(got.Ihat, ihat)
-    assert _same_bits(got.V, v)
+    if with_offdiag:
+        assert _same_bits(got.signs, signs)
+    else:
+        assert got.signs is None
 
 
 def test_draw_is_path_contiguous():
-    # Fortran order: each Ihat_k and each V_kl is one contiguous run
-    # over the paths
+    # Fortran order: each Ihat_k and each sign is one contiguous run
+    # over the paths, and both arrays are read-only
     inc = draw(3, 0.2, substream(5), size=(17,))
-    assert inc.Ihat.flags.f_contiguous and inc.V.flags.f_contiguous
+    for arr in (inc.Ihat, inc.signs):
+        assert arr.flags.f_contiguous and not arr.flags.writeable
 
 
 def _reference_support(m, h):
     """The support as first enumerated: nested loops over the digits,
-    with the three-point values and the V entries written out."""
+    with the three-point values and the signs written out."""
     root3h = math.sqrt(3.0 * h)
     point_values = (-root3h, 0.0, root3h)
     point_probs = (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0)
@@ -189,36 +181,33 @@ def _reference_support(m, h):
     npairs = len(rows)
     n = 3 ** m * 2 ** npairs
     ihat = np.zeros((n, m))
-    v = np.zeros((n, m, m))
+    signs = np.zeros((n, npairs))
     probs = np.zeros(n)
-    idx = np.arange(m)
-    v[:, idx, idx] = -h
     pos = 0
     for digits in np.ndindex(*(3,) * m):
         p_ihat = 1.0
         for d in digits:
             p_ihat *= point_probs[d]
         values = [point_values[d] for d in digits]
-        for signs in np.ndindex(*(2,) * npairs):
+        for sign_digits in np.ndindex(*(2,) * npairs):
             ihat[pos] = values
-            for (k, l, sgn) in zip(rows, cols, signs):
-                v[pos, k, l] = h if sgn == 0 else -h
-                v[pos, l, k] = -v[pos, k, l]
+            for p, sgn in enumerate(sign_digits):
+                signs[pos, p] = h if sgn == 0 else -h
             probs[pos] = p_ihat * 0.5 ** npairs
             pos += 1
-    return ihat, v, probs
+    return ihat, signs, probs
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("h", [0.25, 0.3, 1.0, 1e-3])
 def test_support_matches_reference_enumeration_bitwise(m, h):
     batch, probs = support_batch(m, h)
-    ihat, v, want_probs = _reference_support(m, h)
+    ihat, signs, want_probs = _reference_support(m, h)
     assert _same_bits(batch.Ihat, ihat)
-    assert _same_bits(batch.V, v)
+    assert _same_bits(batch.signs, signs)
     assert _same_bits(probs, want_probs)
-    assert batch.Ihat.flags.f_contiguous and batch.V.flags.f_contiguous
-    for arr in (batch.Ihat, batch.V, probs):
+    assert batch.Ihat.flags.f_contiguous and batch.signs.flags.f_contiguous
+    for arr in (batch.Ihat, batch.signs, probs):
         assert not arr.flags.writeable
 
 
@@ -229,7 +218,7 @@ def test_support_is_built_once_per_step_size():
     assert support_batch(2, 0.25) is not first
     assert support_batch(1, 0.5) is not first
     batch, probs = first
-    for arr in (batch.Ihat, batch.V, probs):
+    for arr in (batch.Ihat, batch.signs, probs):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
@@ -244,7 +233,7 @@ def test_draw_frequencies():
     assert abs(frac_zero - 2.0 / 3.0) < 0.01
     assert abs(frac_up - 1.0 / 6.0) < 0.01
     inc2 = draw(2, 1.0, substream(2025), size=(200000,))
-    assert abs(float(np.mean(inc2.V[:, 1, 0] > 0)) - 0.5) < 0.01
+    assert abs(float(np.mean(inc2.signs[:, 0] > 0)) - 0.5) < 0.01
 
 
 @pytest.mark.parametrize("m,h", [
@@ -264,9 +253,9 @@ def test_draw_accepts_an_int_size(size):
     # an int n means (n,), as for numpy's own random(size)
     got = draw(2, 0.5, substream(0), size=size)
     want = draw(2, 0.5, substream(0), size=(5,))
-    assert got.Ihat.shape == (5, 2) and got.V.shape == (5, 2, 2)
+    assert got.Ihat.shape == (5, 2) and got.signs.shape == (5, 1)
     assert np.array_equal(got.Ihat, want.Ihat)
-    assert np.array_equal(got.V, want.V)
+    assert np.array_equal(got.signs, want.signs)
     assert draw(1, 0.5, substream(0), size=0).Ihat.shape == (0, 1)
 
 
@@ -304,7 +293,10 @@ def test_row_window_gives_the_rows_of_a_whole_draw(m, with_offdiag, n, used):
                 got = draw(m, 0.3, window, size=(hi - lo,),
                            with_offdiag=with_offdiag)
                 assert _bits(got.Ihat) == _bits(want.Ihat[lo:hi])
-                assert _bits(got.V) == _bits(want.V[lo:hi])
+                if with_offdiag:
+                    assert _bits(got.signs) == _bits(want.signs[lo:hi])
+                else:
+                    assert got.signs is None
 
 
 def test_whole_batch_window_never_seeks():
@@ -315,7 +307,7 @@ def test_whole_batch_window_never_seeks():
         got = draw(3, 0.5, window, size=(6,))
         want = draw(3, 0.5, plain, size=(6,))
         assert _bits(got.Ihat) == _bits(want.Ihat)
-        assert _bits(got.V) == _bits(want.V)
+        assert _bits(got.signs) == _bits(want.signs)
 
 
 def test_row_window_refusals():
@@ -350,27 +342,70 @@ def test_substream_and_seed_derivation():
 
 
 def test_batch_dataclass():
-    batch = WeakIncrementBatch(h=0.5, Ihat=np.zeros((4, 2)),
-                               V=np.zeros((4, 2, 2)))
-    assert batch.m == 2
+    batch = WeakIncrementBatch(h=0.5, Ihat=np.zeros((4, 2)))
+    assert batch.m == 2 and batch.signs is None
     assert batch.ihat_pair().shape == (4, 2, 2)
+    batch = WeakIncrementBatch(0.5, np.zeros((4, 3)), np.full((4, 3), 0.5))
+    assert batch.m == 3 and batch.ihat_pair().shape == (4, 3, 3)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("size", [(7,), (2, 5)])
 def test_undrawn_v_is_one_read_only_matrix(m, size):
-    # without sign variates V is -h I viewed at every path: read-only,
-    # zero strides on the leading axes, +0.0 (not -0.0) off the diagonal
+    # without sign variates V is -h I at every path, and the batch
+    # stores nothing for it: signs is None, and ihat_pair() applies the
+    # diagonal, (Ihat_k^2 - h)/2 bit for bit
     h = 0.3
-    v = draw(m, h, substream(4), size=size, with_offdiag=False).V
-    assert v.shape == size + (m, m)
-    assert not v.flags.writeable
-    assert v.strides[:len(size)] == (0,) * len(size)
-    want = np.zeros((m, m))
-    np.fill_diagonal(want, -h)
-    for idx in np.ndindex(size):
-        assert v[idx].tobytes() == want.tobytes()
-    off = ~np.eye(m, dtype=bool)
-    assert not np.signbit(v[..., off]).any() and (v[..., off] == 0.0).all()
-    with pytest.raises(ValueError):
-        v[(0,) * len(size)][0, 0] = 1.0
+    inc = draw(m, h, substream(4), size=size, with_offdiag=False)
+    assert inc.signs is None and not inc.Ihat.flags.writeable
+    pair = inc.ihat_pair()
+    assert pair.shape == size + (m, m)
+    for k in range(m):
+        want = (inc.Ihat[..., k] ** 2 - h) / 2
+        assert _bits(pair[..., k, k]) == _bits(want)
+
+
+def _paper_v(batch):
+    """V by the paper's rule, written out: V_kk = -h, V_kl the drawn sign
+    for l < k, V_lk = -V_kl; only the diagonal without signs."""
+    m = batch.m
+    v = np.zeros(batch.Ihat.shape + (m,))
+    for k in range(m):
+        v[..., k, k] = -batch.h
+    if batch.signs is not None:
+        rows, cols = np.tril_indices(m, -1)  # row-major, like the signs
+        v[..., rows, cols] = batch.signs
+        v[..., cols, rows] = -batch.signs
+    return v
+
+
+def _batches(m):
+    h = 0.25
+    yield support_batch(m, h)[0]
+    for with_offdiag in (True, False):
+        yield draw(m, h, substream(8, m), size=(50,),
+                   with_offdiag=with_offdiag)
+        yield draw(m, h, substream(9, m), with_offdiag=with_offdiag)
+    # signed zeros and exact cancellation: products of +/-0.5 are +/-h,
+    # so x - h and x +/- s can be exactly 0.0, and a +/-0.0 factor gives
+    # products of either sign of zero
+    rng = np.random.default_rng(m)
+    ihat = rng.choice([-0.5, -0.0, 0.0, 0.5], size=(64, m))
+    signs = rng.choice([-h, h], size=(64, m * (m - 1) // 2))
+    yield WeakIncrementBatch(h, ihat, signs)
+    yield WeakIncrementBatch(h, ihat)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_ihat_pair_is_the_paper_formula_bitwise(m):
+    # every entry a step reads: the diagonal always, the entries off it
+    # when the signs were drawn
+    for batch in _batches(m):
+        got = batch.ihat_pair()
+        ihat = batch.Ihat
+        want = 0.5 * (ihat[..., :, None] * ihat[..., None, :]
+                      + _paper_v(batch))
+        read = np.eye(m, dtype=bool) if batch.signs is None \
+            else np.ones((m, m), dtype=bool)
+        assert got.shape == want.shape
+        assert _bits(got[..., read]) == _bits(want[..., read])

@@ -36,7 +36,7 @@ def _ode(rate=1.0):
 def _one_step(tab, prob, t=0.0, h=0.1, y=None):
     inc = draw(prob.m, h, substream(0), size=None)
     y0 = prob.x0 if y is None else np.asarray(y, dtype=float)
-    return srk_step(tab, prob, StepContext(t=t, h=h, y=y0, increments=inc))
+    return srk_step(tab, prob, StepContext(t=t, y=y0, increments=inc))
 
 
 def test_ode_step_closed_forms():
@@ -286,12 +286,12 @@ def test_step_batches_like_loops():
     prob, _ = _counting_problem(2, 3)
     inc = draw(3, 0.25, substream(21), size=(6,))
     ys = substream(22).random((6, 2)) + 1.0
-    batched = srk_step(tab, prob, StepContext(t=0.0, h=0.25, y=ys,
-                                              increments=inc))
+    batched = srk_step(tab, prob, StepContext(t=0.0, y=ys, increments=inc))
     for i in range(6):
         one = srk_step(tab, prob, StepContext(
-            t=0.0, h=0.25, y=ys[i],
-            increments=type(inc)(h=0.25, Ihat=inc.Ihat[i], V=inc.V[i])))
+            t=0.0, y=ys[i],
+            increments=type(inc)(h=0.25, Ihat=inc.Ihat[i],
+                                 signs=inc.signs[i])))
         assert np.array_equal(batched[i], one)
 
 
@@ -380,14 +380,11 @@ def test_divergence_does_not_disturb_draws():
 
 def test_increment_mismatch_rejected():
     prob, _ = _counting_problem(1, 1)
+    # the step size is the increments' own h, so only m can mismatch
     inc = draw(2, 0.1, substream(0))
-    with pytest.raises(ValueError):
-        srk_step(named_scheme("EM"), prob, StepContext(0.0, 0.1,
-                                                       prob.x0, inc))
-    inc = draw(1, 0.1, substream(0))
-    with pytest.raises(ValueError):
-        srk_step(named_scheme("EM"), prob, StepContext(0.0, 0.2,
-                                                       prob.x0, inc))
+    with pytest.raises(ValueError, match=r"^increments for m = 2 do not fit "
+                       r"a problem with m = 1$"):
+        srk_step(named_scheme("EM"), prob, StepContext(0.0, prob.x0, inc))
 
 
 @pytest.mark.parametrize("kwargs,match", [
@@ -517,8 +514,8 @@ def _exact_weak_error(tab, prob, h):
         rows = len(weights)
         y = np.repeat(y, len(probs), axis=0)
         inc = WeakIncrementBatch(h=h, Ihat=np.tile(batch.Ihat, (rows, 1)),
-                                 V=np.tile(batch.V, (rows, 1, 1)))
-        y = srk_step(tab, prob, StepContext(t=prob.t0 + n * h, h=h, y=y,
+                                 signs=np.tile(batch.signs, (rows, 1)))
+        y = srk_step(tab, prob, StepContext(t=prob.t0 + n * h, y=y,
                                             increments=inc))
         weights = np.outer(weights, probs).ravel()
     return float(weights @ prob.f(y)) - prob.exact_functional(prob.t_end)
@@ -568,7 +565,7 @@ def test_step_on_every_support_atom_regression(name, m, want):
     prob = _mixing_problem(m)
     batch, _ = support_batch(m, 0.25)
     out = srk_step(named_scheme(name), prob, StepContext(
-        t=0.5, h=0.25, y=prob.x0, increments=batch))
+        t=0.5, y=prob.x0, increments=batch))
     weights = np.cos(np.arange(out.size)).reshape(out.shape)
     got = float(np.sum(weights * out))
     assert abs(got - want) <= 1e-12 * abs(want)
@@ -641,11 +638,18 @@ def _reference_sum(terms):
     return total
 
 
+def _v(inc, k, l):
+    """V_kl, k != l, by the paper's rule, from the drawn signs: V_kl
+    for l < k is sign k(k-1)/2 + l in row-major order, V_lk = -V_kl."""
+    sign = inc.signs[..., max(k, l) * (max(k, l) - 1) // 2 + min(k, l), None]
+    return sign if k > l else -sign
+
+
 def _reference_step(tab, prob, ctx):
     """srk_step as it stepped through a _reference_plan, term by term."""
     inc, m = ctx.increments, prob.m
     plan = _reference_plan(tab, m)
-    t, h = ctx.t, ctx.h
+    t, h = ctx.t, inc.h
     y = np.asarray(ctx.y, dtype=float)
     sqrth = math.sqrt(h)
     ihat = [inc.Ihat[..., k, None] for k in range(m)]
@@ -696,7 +700,7 @@ def _reference_step(tab, prob, ctx):
     if plan.beta34:
         pairs = [(k, l) for k in range(m) for l in range(m) if k != l]
         if plan.needs_offdiag:
-            ikl = {(k, l): 0.5 * (ihat[k] * ihat[l] + inc.V[..., k, l, None])
+            ikl = {(k, l): 0.5 * (ihat[k] * ihat[l] + _v(inc, k, l))
                    / sqrth for k, l in pairs}
         for i, w3, w4 in plan.beta34:
             terms = []
@@ -720,8 +724,8 @@ def test_step_matches_frozen_reference_bitwise():
         prob = _mixing_problem(m)
         atoms, _ = support_batch(m, 0.25)
         ys = np.asfortranarray(rng.normal(size=(8, 3)))
-        ctxs = [StepContext(t=0.5, h=0.25, y=prob.x0, increments=atoms),
-                StepContext(t=0.5, h=0.25, y=ys,
+        ctxs = [StepContext(t=0.5, y=prob.x0, increments=atoms),
+                StepContext(t=0.5, y=ys,
                             increments=draw(m, 0.25, substream(m),
                                             size=(8,)))]
         for tab in tabs:
@@ -755,7 +759,7 @@ def test_step_refuses_values_that_do_not_fit_their_point():
 def test_step_refuses_state_of_the_wrong_width():
     # the last axis of a state is its d components; a third column on
     # a d = 2 problem would come back as uninitialised memory
-    ctx = StepContext(t=0.0, h=0.25, y=np.ones((4, 3)),
+    ctx = StepContext(t=0.0, y=np.ones((4, 3)),
                       increments=draw(2, 0.25, substream(3), size=(4,)))
     with pytest.raises(ValueError, match=r"^a state of shape \(4, 3\) does "
                        r"not fit a problem with d = 2$"):
@@ -787,7 +791,7 @@ def test_step_accepts_scalar_and_constant_values():
     prob = SdeProblem(d=2, m=2, drift=lambda t, y: 0.5,
                       diffusion_column=lambda t, y, j: np.array([0.1, 0.2 * j]),
                       x0=np.array([1.0, 2.0]))
-    ctx = StepContext(t=0.0, h=0.25, y=np.ones((6, 2)),
+    ctx = StepContext(t=0.0, y=np.ones((6, 2)),
                       increments=draw(2, 0.25, substream(3), size=(6,)))
     for name in NAMED_SCHEMES:
         tab = named_scheme(name)
@@ -941,8 +945,7 @@ def _reference_terminal_values(tab, prob, n_steps, n_paths, stream):
         for n in range(n_steps):
             inc = draw(prob.m, h, stream, size=(n_paths,),
                        with_offdiag=usage_plan(tab, prob.m).needs_offdiag)
-            y = srk_step(tab, prob, StepContext(t=t, h=h, y=y,
-                                                increments=inc))
+            y = srk_step(tab, prob, StepContext(t=t, y=y, increments=inc))
             t = prob.t0 + (n + 1) * h
             diverged |= ~np.all(np.isfinite(y), axis=-1)
             if diverged.any():

@@ -120,3 +120,44 @@ def test_rounded_keeps_six_significant_digits():
     got = paired_bench._rounded({"a": [1.23456789, math.inf], "b": 3,
                                  "c": (2.0000004e-5,)})
     assert got == {"a": [1.23457, math.inf], "b": 3, "c": [2e-5]}
+
+
+def _paired_block(pairs):
+    """A summarize() block from (seed, side, wall_s, raw walls) runs."""
+    runs = [paired_bench.run_record(_run_text(wall, walls, [0.04, 0.04]),
+                                    seed, side)
+            for seed, side, wall, walls in pairs]
+    return paired_bench.summarize(runs, BOUNDS)
+
+
+def test_raw_agreement_names_the_pair_a_probe_flipped():
+    # as in seed 1803 of BENCH_18.json: a slow probe phase scales the
+    # change's wall_s far down although its raw repetitions were slower
+    pairs = []
+    for i, seed in enumerate(range(1801, 1811)):
+        change = (1.96, [4.43] * 3) if seed == 1803 else \
+            (3.1 + 0.01 * i, [3.76 + 0.01 * i] * 3)
+        pairs += [(seed, "parent", 3.5 + 0.01 * i, [4.21 + 0.01 * i] * 3),
+                  (seed, "change") + change]
+    block = _paired_block(pairs)
+    assert paired_bench.claim_verdict(block["metrics"]["wall_s"]) == "PASS"
+    got = paired_bench.raw_agreement(block, "wall_s")
+    assert got == {"raw_verdict": "PASS", "raw_agrees": True,
+                   "raw_other_winner_seeds": [1803]}
+    # a higher-is-better metric is read with its own sign
+    got = paired_bench.raw_agreement(block, "work_per_s")
+    assert got["raw_agrees"] and got["raw_other_winner_seeds"] == [1803]
+
+
+def test_raw_agreement_when_the_raw_medians_do_not_back_the_claim():
+    # the scaled wall_s wins every pair, the raw medians only half
+    pairs = []
+    for i, seed in enumerate(range(1, 11)):
+        raw = 4.0 + (0.1 if i % 2 else -0.1)
+        pairs += [(seed, "parent", 3.5, [4.0] * 3),
+                  (seed, "change", 3.0 - 0.01 * i, [raw] * 3)]
+    block = _paired_block(pairs)
+    assert paired_bench.claim_verdict(block["metrics"]["wall_s"]) == "PASS"
+    got = paired_bench.raw_agreement(block, "wall_s")
+    assert got == {"raw_verdict": "FAIL", "raw_agrees": False,
+                   "raw_other_winner_seeds": [2, 4, 6, 8, 10]}

@@ -20,7 +20,11 @@ end-to-end metric on both sides, the pairs the change won, the raw
 (unscaled) repetition medians, the speed-probe means and every run.
 --claim METRIC is judged by the rule "the change is better on at least
 9 of 10 pairs (90% of them) and its median gain exceeds the parent's
-quartile distance".  The record also says whether
+quartile distance".  Next to that verdict the record states whether the
+raw repetition medians, judged by the same rule, agree with it, and
+which pairs they call for the other side: the scaled times depend on
+the speed probe, and one slow probe phase can flip a pair.  The record
+also says whether
 tools/identity_hashes.py prints the same lines on both sides.  Each
 invocation runs one workload; writing to a file that already holds the
 same parent and change keeps its other workloads.
@@ -102,6 +106,29 @@ def claim_verdict(summary):
     ok = summary["change_wins"] >= wins_needed and \
         summary["beyond_parent_iqr"]
     return "PASS" if ok else "FAIL"
+
+
+def raw_agreement(block, metric):
+    """Judge the raw repetition medians of a workload block (from
+    summarize()) by the claim rule, lower being better, as the claimed
+    metric is judged; say whether the two verdicts agree and list the
+    seeds of the pairs where the two pick different winners."""
+    runs = {(r["seed"], r["side"]): r for r in block["runs"]}
+    sign = 1.0 if block["metrics"][metric]["better"] == "lower" else -1.0
+    raw = {"parent": [], "change": []}
+    flipped = []
+    for seed in block["seeds"]:
+        p, c = runs[seed, "parent"], runs[seed, "change"]
+        raw["parent"].append(p["raw_repetition_median_s"])
+        raw["change"].append(c["raw_repetition_median_s"])
+        won = sign * (p["metrics"][metric] - c["metrics"][metric]) > 0
+        if won != (raw["parent"][-1] > raw["change"][-1]):
+            flipped.append(seed)
+    verdict = claim_verdict(block["metrics"][metric])
+    raw_verdict = claim_verdict(compare(raw["parent"], raw["change"],
+                                        "lower"))
+    return {"raw_verdict": raw_verdict, "raw_agrees": raw_verdict == verdict,
+            "raw_other_winner_seeds": flipped}
 
 
 def parse_run(text):
@@ -296,7 +323,8 @@ def main(argv=None):
                 "change_wins": summary["change_wins"],
                 "pairs": summary["pairs"],
                 "median_change_rel": summary["median_change_rel"],
-                "verdict": claim_verdict(summary)}
+                "verdict": claim_verdict(summary),
+                **raw_agreement(record["workloads"][wl], args.claim)}
         hashes = {s: _identity(trees[s]) for s in trees}
         record["identity_hashes"] = {
             "parent": hashes["parent"], "change": hashes["change"],
