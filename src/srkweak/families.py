@@ -39,7 +39,8 @@ discriminant formula; the other families reject sign_branch = -1.
 Each family is built by one function whose keyword parameters, after
 the family id and c1, are the family's free parameters with their
 defaults; a sign_branch keyword marks a sign choice.  make_family takes
-both from these signatures.
+both from these signatures, and refuses a member whose closed forms
+overflowed to a non-finite entry through that tableau's own record.
 
 In the ORD32_223A and ORD32_223C families the entry A0[3][2] is pinned
 to -1/3 and -1/(6 c6 c7) respectively; these are the unique values for
@@ -71,20 +72,18 @@ DEFAULT_C4 = math.sqrt(2.0)
 
 class UnknownFamilyError(Error):
     """An unknown family id was requested."""
-    pass
 
 
 class UnknownSchemeError(Error):
     """An unknown named scheme was requested."""
-    pass
 
 
 class FamilyParameterError(Error):
     """A parameter was supplied that the family does not leave free, a
     free parameter is not finite, or admissible values underflow to a zero
     denominator (c3^2 for c3 = 1e-200 in CASE_A) or overflow to an
-    entry that is not finite (c6 = c7 = 1e200 in CASE_221)."""
-    pass
+    entry that is not finite (c6 = c7 = 1e200 in CASE_221), which the
+    member's structural record shows."""
 
 
 class ConstraintViolation(Error):
@@ -155,16 +154,6 @@ def _require(fid, ok, constraint, detail, *values):
         raise ConstraintViolation(fid, constraint, detail % values)
 
 
-def _tableau(s, **entries):
-    """CoefficientTableau(s, **entries), each entry a list of floats or
-    of rows; an entry that overflowed to inf or NaN through * or /
-    raises OverflowError, as an overflow through ** does."""
-    rows = [v if isinstance(v[0], list) else [v] for v in entries.values()]
-    if not all(math.isfinite(x) for m in rows for row in m for x in row):
-        raise OverflowError
-    return CoefficientTableau(s=s, **entries)
-
-
 def _ord11(fid, c1):
     return CoefficientTableau(
         s=1, alpha=[1.0], beta1=[c1], beta2=[0.0], beta3=[0.0], beta4=[0.0],
@@ -176,7 +165,7 @@ def _ord21(fid, c1, c2=0.0, c3=0.0, c4=0.0, c5=0.0, c6=0.0, c7=0.0, c8=0.0,
     _require(fid, c2 != 0.0, "c2 != 0", "c2 = %r", c2)
     _require(fid, c4 * c10 == 0.0, "c4 c10 = 0", "c4 = %r, c10 = %r", c4, c10)
     _require(fid, c6 * c11 == 0.0, "c6 c11 = 0", "c6 = %r, c11 = %r", c6, c11)
-    return _tableau(
+    return CoefficientTableau(
         s=2,
         alpha=[1.0 - 1.0 / (2.0 * c2), 1.0 / (2.0 * c2)],
         beta1=[c1 - c4, c4], beta2=[c5, -c5], beta3=[c6, -c6],
@@ -196,7 +185,7 @@ def _stage3(fid, c1, alpha, a0, b0, c3, c4, c2=0.0, c5=0.0):
     def lower(x21, x31, x32=0.0):
         return [[0.0, 0.0, 0.0], [x21, 0.0, 0.0], [x31, x32, 0.0]]
 
-    return _tableau(
+    return CoefficientTableau(
         s=3, alpha=alpha,
         beta1=[c1 - c1 / (2.0 * c3 ** 2),
                c1 / (4.0 * c3 ** 2), c1 / (4.0 * c3 ** 2)],
@@ -395,7 +384,8 @@ def make_family(params):
       FamilyParameterError: if a non-free parameter was supplied (as
         sign_branch = -1 is to a family without a sign choice), a free
         one is not finite, or admissible values underflow or overflow in
-        the closed forms
+        the closed forms (an overflow through * or / is read from the
+        member's structural record)
       ConstraintViolation: if a free parameter value is inadmissible
     """
     fid = params.family
@@ -422,12 +412,15 @@ def make_family(params):
             raise FamilyParameterError(
                 "parameter %s must be finite, got %r" % (key, value))
     try:
-        return _FAMILIES[fid](fid, float(c1), **{
+        tab = _FAMILIES[fid](fid, float(c1), **{
             key: float(value) for key, value in supplied.items()})
     except (ZeroDivisionError, OverflowError):
+        tab = None  # through / by an underflowed 0, or through **
+    if tab is None or tab._violations:  # through * or /, to inf or NaN
         given = ", ".join("%s = %r" % item for item in supplied.items())
         raise FamilyParameterError("family %s: the closed forms underflow or "
-                                   "overflow for %s" % (fid, given)) from None
+                                   "overflow for %s" % (fid, given))
+    return tab
 
 
 def named_scheme(name):

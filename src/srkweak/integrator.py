@@ -35,10 +35,10 @@ Which values a step evaluates is decided once per tableau for m = 1
 and once for every m >= 2, since it depends on m only through whether
 the mixed values exist: usage_plan() derives the need flags of a
 StepPlan from the coefficients and keeps the plan on the tableau, so
-it lives exactly as long as the tableau.  A tableau is validated
-before its first plan is compiled, and one with structural violations
-is refused with TableauValueError instead of being stepped.  The step
-reads the coefficients from the tableau itself, skipping zero entries.
+it lives exactly as long as the tableau.  A tableau that recorded a
+structural violation when it was built is refused with
+TableauValueError instead of being stepped.  The step reads the
+coefficients from the tableau itself, skipping zero entries.
 evaluation_cost() reads the same plan to report the per-step
 evaluation and random-variable counts, and the stepper is
 instrumentable to match them exactly.
@@ -238,22 +238,20 @@ def usage_plan(tab, m):
     """Return the step plan of a tableau for m Wiener components.
 
     Each tableau keeps its own plans: one for m = 1 and one shared by
-    every m >= 2, since _compile reads m only through m >= 2.  The
-    first plan of a tableau is compiled only if validate() finds no
-    violation, so a tableau is checked once and a defective one is
-    never stepped.
+    every m >= 2, since _compile reads m only through m >= 2.  A plan
+    is compiled only if the tableau recorded no structural violation
+    when it was built: a defective one is never stepped, and none is
+    checked again.
 
     Raises:
       ValueError: if m is not an integer >= 1
       TableauValueError: if the tableau has structural violations
     """
     _check_int("m", m, 1, ValueError)
-    plans = tab._plans
-    plan = plans.get(m >= 2)
+    plan = tab._plans.get(m >= 2)
     if plan is None:
-        if not plans:
-            _require_valid(tab, "step")
-        plan = plans.setdefault(m >= 2, _compile(tab, m))
+        _require_valid(tab, "step")
+        plan = tab._plans.setdefault(m >= 2, _compile(tab, m))
     return plan
 
 

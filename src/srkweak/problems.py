@@ -87,9 +87,13 @@ def problem_nonlinear():
         out += diffusion_column(t, y, 0)
         return out
 
-    def f(y):
+    def f(y):  # ((z - 6) z + 8) z, formed in place in one new array
         z = np.arcsinh(y[..., 0])
-        return ((z - 6.0) * z + 8.0) * z
+        out = z - 6.0
+        out *= z
+        out += 8.0
+        out *= z
+        return out
 
     def exact(t):
         return ((t - 3.0) * t + 2.0) * t

@@ -15,10 +15,11 @@ stage i may only reference stages j < i.
 Tableaux are immutable plain data.  Construction normalises all entries
 to read-only float arrays and recomputes the node vectors from the
 stage matrices, so stored nodes can never disagree with the matrices.
-Structural defects (explicitness, non-finite entries) are reported by
-validate() as a list of descriptors instead of being raised, so that a
-defective tableau can still be inspected; serialize() and the stepping
-engine refuse one.
+It also records the structural defects (explicitness, non-finite
+entries), in one pass that cannot go stale as the arrays are read-only.
+validate() reports them instead of raising, so that a defective tableau
+can still be inspected; serialize(), the stepping engine and
+make_family refuse one by that record.
 """
 
 from __future__ import annotations
@@ -92,9 +93,9 @@ class CoefficientTableau:
 
     Construction only rejects what cannot be represented at all (wrong
     shapes or entries that are not numbers, a stage count outside
-    1..MAX_STAGES, a name that is not a string).  Everything else,
-    including non-finite entries and explicitness defects, is left to
-    validate().
+    1..MAX_STAGES, a name that is not a string).  Non-finite entries
+    and explicitness defects are recorded once, for validate(); a node
+    sum that overflows or meets +inf and -inf does not warn.
     """
 
     s: int
@@ -116,6 +117,8 @@ class CoefficientTableau:
     # step plans by m >= 2, filled by integrator.usage_plan; a copy
     # starts with none of its own
     _plans: dict = field(init=False, repr=False, default_factory=dict)
+    # the Violations of validate(), found once by _structure
+    _violations: tuple = field(init=False, repr=False, default=())
 
     def __post_init__(self):
         _check_int("stage count s", self.s, 1, TableauShapeError)
@@ -130,10 +133,12 @@ class CoefficientTableau:
         if self.name is not None and not isinstance(self.name, str):
             raise TableauShapeError("name must be a string or None")
         e = np.ones(s)
-        for node, matrix in (("c0", self.A0), ("c1v", self.A1), ("c2v", self.A2)):
-            c = matrix @ e  # shape (s,)
-            c.setflags(write=False)
-            object.__setattr__(self, node, c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for node, key in zip(("c0", "c1v", "c2v"), ("A0", "A1", "A2")):
+                c = getattr(self, key) @ e  # shape (s,)
+                c.setflags(write=False)
+                object.__setattr__(self, node, c)
+        object.__setattr__(self, "_violations", _structure(self))
 
     def __eq__(self, other):
         if not isinstance(other, CoefficientTableau):
@@ -179,45 +184,49 @@ class OrderClaim:
         return "(%d, %d)" % (self.p_det, self.p_stoch)
 
 
+def _structure(t):
+    """validate()'s Violations of t, as a tuple: one plain pass over the
+    entries as floats (x - x is 0.0 only for a finite x) that formats a
+    detail only for a violating entry; j is 0 in a vector."""
+    out = []
+    for key in _VECTOR_KEYS + _MATRIX_KEYS:
+        matrix = key in _MATRIX_KEYS
+        for i, row in enumerate(getattr(t, key).tolist(), 1):
+            for j, x in enumerate(row, 1) if matrix else [(0, row)]:
+                if x - x:
+                    kind, note = "non-finite", ""
+                elif x and j >= i:
+                    kind, note = "explicitness", " must be 0 in an explicit " \
+                        "scheme"
+                else:
+                    continue
+                out.append(Violation(kind, key, i, j, "%s[%d]%s = %r%s" % (
+                    key, i, "[%d]" % j if matrix else "", x, note)))
+    return tuple(out)
+
+
 def validate(t):
-    """Check the structural invariants of a tableau.
+    """Report the structural invariants that a tableau violates.
 
     Verified invariants:
       * every entry of every array is finite,
       * all six stage matrices are strictly lower triangular.
+    The tableau recorded its violations when it was built; its arrays
+    are read-only, so the record cannot go stale, and this copies it.
 
     Args:
       t: CoefficientTableau
 
     Returns:
-      list of Violation, empty iff the tableau is structurally valid;
-      vectors come before matrices, each array in row-major order
+      a new list of Violation, empty iff the tableau is structurally
+      valid; vectors come before matrices, each array in row-major order
     """
-    out = []
-    on_or_above = ~np.tri(t.s, k=-1, dtype=bool)
-    for key in _VECTOR_KEYS + _MATRIX_KEYS:
-        arr = getattr(t, key)
-        bad = ~np.isfinite(arr)
-        if arr.ndim == 2:
-            bad |= on_or_above & (arr != 0.0)
-        if not bad.any():
-            continue
-        for index in np.argwhere(bad).tolist():
-            pos = [n + 1 for n in index]  # 1-based
-            value = float(arr[tuple(index)])
-            detail = key + "".join("[%d]" % n for n in pos) + " = %r" % value
-            i, j = pos if arr.ndim == 2 else (pos[0], 0)
-            if _is_finite(value):
-                out.append(Violation("explicitness", key, i, j, detail
-                                     + " must be 0 in an explicit scheme"))
-            else:
-                out.append(Violation("non-finite", key, i, j, detail))
-    return out
+    return list(t._violations)
 
 
 def _require_valid(t, action):
     """Raise TableauValueError naming the first violation of t, if any."""
-    violations = validate(t)
+    violations = t._violations
     if violations:
         raise TableauValueError(
             "refusing to %s a tableau with %d structural violation(s); "

@@ -1,4 +1,4 @@
-"""Tier-1 byte-identity gate: three of the five hashes that
+"""Tier-1 byte-identity gate: four of the six hashes that
 tools/identity_hashes.py prints, pinned.
 
 The hash recipes are imported from that script, not copied, so the
@@ -49,3 +49,9 @@ def test_criterion_9_csvs_are_byte_identical():
         "bit of arcsinh, which f of nonlinear16 uses, may differ: compare "
         "python tools/identity_hashes.py on the parent tree before "
         "blaming the change." % (got, np.__version__, PINNED_NUMPY))
+
+
+def test_cli_exit_codes_and_text_are_byte_identical():
+    # exit code, stdout and stderr of check, cost, enumerate and three
+    # refusals: an invalid --file and two family members
+    assert identity_hashes.cli_hash() == "ab4c39b35a964eca"

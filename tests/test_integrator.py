@@ -10,16 +10,18 @@ import numpy as np
 import pytest
 
 from family_sampling import draw_member
-from srkweak import integrator
+from srkweak import integrator, tableau
 from srkweak.conditions import evaluate_all
-from srkweak.families import FAMILY_IDS, NAMED_SCHEMES, named_scheme
+from srkweak.families import (FAMILY_IDS, NAMED_SCHEMES, FamilyParams,
+                              make_family, named_scheme)
 from srkweak.increments import (CountingStream, WeakIncrementBatch, draw,
                                 substream, support_batch)
 from srkweak.integrator import (EvaluationCost, SdeProblem, StepContext,
                                 evaluation_cost, exact_one_step_expectation,
                                 srk_step, terminal_values, usage_plan)
 from srkweak.problems import problem_2d, problem_linear, problem_nonlinear
-from srkweak.tableau import CoefficientTableau, TableauValueError, validate
+from srkweak.tableau import (CoefficientTableau, TableauValueError, serialize,
+                             validate)
 
 KEYS = ("alpha", "beta1", "beta2", "beta3", "beta4",
         "A0", "A1", "A2", "B0", "B1", "B2")
@@ -467,16 +469,22 @@ def test_invalid_tableau_is_refused(key, index, value, first):
 
 
 def test_tableau_is_validated_once(monkeypatch):
+    # the structural pass runs once per built tableau, in its
+    # construction; costs, runs, plans and serialize read its record
     checked = []
-    require_valid = integrator._require_valid
-    monkeypatch.setattr(integrator, "_require_valid",
-                        lambda tab, action: checked.append(tab)
-                        or require_valid(tab, action))
-    tab = draw_member("ORD32_212", np.random.default_rng(5))
+    structure = tableau._structure
+    monkeypatch.setattr(tableau, "_structure",
+                        lambda tab: checked.append(tab) or structure(tab))
+    tab = make_family(FamilyParams("ORD32_212", c2=0.5, c5=0.25, c6=4.0))
+    assert len(checked) == 1 and checked[0] is tab
     for m in (1, 2, 3, 1):
         evaluation_cost(tab, m)
         terminal_values(tab, _mixing_problem(m), 2, 3, substream(m))
-    assert checked == [tab]
+        usage_plan(tab, m)
+        serialize(tab)
+    assert len(checked) == 1
+    copy = tab.with_name("copy")
+    assert len(checked) == 2 and checked[1] is copy
 
 
 def _one_step_weak_error(tab, prob, h):

@@ -6,6 +6,7 @@ import pytest
 
 from family_sampling import draw_member
 from srkweak.families import FAMILY_IDS, NAMED_SCHEMES, named_scheme
+from srkweak.integrator import usage_plan
 from srkweak.tableau import (_MATRIX_KEYS, _VECTOR_KEYS, CoefficientTableau,
                              TableauFormatError, TableauShapeError,
                              TableauValueError, deserialize, serialize,
@@ -186,6 +187,41 @@ def test_validate_matches_entrywise_reference():
             t = CoefficientTableau(**fields)
         got = [(v.kind, v.array, v.i, v.j, v.detail) for v in validate(t)]
         assert got == _validate_by_loops(t)
+
+
+def test_validate_returns_a_fresh_copy_of_the_record():
+    t = CoefficientTableau(**_fields(2, beta3=[np.nan, 0.0],
+                                     A0=[[0.0, 1.0], [0.0, 0.0]]))
+    first = validate(t)
+    want = list(first)
+    assert [(v.kind, v.array, v.i, v.j) for v in want] == [
+        ("non-finite", "beta3", 1, 0), ("explicitness", "A0", 1, 2)]
+    first.clear()
+    again = validate(t)
+    assert again == want and again is not first
+    again.append(again[0])
+    assert validate(t) == want
+    with pytest.raises(TableauValueError, match="with 2 structural"):
+        serialize(t)
+    assert validate(t.with_name("copy")) == want
+
+
+def test_opposite_infinities_in_one_row_build_without_a_warning():
+    # row 3 of A0 sums inf + -inf to a NaN node, and row 2 of A1
+    # overflows to an infinite one; warnings are errors in this suite
+    t = CoefficientTableau(**_fields(
+        3, A0=[[0.0] * 3, [0.0] * 3, [np.inf, -np.inf, 0.0]],
+        A1=[[0.0] * 3, [1e308, 0.0, 0.0], [1e308, 1e308, 0.0]]))
+    assert np.isnan(t.c0[2]) and t.c1v[2] == np.inf
+    assert [v.detail for v in validate(t)] == ["A0[3][1] = inf",
+                                               "A0[3][2] = -inf"]
+    for call, action in ((lambda: usage_plan(t, 1), "step"),
+                         (lambda: serialize(t), "serialize")):
+        with pytest.raises(TableauValueError) as exc:
+            call()
+        assert str(exc.value) == (
+            "refusing to %s a tableau with 2 structural violation(s); "
+            "first: A0[3][1] = inf" % action)
 
 
 @pytest.mark.parametrize("name", NAMED_SCHEMES)

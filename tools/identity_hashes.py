@@ -1,4 +1,4 @@
-"""Print the five byte-identity hashes of srkweak's outputs.
+"""Print the six byte-identity hashes of srkweak's outputs.
 
 A change that must not move any output bit is checked by running this
 script on both trees and comparing the lines:
@@ -22,7 +22,12 @@ Each hash is the first 16 hex digits of the sha256 of:
   members       the serialized JSON of 20 random members of each of
                 the 14 families, in FAMILY_IDS order, drawn by
                 tests/family_sampling.py's draw_member from one
-                np.random.default_rng(2024).
+                np.random.default_rng(2024);
+  cli           the exit code, stdout and stderr of each of CLI_CALLS:
+                check --csv and cost --m 1, 2, 3 for the six named
+                schemes, enumerate --m 1, 2, 3 at h = 0.3, check --file
+                on a document that is not explicit (its temporary path
+                written as <file>), and two refused family members.
 
 The package is imported from the src/ directory next to this script,
 and draw_member from the tests/ directory, so each checkout hashes its
@@ -32,6 +37,7 @@ own code.
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -42,7 +48,8 @@ sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "tests")]
 import numpy as np  # noqa: E402
 from family_sampling import draw_member  # noqa: E402
 from srkweak.cli import main  # noqa: E402
-from srkweak.families import FAMILY_IDS  # noqa: E402
+from srkweak.families import (FAMILY_IDS, NAMED_SCHEMES,  # noqa: E402
+                              named_scheme)
 from srkweak.tableau import serialize  # noqa: E402
 
 STUDIES = (
@@ -57,17 +64,33 @@ STUDIES = (
                     "--threads", "2", "--seed", "7"]),
 )
 
+# "<file>" stands for a document that is not explicit: RDI2WM with
+# A0[1][3] = 5.0 and B1[2][2] = -1.0
+CLI_CALLS = tuple(
+    [["check", "--scheme", name, "--csv"] for name in NAMED_SCHEMES]
+    + [["cost", "--scheme", name, "--m", m] for name in NAMED_SCHEMES
+       for m in ("1", "2", "3")]
+    + [["enumerate", "--m", m, "--h", "0.3"] for m in ("1", "2", "3")]
+    + [["check", "--file", "<file>"],
+       ["family", "case-221", "--c6", "1e200", "--c7", "1e200"],
+       ["family", "ord21", "--c2", "0"]])
+
+
+def _capture(argv):
+    """Run the CLI in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
 
 def _run(argv, codes=(0,)):
     """Run the CLI in this process and return its stdout; stderr is
     dropped, and an exit code outside codes stops the script."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+    code, out, _ = _capture(argv)
     if code not in codes:
         raise SystemExit("srkweak %s exited %d" % (" ".join(argv), code))
-    return out.getvalue()
+    return out
 
 
 def _digest(data):
@@ -95,11 +118,27 @@ def members_hash():
     return _digest(text.encode("utf-8"))
 
 
+def cli_hash():
+    doc = json.loads(serialize(named_scheme("RDI2WM")))
+    doc["A0"][0][2], doc["B1"][1][1] = 5.0, -1.0
+    blocks = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "not-explicit.json")
+        Path(path).write_text(json.dumps(doc), encoding="utf-8")
+        for argv in CLI_CALLS:
+            code, out, err = _capture([path if a == "<file>" else a
+                                       for a in argv])
+            blocks.append("[exit %d]\n%s[stderr]\n%s" % (
+                code, out, err.replace(path, "<file>")))
+    return _digest("".join(blocks).encode("utf-8"))
+
+
 def print_hashes():
     for name, args in STUDIES:
         print("%-12s %s" % (name, study_hash(args)), flush=True)
     print("%-12s %s" % ("families", families_hash()))
     print("%-12s %s" % ("members", members_hash()))
+    print("%-12s %s" % ("cli", cli_hash()))
 
 
 if __name__ == "__main__":

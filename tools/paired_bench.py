@@ -24,10 +24,11 @@ quartile distance".  Next to that verdict the record states whether the
 raw repetition medians, judged by the same rule, agree with it, and
 which pairs they call for the other side: the scaled times depend on
 the speed probe, and one slow probe phase can flip a pair.  The record
-also says whether
-tools/identity_hashes.py prints the same lines on both sides.  Each
-invocation runs one workload; writing to a file that already holds the
-same parent and change keeps its other workloads.
+also says whether every line that tools/identity_hashes.py prints on
+the parent side recurs on the change side (a hash recipe new in the
+change has no parent line).  Each invocation runs one workload;
+writing to a file that already holds the same parent and change keeps
+its other workloads.
 """
 
 import argparse
@@ -328,8 +329,9 @@ def main(argv=None):
         hashes = {s: _identity(trees[s]) for s in trees}
         record["identity_hashes"] = {
             "parent": hashes["parent"], "change": hashes["change"],
-            "equal": hashes["parent"] is not None
-            and hashes["parent"] == hashes["change"]}
+            # every parent line recurs; a recipe the parent lacks is new
+            "equal": None not in hashes.values()
+            and set(hashes["parent"]) <= set(hashes["change"])}
         save()
     return 0
 
