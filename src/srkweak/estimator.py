@@ -35,6 +35,18 @@ depend on the part size.  A part is one terminal_values call, not a
 slice inside its step loop, so each call still does evaluation_cost
 times steps callback calls.
 
+A step allocates its temporaries afresh, 200-460 KB each in the
+benchmark studies.  Under glibc's dynamic malloc thresholds these sit on the heap
+and glibc returns the heap top to the kernel whenever about twice that
+much is free, so each step faults its arrays back in.  `srkweak study`
+therefore fixes the mmap threshold at 32 and the trim threshold at 64
+times a full part's 256 KiB state array (8 and 16 MiB; see the cli
+docstring).  That is glibc-only and process-wide, and it keeps at most
+16 MiB of freed heap per malloc arena.  The functions here leave the
+allocator of their host process alone: a program that calls them can
+make the same two mallopt calls itself, or set MALLOC_MMAP_THRESHOLD_
+and MALLOC_TRIM_THRESHOLD_ in its environment.
+
 Schemes are compared through the fitted order, the least-squares
 slope of log2 |mu_hat| against log2 h.
 """

@@ -66,10 +66,13 @@ of the output: it is the order every earlier version of the step
 used, and a frozen copy in the tests checks it bit for bit.  A nested
 sum is formed only when the outer sum reaches it, and each product
 is left unnamed, so that a step holds no array longer than the order
-needs (an array held longer costs page faults, most with worker
-threads).  Once a sum is an array _lincomb made, each later term of
-the same shape is added into it in place: the same additions, one
-allocation fewer.  A weight of exactly 1.0 (EM's beta1, every
+needs (an array held longer raises the step's peak heap; each page
+the heap grows into again after glibc handed its top back to the
+kernel faults in afresh, most with worker threads, which is why
+`srkweak study` fixes glibc's trim threshold: see the cli docstring).
+Once a sum is an array _lincomb made, each later term of the same
+shape is added into it in place: the same additions, one allocation
+fewer.  A weight of exactly 1.0 (EM's beta1, every
 beta3/beta4 sum) adds v itself, as 1.0 * v == v bit for bit.  The
 weights Ihat_(k,k)/sqrt(h) and Ihat_(k,l)/sqrt(h) are slices of the
 new array WeakIncrementBatch.ihat_pair(), divided in place by sqrt(h):

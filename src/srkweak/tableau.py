@@ -16,7 +16,8 @@ Tableaux are immutable plain data.  Construction normalises all entries
 to read-only float arrays and recomputes the node vectors from the
 stage matrices, so stored nodes can never disagree with the matrices.
 It also records the structural defects (explicitness, non-finite
-entries), in one pass that cannot go stale as the arrays are read-only.
+entries, a node sum that overflows), in one pass that cannot go stale
+as the arrays are read-only.
 validate() reports them instead of raising, so that a defective tableau
 can still be inspected; serialize(), the stepping engine and
 make_family refuse one by that record.
@@ -93,9 +94,10 @@ class CoefficientTableau:
 
     Construction only rejects what cannot be represented at all (wrong
     shapes or entries that are not numbers, a stage count outside
-    1..MAX_STAGES, a name that is not a string).  Non-finite entries
-    and explicitness defects are recorded once, for validate(); a node
-    sum that overflows or meets +inf and -inf does not warn.
+    1..MAX_STAGES, a name that is not a string).  Non-finite entries,
+    explicitness defects and non-finite nodes are recorded once, for
+    validate(); a node sum that overflows or meets +inf and -inf does
+    not warn.
     """
 
     s: int
@@ -159,7 +161,8 @@ class Violation:
     """One structural defect found by validate().
 
     Indices are 1-based.  For vector defects the column index j is 0.
-    The array field names the offending block, e.g. "A0" or "beta3".
+    The array field names the offending block, e.g. "A0" or "beta3",
+    or the node vector "c0", "c1v" or "c2v" whose entry is not finite.
     """
 
     kind: str   # "explicitness" or "non-finite"
@@ -187,7 +190,9 @@ class OrderClaim:
 def _structure(t):
     """validate()'s Violations of t, as a tuple: one plain pass over the
     entries as floats (x - x is 0.0 only for a finite x) that formats a
-    detail only for a violating entry; j is 0 in a vector."""
+    detail only for a violating entry; j is 0 in a vector.  When every
+    entry passes, a node that is not finite, a row sum past the float
+    range, is recorded last."""
     out = []
     for key in _VECTOR_KEYS + _MATRIX_KEYS:
         matrix = key in _MATRIX_KEYS
@@ -202,6 +207,13 @@ def _structure(t):
                     continue
                 out.append(Violation(kind, key, i, j, "%s[%d]%s = %r%s" % (
                     key, i, "[%d]" % j if matrix else "", x, note)))
+    if not out:
+        for node, key in (("c0", "A0"), ("c1v", "A1"), ("c2v", "A2")):
+            for i, x in enumerate(getattr(t, node).tolist(), 1):
+                if x - x:
+                    out.append(Violation(
+                        "non-finite", node, i, 0, "%s[%d] = %r, the sum of "
+                        "row %d of %s" % (node, i, x, i, key)))
     return tuple(out)
 
 
@@ -210,7 +222,10 @@ def validate(t):
 
     Verified invariants:
       * every entry of every array is finite,
-      * all six stage matrices are strictly lower triangular.
+      * all six stage matrices are strictly lower triangular,
+      * the nodes c0, c1v and c2v are finite (checked only when every
+        entry passes, so a tableau refused for an entry keeps its
+        record as it was).
     The tableau recorded its violations when it was built; its arrays
     are read-only, so the record cannot go stale, and this copies it.
 
@@ -219,7 +234,8 @@ def validate(t):
 
     Returns:
       a new list of Violation, empty iff the tableau is structurally
-      valid; vectors come before matrices, each array in row-major order
+      valid; vectors come before matrices, each array in row-major order,
+      and the nodes come last
     """
     return list(t._violations)
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 
@@ -80,6 +81,22 @@ def test_check_rejects_invalid_tableau_file(tmp_path, capsys):
     assert err.splitlines()[0] == ("invalid tableau: A0[1][1] = 0.5 must be 0 "
                                    "in an explicit scheme")
     assert "is not a valid explicit tableau" in err
+
+
+def test_check_rejects_a_tableau_file_whose_node_overflows(tmp_path,
+                                                          capsys):
+    # every entry is finite, but row 3 of A0 sums to c0[3] = inf
+    doc = json.loads(serialize(named_scheme("RDI2WM")))
+    doc["A0"][2] = [1e308, 1e308, 0.0]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check", "--file", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "invalid tableau: c0[3] = inf, the sum of row 3 of A0",
+        "error: %s is not a valid explicit tableau" % path]
 
 
 def test_check_unreadable_file(tmp_path, capsys):
@@ -557,3 +574,48 @@ def test_closed_pipe_exits_quietly():
     proc.stderr.close()
     assert proc.wait() == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+_STUDY_FAULTS = """
+import contextlib, io, resource, sys
+from srkweak import cli
+argv = ["study", "--problem", "nonlinear16", "--schemes", "em,rdi4wm",
+        "--h", "0.5,0.25", "--M", "100000", "--batches", "4",
+        "--out-dir", sys.argv[1]]
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator policy is glibc's")
+def test_study_does_not_fault_its_step_arrays_back_in(tmp_path):
+    # with glibc's dynamic thresholds the second study took about
+    # 14,000 minor faults, as the heap top was trimmed and regrown on
+    # every step; with the fixed thresholds it takes a few dozen
+    proc = subprocess.run([sys.executable, "-c", _STUDY_FAULTS,
+                           str(tmp_path)], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1000
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["check", "--scheme", "RDI2WM"], 0),
+    (["family", "ord32-221c", "--lambda", "0.75", "--c8", "0.5"], 0),
+    (["cost", "--scheme", "rdi4wm", "--m", "2"], 0),
+    (["enumerate", "--m", "2", "--h", "0.25"], 0),
+    (["study", "--problem", "nonlinear16", "--schemes", "em",
+      "--h", "0.5,0.25", "--M", "40", "--batches", "2"], 1)])
+def test_only_study_sets_the_allocator_policy(argv, calls, tmp_path,
+                                              monkeypatch, capsys):
+    made = []
+    monkeypatch.setattr(cli, "_set_allocator_policy",
+                        lambda: made.append(True))
+    if argv[0] == "study":
+        argv = argv + ["--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert len(made) == calls

@@ -85,8 +85,9 @@ def _run_text(wall, walls, probes, setup=0.2, rss=60.0, correct=True):
 
 def test_run_record_reads_a_run():
     text = _run_text(3.0, [2.0, 2.5, 3.5], [0.03, 0.05, 0.04], setup=0.3)
-    rec = paired_bench.run_record(text, 7, "change")
+    rec = paired_bench.run_record(text, 7, "change", 1234)
     assert rec["seed"] == 7 and rec["side"] == "change" and rec["correct"]
+    assert rec["minor_faults"] == 1234
     assert rec["metrics"]["wall_s"] == 3.0
     assert rec["raw_repetition_median_s"] == 2.5
     assert math.isclose(rec["probe_scale"], 3.0 / (8.0 / 3.0))
@@ -94,7 +95,7 @@ def test_run_record_reads_a_run():
     assert rec["first_probe_s"] == 0.03
     assert math.isclose(rec["mean_probe_s"], 0.04)
     with pytest.raises(ValueError):
-        paired_bench.run_record("wall_s = 3.0 s\n", 7, "change")
+        paired_bench.run_record("wall_s = 3.0 s\n", 7, "change", 0)
 
 
 def test_summarize_pairs_runs_by_seed():
@@ -103,7 +104,8 @@ def test_summarize_pairs_runs_by_seed():
         for side, wall in (("parent", 3.0 + 0.01 * i),
                            ("change", 2.7 + 0.01 * i)):
             runs.append(paired_bench.run_record(
-                _run_text(wall, [wall, wall], [0.035, 0.035]), seed, side))
+                _run_text(wall, [wall, wall], [0.035, 0.035]), seed, side,
+                0))
     got = paired_bench.summarize(runs, BOUNDS)
     assert got["seeds"] == [11, 12, 13, 14] and got["all_runs_correct"]
     assert got["metrics"]["wall_s"]["change_wins"] == 4
@@ -116,6 +118,20 @@ def test_summarize_pairs_runs_by_seed():
         paired_bench.summarize(runs[:-1], BOUNDS)
 
 
+def test_summarize_gives_quartiles_of_the_minor_faults():
+    # the parent faulted its step arrays back in, the change did not
+    runs = []
+    for seed, faults in zip((1, 2, 3, 4, 5), (4, 1, 3, 5, 2)):
+        for side, count in (("parent", 1_000_000 * faults),
+                            ("change", 50_000 + faults)):
+            runs.append(paired_bench.run_record(
+                _run_text(3.0, [3.0, 3.0], [0.035, 0.035]), seed, side,
+                count))
+    got = paired_bench.summarize(runs, BOUNDS)["minor_faults"]
+    assert got == {"parent": {"q1": 2e6, "median": 3e6, "q3": 4e6},
+                   "change": {"q1": 50_002, "median": 50_003, "q3": 50_004}}
+
+
 def test_rounded_keeps_six_significant_digits():
     got = paired_bench._rounded({"a": [1.23456789, math.inf], "b": 3,
                                  "c": (2.0000004e-5,)})
@@ -125,7 +141,7 @@ def test_rounded_keeps_six_significant_digits():
 def _paired_block(pairs):
     """A summarize() block from (seed, side, wall_s, raw walls) runs."""
     runs = [paired_bench.run_record(_run_text(wall, walls, [0.04, 0.04]),
-                                    seed, side)
+                                    seed, side, 0)
             for seed, side, wall, walls in pairs]
     return paired_bench.summarize(runs, BOUNDS)
 

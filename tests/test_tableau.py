@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 
@@ -9,8 +10,8 @@ from srkweak.families import FAMILY_IDS, NAMED_SCHEMES, named_scheme
 from srkweak.integrator import usage_plan
 from srkweak.tableau import (_MATRIX_KEYS, _VECTOR_KEYS, CoefficientTableau,
                              TableauFormatError, TableauShapeError,
-                             TableauValueError, deserialize, serialize,
-                             validate)
+                             TableauValueError, Violation, deserialize,
+                             serialize, validate)
 
 
 def _fields(s, **over):
@@ -222,6 +223,38 @@ def test_opposite_infinities_in_one_row_build_without_a_warning():
         assert str(exc.value) == (
             "refusing to %s a tableau with 2 structural violation(s); "
             "first: A0[3][1] = inf" % action)
+
+
+def test_a_node_sum_that_overflows_is_recorded():
+    # finite entries whose row sum overflows: c0[3] = 1e308 + 1e308
+    A0 = named_scheme("RDI2WM").A0.copy()
+    A0[2] = [1e308, 1e308, 0.0]
+    t = dataclasses.replace(named_scheme("RDI2WM"), A0=A0)
+    assert t.c0[2] == np.inf
+    assert validate(t) == [Violation(
+        "non-finite", "c0", 3, 0, "c0[3] = inf, the sum of row 3 of A0")]
+    for call, action in ((lambda: usage_plan(t, 1), "step"),
+                         (lambda: serialize(t), "serialize")):
+        with pytest.raises(TableauValueError) as exc:
+            call()
+        assert str(exc.value) == (
+            "refusing to %s a tableau with 1 structural violation(s); "
+            "first: c0[3] = inf, the sum of row 3 of A0" % action)
+
+
+def test_nodes_are_checked_after_every_entry_passes():
+    # each of c1v and c2v, and one entry violation hides a node's
+    over = {"A1": [[0.0] * 3, [0.0] * 3, [-1e308, -1e308, 0.0]],
+            "A2": [[0.0] * 3, [1e308, 0.0, 0.0], [1e308, 1e308, 0.0]]}
+    t = CoefficientTableau(**_fields(3, **over))
+    assert [(v.array, v.i, v.detail) for v in validate(t)] == [
+        ("c1v", 3, "c1v[3] = -inf, the sum of row 3 of A1"),
+        ("c2v", 3, "c2v[3] = inf, the sum of row 3 of A2")]
+    B0 = np.zeros((3, 3))
+    B0[0, 0] = 0.5
+    t = CoefficientTableau(**_fields(3, B0=B0, **over))
+    assert [v.detail for v in validate(t)] == [
+        "B0[1][1] = 0.5 must be 0 in an explicit scheme"]
 
 
 @pytest.mark.parametrize("name", NAMED_SCHEMES)

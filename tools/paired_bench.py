@@ -17,7 +17,8 @@ noise floor that a claimed gain has to clear.
 
 The record follows BENCH_14.json: per workload the quartiles of every
 end-to-end metric on both sides, the pairs the change won, the raw
-(unscaled) repetition medians, the speed-probe means and every run.
+(unscaled) repetition medians, the speed-probe means, the minor page
+faults of each run and every run.
 --claim METRIC is judged by the rule "the change is better on at least
 9 of 10 pairs (90% of them) and its median gain exceeds the parent's
 quartile distance".  Next to that verdict the record states whether the
@@ -36,6 +37,7 @@ import io
 import json
 import math
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -64,6 +66,10 @@ NOTES = {
               "every scaled time",
     "quartiles": "statistics.quantiles(n=4, method='inclusive') over the "
                  "runs of a side",
+    "minor_faults": "the ru_minflt of RUSAGE_CHILDREN gained over one "
+                    "bench/run.py run: the run itself and every process it "
+                    "waited for, the 5 set-up interpreters that time "
+                    "setup_s included",
 }
 
 
@@ -148,8 +154,9 @@ def parse_run(text):
     return host, walls, last
 
 
-def run_record(text, seed, side):
-    """One run as stored in the record (end-to-end runs)."""
+def run_record(text, seed, side, minor_faults):
+    """One run as stored in the record (end-to-end runs); minor_faults
+    is what _bench counted for it."""
     host, walls, out = parse_run(text)
     metrics = {k: v["value"] for k, v in out["metrics"].items()}
     probes = host["noise_probe_s"]
@@ -161,7 +168,8 @@ def run_record(text, seed, side):
             "raw_repetition_median_s": statistics.median(walls),
             "setup_s_unscaled": metrics["setup_s"] / scale,
             "first_probe_s": probes[0],
-            "mean_probe_s": statistics.mean(probes)}
+            "mean_probe_s": statistics.mean(probes),
+            "minor_faults": minor_faults}
 
 
 def summarize(runs, bounds):
@@ -182,7 +190,7 @@ def summarize(runs, bounds):
            "all_runs_correct": all(r["correct"] for r in runs),
            "metrics": metrics}
     for key in ("raw_repetition_median_s", "mean_probe_s", "first_probe_s",
-                "setup_s_unscaled"):
+                "setup_s_unscaled", "minor_faults"):
         out[key] = {s: quartiles([r[key] for r in side[s]]) for s in side}
     raw = compare([r["raw_repetition_median_s"] for r in side["parent"]],
                   [r["raw_repetition_median_s"] for r in side["change"]],
@@ -218,15 +226,19 @@ def export(rev, dest):
 
 
 def _bench(tree, workload, seed, seconds, trace):
+    """Run bench/run.py once in tree; return its standard output and the
+    minor page faults of the run and of the processes it waited for."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", repr(seconds),
            "--trace", str(trace)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                          timeout=10 * seconds + 600)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     if out.returncode != 0:
         raise SystemExit("%s failed in %s:\n%s" % (" ".join(cmd), tree,
                                                     out.stderr))
-    return out.stdout
+    return out.stdout, faults
 
 
 def _identity(tree):
@@ -297,8 +309,8 @@ def main(argv=None):
         for i in range(args.pairs):
             seed = args.seed0 + i
             for side in order[i % 2]:
-                text = _bench(trees[side], wl, seed, args.seconds, 0)
-                runs.append(run_record(text, seed, side))
+                text, faults = _bench(trees[side], wl, seed, args.seconds, 0)
+                runs.append(run_record(text, seed, side, faults))
                 record.setdefault("host", {
                     k: v for k, v in parse_run(text)[0].items()
                     if k not in ("git_commit", "loadavg_start",
@@ -314,7 +326,7 @@ def main(argv=None):
                            "--seconds %g --trace 1" % (wl, seed, args.seconds)}
             for side in order[0]:
                 out = parse_run(_bench(trees[side], wl, seed, args.seconds,
-                                       1))[2]
+                                       1)[0])[2]
                 record["traced_runs"][side] = {
                     k: v["value"] for k, v in out["metrics"].items()}
         if args.claim is not None:
