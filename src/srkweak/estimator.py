@@ -12,9 +12,13 @@ batch means yields the variance estimate
     sigma2_mu = Var(batch means) / n_batches
 
 and a confidence interval mu_hat +/- t_{0.95, n_batches-1}
-sqrt(sigma2_mu).  Batches are independent by construction (each owns
-a dedicated counter-based stream), so results are identical for any
-thread count and any batch execution order.
+sqrt(sigma2_mu).  For up to 101 batches (df <= 100) the quantile is
+read from _T95, scipy 1.17.1's own stdtrit values frozen bit for bit,
+so such a study imports no scipy and its output does not depend on the
+installed scipy version; only more batches import scipy.special.
+Batches are independent by construction (each owns a dedicated
+counter-based stream), so results are identical for any thread count
+and any batch execution order.
 
 Every estimate runs its batches through one worker, which adds up
 weighted levels: a scheme is one level of weight 1, and EXEM, the
@@ -106,14 +110,60 @@ class FittedOrder:
     fitted_order: float
 
 
+#: scipy.special.stdtrit(df, 0.95) under scipy 1.17.1 for df = 1 ... 100,
+#: as float reprs.  Copied, not recomputed: stdtrit is a few ulp off the
+#: correctly rounded quantile for most df (7 ulp at df = 1), and the
+#: study outputs of every earlier version carry its bits.
+_T95 = (
+    6.313751514675037, 2.9199855803537242, 2.3533634348018233,
+    2.1318467863266495, 2.0150483733330233, 1.9431802805153042,
+    1.8945786050900062, 1.8595480375308973, 1.833112932656237,
+    1.8124611228116756, 1.7958848187040433, 1.782287555649319,
+    1.7709333959868725, 1.761310135774891, 1.753050355692572,
+    1.7458836762762495, 1.7396067260750725, 1.7340636066175388,
+    1.7291328115213682, 1.7247182429207866, 1.720742902811878,
+    1.7171443743802424, 1.713871527747048, 1.710882079909428,
+    1.7081407612518986, 1.7056179197592727, 1.7032884457221265,
+    1.7011309342659313, 1.6991270265334972, 1.697260886593957,
+    1.6955187825458649, 1.6938887483837102, 1.6923603090303438,
+    1.6909242551868546, 1.6895724577802655, 1.6882977141168156,
+    1.6870936195962631, 1.6859544601667371, 1.6848751217112248,
+    1.683851013335652, 1.682878002132708, 1.6819523574675337,
+    1.681070703202519, 1.6802299765721167, 1.6794273926523544,
+    1.678660413556865, 1.6779267216418607, 1.6772241961243388,
+    1.6765508926168535, 1.675905025163097, 1.67528495042491,
+    1.6746891537260253, 1.6741162367031004, 1.6735649063521605,
+    1.673033965289911, 1.6725223030755771, 1.6720288884609522,
+    1.6715527624548587, 1.6710930321038946, 1.6706488649046363,
+    1.6702194837737365, 1.6698041625120112, 1.6694022217068127,
+    1.6690130250240895, 1.6686359758475524, 1.6682705142276324,
+    1.6679161141074244, 1.667572280796708, 1.6672385486685526,
+    1.6669144790559562, 1.6665996583285334, 1.6662936961315349,
+    1.6659962237714312, 1.6657068927340233, 1.6654253733225628,
+    1.6651513534046944, 1.6648845372582053, 1.6646246445066148,
+    1.6643714091365505, 1.6641245785896672, 1.6638839129226004,
+    1.663649184029077, 1.6634201749188848, 1.663196679048909,
+    1.662978499701904, 1.6627654494090705, 1.6625573494128771,
+    1.6623540291668955, 1.6621553258697, 1.6619610840301615,
+    1.6617711550616947, 1.6615853969032335, 1.6614036736648987,
+    1.6612258552965113, 1.661051817277241, 1.6608814403248375,
+    1.6607146101230246, 1.660551217065733, 1.6603911560169906,
+    1.6602343260853392,
+)
+
+
 def _t_quantile_95(df):
     """The 0.95 quantile of Student's t distribution with df degrees of
-    freedom.
+    freedom, bit for bit scipy.special.stdtrit(df, 0.95).
 
-    scipy is imported here, at the first confidence interval, because
-    importing it takes more than half the start-up of srkweak and
-    nothing but a Monte Carlo estimate needs it.
+    For df <= 100 (up to 101 batches) the value comes from _T95, so it
+    does not depend on the installed scipy, which is not imported.
+    Past the table, scipy is imported here, at the first such interval:
+    importing scipy.special takes about 0.3 s and 24 MB, more than the
+    rest of srkweak.
     """
+    if df <= len(_T95):
+        return _T95[df - 1]
     from scipy.special import stdtrit
     return float(stdtrit(df, 0.95))
 

@@ -550,7 +550,18 @@ scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not scipy, scipy
 from srkweak.estimator import estimate
 from srkweak.problems import problem_linear
+import contextlib, io, tempfile
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 estimate("EM", problem_linear(), 0.5, 4, seed=0, batches=2)
+assert not loaded(), loaded()
+with tempfile.TemporaryDirectory() as out, \
+        contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["study", "--problem", "linear", "--schemes", "em",
+                     "--h", "0.5,0.25", "--M", "40",
+                     "--out-dir", out]) == 0
+assert not loaded(), loaded()
+estimate("EM", problem_linear(), 0.5, 102, seed=0, batches=102)
 assert "scipy.special" in sys.modules
 """
 

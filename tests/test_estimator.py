@@ -18,6 +18,9 @@ from srkweak.problems import NamedProblem, problem_2d, problem_linear
 from srkweak.tableau import (_MATRIX_KEYS, _VECTOR_KEYS, CoefficientTableau,
                              TableauValueError)
 
+#: the scipy whose stdtrit values estimator._T95 holds
+PINNED_SCIPY = "1.17.1"
+
 
 def test_deterministic_batches_collapse():
     # without noise every batch value is the same number, so the
@@ -262,7 +265,7 @@ def test_estimate_in_parts_equals_the_whole_batch(monkeypatch, scheme, chunk):
 def test_memory_does_not_grow_with_the_batch_size():
     # batches of 5e4 and 1e5 paths; stepped whole they peak at 22 and 45 MB
     prob = problem_2d()
-    estimate("RDI2WM", prob, 1.0, 200, 7, batches=2)  # imports scipy
+    estimate("RDI2WM", prob, 1.0, 200, 7, batches=2)  # warm-up
     peaks = []
     for M in (100_000, 200_000):
         tracemalloc.start()
@@ -348,6 +351,27 @@ def test_t_quantile_values():
     assert _t_quantile_95(3) == 2.3533634348018233
     assert _t_quantile_95(7) == 1.8945786050900062
     assert _t_quantile_95(19) == 1.7291328115213682
+
+
+def test_t_quantile_table_is_scipys():
+    # _T95 froze scipy's bits; under another scipy, stdtrit may differ
+    # from them by a few ulp, and the table is then the reference
+    import scipy
+    from scipy.special import stdtrit
+    exact = scipy.__version__ == PINNED_SCIPY
+    assert len(estimator._T95) == 100
+    for df in range(1, 101):
+        want = float(stdtrit(df, 0.95))
+        got = estimator._T95[df - 1]
+        ok = got == want if exact else math.isclose(got, want,
+                                                    rel_tol=1e-13)
+        assert ok, (
+            "t_0.95 for df = %d is %r in the table, which was copied "
+            "from scipy %s; scipy %s gives %r"
+            % (df, got, PINNED_SCIPY, scipy.__version__, want))
+        assert _t_quantile_95(df) == got
+    # past the table, the same scipy call
+    assert _t_quantile_95(101) == float(stdtrit(101, 0.95))
 
 
 def test_unnamed_tableau_labelled_custom():

@@ -1,4 +1,4 @@
-"""Tier-1 byte-identity gate: four of the six hashes that
+"""Tier-1 byte-identity gate: five of the seven hashes that
 tools/identity_hashes.py prints, pinned.
 
 The hash recipes are imported from that script, not copied, so the
@@ -55,3 +55,18 @@ def test_cli_exit_codes_and_text_are_byte_identical():
     # exit code, stdout and stderr of check, cost, enumerate and three
     # refusals: an invalid --file and two family members
     assert identity_hashes.cli_hash() == "ab4c39b35a964eca"
+
+
+def test_report_floats_are_bit_identical():
+    # every float of the criterion-9 reports and orders and of estimates
+    # in 2, 20 and 102 batches, as float.hex: a t quantile one ulp off,
+    # which the 6-digit CSVs hide, moves this hash
+    got = identity_hashes.reports_hash()
+    assert got == "6001a251893ce748", (
+        "the hash of the report floats is %s under numpy %s; it was "
+        "pinned under numpy %s.  Under that numpy a mismatch means an "
+        "output bit of an estimate moved.  Under another numpy the last "
+        "bit of arcsinh, which f of nonlinear16 uses, may differ, and "
+        "past 101 batches the t quantile is the installed scipy's: "
+        "compare python tools/identity_hashes.py on the parent tree "
+        "before blaming the change." % (got, np.__version__, PINNED_NUMPY))

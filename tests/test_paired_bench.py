@@ -139,10 +139,11 @@ def test_rounded_keeps_six_significant_digits():
 
 
 def _paired_block(pairs):
-    """A summarize() block from (seed, side, wall_s, raw walls) runs."""
-    runs = [paired_bench.run_record(_run_text(wall, walls, [0.04, 0.04]),
-                                    seed, side, 0)
-            for seed, side, wall, walls in pairs]
+    """A summarize() block from (seed, side, wall_s, raw walls[, setup_s,
+    peak_rss_mb]) runs."""
+    runs = [paired_bench.run_record(_run_text(wall, walls, [0.04, 0.04],
+                                              *rest), seed, side, 0)
+            for seed, side, wall, walls, *rest in pairs]
     return paired_bench.summarize(runs, BOUNDS)
 
 
@@ -175,5 +176,40 @@ def test_raw_agreement_when_the_raw_medians_do_not_back_the_claim():
     block = _paired_block(pairs)
     assert paired_bench.claim_verdict(block["metrics"]["wall_s"]) == "PASS"
     got = paired_bench.raw_agreement(block, "wall_s")
+    assert got == {"raw_verdict": "FAIL", "raw_agrees": False,
+                   "raw_other_winner_seeds": [2, 4, 6, 8, 10]}
+
+
+@pytest.mark.parametrize("parent_faster", [
+    lambda i: True, lambda i: i % 2 == 0], ids=["every", "alternate"])
+def test_raw_agreement_takes_peak_rss_as_its_own_raw_value(parent_faster):
+    # RSS is never probe-scaled, so the repetition walls, whichever side
+    # they favour, neither back nor contradict an RSS claim
+    pairs = []
+    for i, seed in enumerate(range(1, 11)):
+        raw = 3.0 + (0.1 if parent_faster(i) else -0.1)
+        pairs += [(seed, "parent", 3.0, [3.0] * 3, 0.2, 61.2 + 0.01 * i),
+                  (seed, "change", raw, [raw] * 3, 0.2, 44.6 + 0.01 * i)]
+    block = _paired_block(pairs)
+    assert paired_bench.claim_verdict(
+        block["metrics"]["peak_rss_mb"]) == "PASS"
+    got = paired_bench.raw_agreement(block, "peak_rss_mb")
+    assert got == {"raw_verdict": "PASS", "raw_agrees": True,
+                   "raw_other_winner_seeds": []}
+
+
+def test_raw_agreement_judges_setup_by_its_unscaled_times():
+    # the change's probe read fast (scale 0.8), so its scaled setup_s wins
+    # every pair, but as measured it was slower in seeds 2, 4, ..., 10; the
+    # raw repetition medians favour the change throughout
+    pairs = []
+    for i, seed in enumerate(range(1, 11)):
+        setup = 0.2 * (0.82 if i % 2 else 0.78) * (1.0 - 0.001 * i)
+        pairs += [(seed, "parent", 3.0, [3.0] * 3, 0.2),
+                  (seed, "change", 2.32, [2.9] * 3, setup)]
+    block = _paired_block(pairs)
+    assert block["metrics"]["setup_s"]["change_wins"] == 10
+    assert paired_bench.claim_verdict(block["metrics"]["setup_s"]) == "PASS"
+    got = paired_bench.raw_agreement(block, "setup_s")
     assert got == {"raw_verdict": "FAIL", "raw_agrees": False,
                    "raw_other_winner_seeds": [2, 4, 6, 8, 10]}

@@ -208,7 +208,7 @@ def test_validate_returns_a_fresh_copy_of_the_record():
 
 
 def test_opposite_infinities_in_one_row_build_without_a_warning():
-    # row 3 of A0 sums inf + -inf to a NaN node, and row 2 of A1
+    # row 3 of A0 sums inf + -inf to a NaN node, and row 3 of A1
     # overflows to an infinite one; warnings are errors in this suite
     t = CoefficientTableau(**_fields(
         3, A0=[[0.0] * 3, [0.0] * 3, [np.inf, -np.inf, 0.0]],

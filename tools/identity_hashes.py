@@ -1,4 +1,4 @@
-"""Print the six byte-identity hashes of srkweak's outputs.
+"""Print the seven byte-identity hashes of srkweak's outputs.
 
 A change that must not move any output bit is checked by running this
 script on both trees and comparing the lines:
@@ -27,7 +27,15 @@ Each hash is the first 16 hex digits of the sha256 of:
                 check --csv and cost --m 1, 2, 3 for the six named
                 schemes, enumerate --m 1, 2, 3 at h = 0.3, check --file
                 on a document that is not explicit (its temporary path
-                written as <file>), and two refused family members.
+                written as <file>), and two refused family members;
+  reports       float.hex of every float field (every other field as
+                str) of the WeakErrorReports and FittedOrders of the
+                criterion-9 study, run through run_study, then of the
+                estimates in ESTIMATE_BATCHES: the CSVs keep 6
+                significant digits, this keeps every bit of u_Mh,
+                sigma2_mu and the interval, whose t quantile is read
+                from a table for up to 101 batches and from scipy past
+                it.
 
 The package is imported from the src/ directory next to this script,
 and draw_member from the tests/ directory, so each checkout hashes its
@@ -35,6 +43,7 @@ own code.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -48,8 +57,10 @@ sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "tests")]
 import numpy as np  # noqa: E402
 from family_sampling import draw_member  # noqa: E402
 from srkweak.cli import main  # noqa: E402
+from srkweak.estimator import estimate, run_study  # noqa: E402
 from srkweak.families import (FAMILY_IDS, NAMED_SCHEMES,  # noqa: E402
                               named_scheme)
+from srkweak.problems import problem_from_cli  # noqa: E402
 from srkweak.tableau import serialize  # noqa: E402
 
 STUDIES = (
@@ -133,12 +144,33 @@ def cli_hash():
     return _digest("".join(blocks).encode("utf-8"))
 
 
+#: batches of the reports recipe's RDI2WM estimates on nonlinear16 (h =
+#: 0.5, M = 204, seed 7): t quantiles for df = 1, 19 and 101, the last
+#: past the table of estimator._T95
+ESTIMATE_BATCHES = (2, 20, 102)
+
+
+def reports_hash():
+    prob = problem_from_cli("nonlinear16")
+    # the criterion-9 study of STUDIES
+    reports, orders = run_study(["em", "rdi2wm", "exem"], prob, [0.5, 0.25],
+                                400, 7, batches=8, threads=1)
+    reports += [estimate("rdi2wm", prob, 0.5, 204, 7, batches=batches)
+                for batches in ESTIMATE_BATCHES]
+    text = "".join(
+        " ".join(v.hex() if isinstance(v, float) else str(v)
+                 for v in dataclasses.astuple(row)) + "\n"
+        for row in reports + orders)
+    return _digest(text.encode("utf-8"))
+
+
 def print_hashes():
     for name, args in STUDIES:
         print("%-12s %s" % (name, study_hash(args)), flush=True)
     print("%-12s %s" % ("families", families_hash()))
     print("%-12s %s" % ("members", members_hash()))
     print("%-12s %s" % ("cli", cli_hash()))
+    print("%-12s %s" % ("reports", reports_hash()))
 
 
 if __name__ == "__main__":

@@ -22,12 +22,13 @@ faults of each run and every run.
 --claim METRIC is judged by the rule "the change is better on at least
 9 of 10 pairs (90% of them) and its median gain exceeds the parent's
 quartile distance".  Next to that verdict the record states whether the
-raw repetition medians, judged by the same rule, agree with it, and
-which pairs they call for the other side: the scaled times depend on
-the speed probe, and one slow probe phase can flip a pair.  The record
-also says whether every line that tools/identity_hashes.py prints on
-the parent side recurs on the change side (a hash recipe new in the
-change has no parent line).  Each invocation runs one workload;
+metric's unscaled values (the raw repetition medians for wall_s and
+work_per_s, setup_s_unscaled for setup_s; peak_rss_mb is never scaled),
+judged by the same rule, agree with it, and which pairs they call for
+the other side: the scaled times depend on the speed probe, and one
+slow probe phase can flip a pair.  The record also says whether every
+line that tools/identity_hashes.py prints on the parent side recurs on
+the change side (a hash recipe new in the change has no parent line).  Each invocation runs one workload;
 writing to a file that already holds the same parent and change keeps
 its other workloads.
 """
@@ -66,6 +67,10 @@ NOTES = {
               "every scaled time",
     "quartiles": "statistics.quantiles(n=4, method='inclusive') over the "
                  "runs of a side",
+    "raw_verdict": "the claim rule applied to the claimed metric's "
+                   "unscaled values: raw_repetition_median_s for wall_s "
+                   "and work_per_s, setup_s_unscaled for setup_s, and "
+                   "peak_rss_mb itself, which is never scaled",
     "minor_faults": "the ru_minflt of RUSAGE_CHILDREN gained over one "
                     "bench/run.py run: the run itself and every process it "
                     "waited for, the 5 set-up interpreters that time "
@@ -115,19 +120,30 @@ def claim_verdict(summary):
     return "PASS" if ok else "FAIL"
 
 
+def _raw_value(run, metric):
+    """The unscaled value of an end-to-end metric in one run, lower
+    being better: the raw repetition median for wall_s and work_per_s,
+    setup_s_unscaled for setup_s, and peak_rss_mb itself, which is not
+    probe-scaled."""
+    if metric == "peak_rss_mb":
+        return run["metrics"][metric]
+    return run["setup_s_unscaled" if metric == "setup_s"
+               else "raw_repetition_median_s"]
+
+
 def raw_agreement(block, metric):
-    """Judge the raw repetition medians of a workload block (from
-    summarize()) by the claim rule, lower being better, as the claimed
-    metric is judged; say whether the two verdicts agree and list the
-    seeds of the pairs where the two pick different winners."""
+    """Judge the unscaled values of a metric (_raw_value) in a workload
+    block (from summarize()) by the claim rule, as the metric itself is
+    judged; say whether the two verdicts agree and list the seeds of the
+    pairs where the two pick different winners."""
     runs = {(r["seed"], r["side"]): r for r in block["runs"]}
     sign = 1.0 if block["metrics"][metric]["better"] == "lower" else -1.0
     raw = {"parent": [], "change": []}
     flipped = []
     for seed in block["seeds"]:
         p, c = runs[seed, "parent"], runs[seed, "change"]
-        raw["parent"].append(p["raw_repetition_median_s"])
-        raw["change"].append(c["raw_repetition_median_s"])
+        raw["parent"].append(_raw_value(p, metric))
+        raw["change"].append(_raw_value(c, metric))
         won = sign * (p["metrics"][metric] - c["metrics"][metric]) > 0
         if won != (raw["parent"][-1] > raw["change"][-1]):
             flipped.append(seed)
