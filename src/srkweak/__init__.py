@@ -66,6 +66,7 @@ from .integrator import (
     evaluation_cost,
     srk_step,
     terminal_values,
+    exact_expectation,
     exact_one_step_expectation,
 )
 from .problems import (

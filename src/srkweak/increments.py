@@ -39,8 +39,8 @@ reached by one advance and at most 3 discarded doubles.  Parts of a
 batch can then be stepped one after another, each on its own copy of
 the batch stream, and give the same numbers as the whole batch.
 
-The joint support is finite, of size 3^m 2^(m(m-1)/2), so one-step
-expectations can be computed exactly by enumeration; support_batch()
+The joint support is finite, of size 3^m 2^(m(m-1)/2), so expectations
+after a few steps can be computed exactly by enumeration; support_batch()
 returns it as one stacked batch with its probabilities for m <= 4,
 built through the same uniform-to-increment mapping as draw().  The
 support is built once per (m, h) and kept in a small private cache;
@@ -208,6 +208,9 @@ def _check_m_h(m, h):
     if not (_is_finite(h) and h > 0.0):
         raise IncrementError("h must be a finite positive number, got %r"
                              % (h,))
+    if not math.isfinite(3.0 * float(h)):
+        raise IncrementError("h = %r is too large: the three-point value "
+                             "sqrt(3 h) is not finite" % (h,))
     return int(m), float(h)
 
 
@@ -280,8 +283,9 @@ def support_batch(m, h):
     Returns:
       (batch, probabilities): a WeakIncrementBatch with one leading
       axis of length 3^m 2^(m(m-1)/2), in Fortran order, and the
-      matching probability vector, which sums to 1 up to rounding;
-      both are shared by every call with the same m and h, and read-only
+      matching probability vector, which sums to 1 up to rounding
+      (1 - 1.1e-16 for m = 1, 2 and 3, exactly 1 for m = 4); both are
+      shared by every call with the same m and h, and read-only
     """
     m, h = _check_m_h(m, h)
     if m > MAX_ENUM_M:

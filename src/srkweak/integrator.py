@@ -110,6 +110,8 @@ from .increments import WeakIncrementBatch, draw, support_batch
 from .tableau import (_MATRIX_KEYS, _VECTOR_KEYS, _check_int, _is_finite,
                       _require_valid)
 
+_MAX_TREE_ELEMENTS = 1 << 20  # atoms times d on a support tree's last level
+
 
 @dataclass(frozen=True)
 class SdeProblem:
@@ -158,6 +160,9 @@ class SdeProblem:
         object.__setattr__(self, "t_end", float(self.t_end))
         if not self.t_end > self.t0:
             raise ValueError("t_end must exceed t0")
+        if not math.isfinite(self.t_end - self.t0):
+            raise ValueError("the interval [%r, %r] is too long: its length "
+                             "is not finite" % (self.t0, self.t_end))
 
 
 @dataclass(frozen=True)
@@ -456,27 +461,48 @@ def terminal_values(tab, prob, n_steps, n_paths, stream):
     return y, diverged
 
 
-def exact_one_step_expectation(tab, prob, f, h):
-    """Compute E f(Y) after one step exactly by support enumeration.
+def exact_expectation(tab, prob, f, h, n_steps):
+    """Compute E f(Y) after n_steps steps of size h from (t0, x0)
+    exactly, by expanding the finite support tree of the increment law.
 
-    The joint increment law has finite support, so the expectation is
-    a finite probability-weighted sum; all support points are advanced
-    in one vectorised step.
+    Each level is one vectorised step: every state is repeated once per
+    atom and the atoms are tiled over the states.  The weights multiply
+    support_batch's probabilities and sum to 1 only up to rounding, to
+    1 - 2.2e-16 after four levels at m = 2.  A last level of more than
+    2^20 state elements (atoms times d) is refused before any step runs.
 
     Args:
       tab: CoefficientTableau
-      prob: SdeProblem with m <= 4; the step starts from (t0, x0)
+      prob: SdeProblem with m <= 4
       f: functional mapping states (..., d) to values (...) or a scalar;
         any other shape raises ValueError
       h: step size, > 0
+      n_steps: number of steps, >= 1
 
     Returns:
       float, the exact expectation over the increment law
     """
+    _check_int("n_steps", n_steps, 1, ValueError)
     batch, probs = support_batch(prob.m, h)
-    states = np.broadcast_to(prob.x0, (len(probs), prob.d))
-    out = srk_step(tab, prob, StepContext(t=prob.t0, y=states,
-                                          increments=batch))
-    vals = _checked("f", f(out), out, probs.shape)
-    return float(probs @ vals if vals.shape == probs.shape
+    k = len(probs)
+    # k >= 3, so more than 20 steps always exceed the cap
+    if n_steps > 20 or k ** n_steps * prob.d > _MAX_TREE_ELEMENTS:
+        raise ValueError("%d steps have %d^%d support atoms, which times "
+                         "d = %d exceeds the cap of 2^20 state elements"
+                         % (n_steps, k, n_steps, prob.d))
+    y, weights, t = prob.x0[None, :], np.ones(1), prob.t0
+    for n in range(n_steps):
+        inc = WeakIncrementBatch(h, np.tile(batch.Ihat, (len(y), 1)),
+                                 np.tile(batch.signs, (len(y), 1)))
+        y = srk_step(tab, prob, StepContext(
+            t=t, y=np.repeat(y, k, axis=0), increments=inc))
+        t = prob.t0 + (n + 1) * h
+        weights = (weights[:, None] * probs).ravel()
+    vals = _checked("f", f(y), y, weights.shape)
+    return float(weights @ vals if vals.shape == weights.shape
                  else vals.item())  # a constant f is its own expectation
+
+
+def exact_one_step_expectation(tab, prob, f, h):
+    """E f(Y) after one step of size h: exact_expectation's n = 1."""
+    return exact_expectation(tab, prob, f, h, 1)

@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -297,6 +298,16 @@ def test_enumerate_component_cap(capsys):
     _, err = capsys.readouterr()
     assert code == 1
     assert "m <= 4" in err
+
+
+def test_enumerate_refuses_an_overflowing_h(capsys):
+    # sqrt(3 h) at h = 1e308 is inf, and the middle atom 0 * inf a NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["enumerate", "--m", "1", "--h", "1e308"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: h = 1e+308 ")
 
 
 def test_study_writes_reports_and_csvs(tmp_path, capsys):

@@ -12,9 +12,10 @@ from srkweak.estimator import (DEFAULT_BATCHES, ERRORS_HEADER, EXTRAPOLATED,
                                write_orders_csv)
 from srkweak.families import UnknownSchemeError, named_scheme
 from srkweak.increments import substream
-from srkweak.integrator import (SdeProblem, exact_one_step_expectation,
-                                terminal_values)
-from srkweak.problems import NamedProblem, problem_2d, problem_linear
+from srkweak.integrator import (SdeProblem, exact_expectation,
+                                exact_one_step_expectation, terminal_values)
+from srkweak.problems import (NamedProblem, problem_2d, problem_linear,
+                              problem_nonlinear)
 from srkweak.tableau import (_MATRIX_KEYS, _VECTOR_KEYS, CoefficientTableau,
                              TableauValueError)
 
@@ -59,6 +60,42 @@ def test_confidence_interval_coverage():
         if (lambda r: r.ci_a <= mu_true <= r.ci_b)(
             estimate("EM", prob, 0.25, 2000, seed)))
     assert 0.85 <= hits / 200.0 <= 0.95
+
+
+def _discrete_law_error(scheme, prob, h):
+    # the estimator's own levels: EXEM is 2 E_{h/2} - E_h of EM
+    n = int(round((prob.t_end - prob.t0) / h))
+    _, levels = estimator._resolve(scheme, prob.m)
+    exact = sum(weight * exact_expectation(tab, prob, prob.f, h / r, r * n)
+                for tab, r, weight in levels)
+    return exact - prob.exact_functional(prob.t_end)
+
+
+#: (scheme, problem, h) cells whose discrete-law weak error is exact
+UNBIASED_CELLS = [
+    ("EM", problem_nonlinear, 0.5),
+    ("RDI4WM", problem_nonlinear, 0.5),
+    (EXTRAPOLATED, problem_nonlinear, 0.5),
+    ("EM", problem_2d, 1.0),
+    ("RDI2WM", problem_2d, 1.0),
+]
+
+
+def test_estimates_cover_the_exact_weak_errors():
+    # next to criterion 6, not in its place: the estimator is unbiased
+    # for the discrete increment law, so its 90% interval covers the
+    # exact weak error of the support tree.  25 fixed intervals; if
+    # each covers with probability 0.9, 5 or fewer miss with
+    # probability 0.97
+    misses = []
+    for scheme, make, h in UNBIASED_CELLS:
+        prob = make()
+        want = _discrete_law_error(scheme, prob, h)
+        for seed in range(5):
+            rep = estimate(scheme, prob, h, 20000, seed)
+            if not rep.ci_a <= want <= rep.ci_b:
+                misses.append((scheme, prob.name, seed, rep.mu_hat, want))
+    assert len(misses) <= 5, misses
 
 
 def test_extrapolation_cancels_leading_bias():

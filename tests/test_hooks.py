@@ -3,8 +3,9 @@
 The tracer wraps integrator.draw, integrator.srk_step,
 estimator.terminal_values and conditions.evaluate_all in place, so the
 library must look each of them up through its module's globals at
-call time.  A library that imported them under another name would run
-untraced, and the per-layer metrics would silently read zero.
+call time, the support trees of the exact expectations included.  A
+library that imported them under another name would run untraced, and
+the per-layer metrics would silently read zero.
 """
 
 from collections import defaultdict
@@ -43,6 +44,15 @@ def test_library_calls_hooks_through_module_globals(monkeypatch, capsys):
     estimator.estimate("EM", prob, 0.25, 4, seed=0, batches=2)
     assert len(calls["terminal_values"]) == 2
     assert len(calls["srk_step"]) == 3 + 2 * 3
+
+    # every level of a support tree is one step through the hook
+    integrator.exact_one_step_expectation(named_scheme("EM"), prob, prob.f,
+                                          0.25)
+    assert len(calls["srk_step"]) == 9 + 1
+    integrator.exact_expectation(named_scheme("EM"), prob, prob.f, 0.25, 2)
+    assert len(calls["srk_step"]) == 10 + 2
+    for _, _, ctx in calls["srk_step"][9:]:
+        assert isinstance(ctx, StepContext)
 
     assert main(["check", "--scheme", "em"]) == 0
     capsys.readouterr()

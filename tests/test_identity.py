@@ -1,4 +1,4 @@
-"""Tier-1 byte-identity gate: five of the seven hashes that
+"""Tier-1 byte-identity gate: six of the eight hashes that
 tools/identity_hashes.py prints, pinned.
 
 The hash recipes are imported from that script, not copied, so the
@@ -70,3 +70,9 @@ def test_report_floats_are_bit_identical():
         "past 101 batches the t quantile is the installed scipy's: "
         "compare python tools/identity_hashes.py on the parent tree "
         "before blaming the change." % (got, np.__version__, PINNED_NUMPY))
+
+
+def test_exact_one_step_expectations_are_bit_identical():
+    # float.hex of the exact one-step expectation of the named schemes
+    # and 3 random members per family on linear p = 1, 2 and system18
+    assert identity_hashes.exact_hash() == "83a51646fc330300"

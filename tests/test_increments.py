@@ -239,13 +239,24 @@ def test_draw_frequencies():
 @pytest.mark.parametrize("m,h", [
     (0, 1.0), (-1, 1.0), (1.5, 1.0), (True, 1.0), ("2", 1.0),
     (1, 0.0), (1, -0.5), (1, float("nan")), (1, float("inf")), (1, "h"),
-    (1, True),
+    (1, True), (1, 1e308), (1, np.float64(1e308)),
 ])
 def test_invalid_arguments(m, h):
     with pytest.raises(IncrementError):
         draw(m, h, substream(0))
     with pytest.raises(IncrementError):
         support_batch(m, h)
+
+
+def test_largest_step_sizes():
+    # 3 h must be finite: past float max / 3 the values would be
+    # -inf, 0 * inf = nan and inf
+    root = math.sqrt(3.0 * 5e307)
+    assert support_batch(1, 5e307)[0].Ihat.tolist() == [[-root], [0.0],
+                                                         [root]]
+    with pytest.raises(IncrementError, match=r"^h = 1e\+308 is too large: "
+                       r"the three-point value sqrt\(3 h\) is not finite$"):
+        draw(1, 1e308, substream(0))
 
 
 @pytest.mark.parametrize("size", [5, np.int64(5), (5,), [5]])

@@ -14,11 +14,12 @@ from srkweak import integrator, tableau
 from srkweak.conditions import evaluate_all
 from srkweak.families import (FAMILY_IDS, NAMED_SCHEMES, FamilyParams,
                               make_family, named_scheme)
-from srkweak.increments import (CountingStream, WeakIncrementBatch, draw,
-                                substream, support_batch)
+from srkweak.increments import (CountingStream, draw, substream,
+                                support_batch)
 from srkweak.integrator import (EvaluationCost, SdeProblem, StepContext,
-                                evaluation_cost, exact_one_step_expectation,
-                                srk_step, terminal_values, usage_plan)
+                                evaluation_cost, exact_expectation,
+                                exact_one_step_expectation, srk_step,
+                                terminal_values, usage_plan)
 from srkweak.problems import problem_2d, problem_linear, problem_nonlinear
 from srkweak.tableau import (CoefficientTableau, TableauValueError, serialize,
                              validate)
@@ -73,10 +74,16 @@ def test_diffusion_time_nodes():
     got = exact_one_step_expectation(
         named_scheme("EM"), prob, lambda x: x[..., 0] ** 2, 0.25)
     assert abs(got - 1.04) < 1e-15
+    # over n steps the times are t0, t0 + h, ...: E x^2 adds t_j^2 h
+    got = exact_expectation(
+        named_scheme("EM"), prob, lambda x: x[..., 0] ** 2, 0.25, 3)
+    assert abs(got - (1.0 + 0.25 * (0.4 ** 2 + 0.65 ** 2 + 0.9 ** 2))) \
+        < 1e-15
 
 
 def test_em_exact_one_step_moments():
-    # dX = X dW: E(1 + Ihat)^p has closed moments
+    # dX = X dW: E(1 + Ihat)^p has closed moments, and n independent
+    # steps raise them to the n-th power
     prob = SdeProblem(
         d=1, m=1,
         drift=lambda t, y: np.zeros_like(y),
@@ -89,6 +96,10 @@ def test_em_exact_one_step_moments():
             got = exact_one_step_expectation(
                 em, prob, lambda x, p=p: x[..., 0] ** p, h)
             assert abs(got - want) < 1e-14 * max(1.0, want)
+            for n in (2, 5):
+                got = exact_expectation(
+                    em, prob, lambda x, p=p: x[..., 0] ** p, h, n)
+                assert abs(got - want ** n) < 1e-14 * want ** n
 
 
 COSTS = [
@@ -403,6 +414,8 @@ def test_increment_mismatch_rejected():
     (dict(t_end=True), "t0 and t_end must be finite"),
     (dict(t0="0"), "t0 and t_end must be finite"),
     (dict(t_end=None), "t0 and t_end must be finite"),
+    (dict(t0=-1e308, t_end=1e308), r"^the interval \[-1e\+308, 1e\+308\] "
+     r"is too long: its length is not finite$"),
 ])
 def test_problem_validation(kwargs, match):
     fields = dict(d=1, m=1,
@@ -507,28 +520,6 @@ def test_one_step_order_gap():
     assert 2.7 < slope_r2 < 3.3
 
 
-def _exact_weak_error(tab, prob, h):
-    """E f(Y_T) - E f(X_T) under the discrete increment law, exactly.
-
-    Expands the finite support tree through srk_step, one vectorised
-    step per level: every state is repeated once per support atom, the
-    atoms are tiled over the states and the probabilities multiply.
-    """
-    batch, probs = support_batch(prob.m, h)
-    n_steps = int(round((prob.t_end - prob.t0) / h))
-    y = prob.x0[None, :]
-    weights = np.ones(1)
-    for n in range(n_steps):
-        rows = len(weights)
-        y = np.repeat(y, len(probs), axis=0)
-        inc = WeakIncrementBatch(h=h, Ihat=np.tile(batch.Ihat, (rows, 1)),
-                                 signs=np.tile(batch.signs, (rows, 1)))
-        y = srk_step(tab, prob, StepContext(t=prob.t0 + n * h, y=y,
-                                            increments=inc))
-        weights = np.outer(weights, probs).ravel()
-    return float(weights @ prob.f(y)) - prob.exact_functional(prob.t_end)
-
-
 EXACT_WEAK_ERRORS = [
     # scheme, problem, h, atoms, error
     ("EM", problem_nonlinear, 0.5, 81, -0.8798797305892897),
@@ -546,8 +537,32 @@ def test_exact_weak_errors_regression():
         prob = make()
         steps = int(round((prob.t_end - prob.t0) / h))
         assert len(support_batch(prob.m, h)[1]) ** steps == atoms
-        got = _exact_weak_error(named_scheme(name), prob, h)
+        got = exact_expectation(named_scheme(name), prob, prob.f, h, steps) \
+            - prob.exact_functional(prob.t_end)
         assert abs(got - want) <= 1e-12 * abs(want), (name, h, got)
+
+
+def test_exact_expectation_refuses_a_tree_past_the_cap(monkeypatch):
+    # nonlinear16 at h = 1/8 has 3^16 atoms on its last level, 344 MB of
+    # states; it is refused before the first step
+    steps = []
+    monkeypatch.setattr(integrator, "srk_step",
+                        lambda *args: steps.append(args))
+    prob = problem_nonlinear()
+    with pytest.raises(ValueError, match=re.escape(
+            "16 steps have 3^16 support atoms, which times d = 1 exceeds "
+            "the cap of 2^20 state elements")):
+        exact_expectation(named_scheme("EM"), prob, prob.f, 0.125, 16)
+    with pytest.raises(ValueError, match=r"^400 steps have 3\^400"):
+        exact_expectation(named_scheme("EM"), prob, prob.f, 0.005, 400)
+    assert steps == []
+
+
+@pytest.mark.parametrize("n_steps", [0, -1, 1.5, True, None])
+def test_exact_expectation_refuses_a_bad_step_count(n_steps):
+    prob = problem_linear()
+    with pytest.raises(ValueError, match="n_steps"):
+        exact_expectation(named_scheme("EM"), prob, prob.f, 0.25, n_steps)
 
 
 def _mixing_problem(m):
@@ -791,6 +806,7 @@ def test_exact_expectation_accepts_constant_f():
     for const in (0.5, [0.5]):
         got = exact_one_step_expectation(em, prob, lambda x: const, 0.25)
         assert got == 0.5
+        assert exact_expectation(em, prob, lambda x: const, 0.25, 3) == 0.5
 
 
 def test_step_accepts_scalar_and_constant_values():

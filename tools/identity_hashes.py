@@ -1,4 +1,4 @@
-"""Print the seven byte-identity hashes of srkweak's outputs.
+"""Print the eight byte-identity hashes of srkweak's outputs.
 
 A change that must not move any output bit is checked by running this
 script on both trees and comparing the lines:
@@ -35,7 +35,12 @@ Each hash is the first 16 hex digits of the sha256 of:
                 significant digits, this keeps every bit of u_Mh,
                 sigma2_mu and the interval, whose t quantile is read
                 from a table for up to 101 batches and from scipy past
-                it.
+                it;
+  exact         float.hex of exact_one_step_expectation of f for the
+                six named schemes and EXACT_MEMBERS random members of
+                each of the 14 families (draw_member, one
+                np.random.default_rng(2026)), on linear:p=1, linear:p=2
+                (m = 1) and system18 (m = 2) at each h in EXACT_HS.
 
 The package is imported from the src/ directory next to this script,
 and draw_member from the tests/ directory, so each checkout hashes its
@@ -60,6 +65,7 @@ from srkweak.cli import main  # noqa: E402
 from srkweak.estimator import estimate, run_study  # noqa: E402
 from srkweak.families import (FAMILY_IDS, NAMED_SCHEMES,  # noqa: E402
                               named_scheme)
+from srkweak.integrator import exact_one_step_expectation  # noqa: E402
 from srkweak.problems import problem_from_cli  # noqa: E402
 from srkweak.tableau import serialize  # noqa: E402
 
@@ -164,6 +170,24 @@ def reports_hash():
     return _digest(text.encode("utf-8"))
 
 
+#: random members per family in the exact recipe, and its step sizes
+EXACT_MEMBERS = 3
+EXACT_HS = (1.0, 0.5, 0.25, 0.125)
+
+
+def exact_hash():
+    rng = np.random.default_rng(2026)
+    tabs = [named_scheme(name) for name in NAMED_SCHEMES] + [
+        draw_member(fid, rng) for fid in FAMILY_IDS
+        for _ in range(EXACT_MEMBERS)]
+    probs = [problem_from_cli(token)
+             for token in ("linear:p=1", "linear:p=2", "system18")]
+    text = "".join(
+        exact_one_step_expectation(tab, prob, prob.f, h).hex() + "\n"
+        for tab in tabs for prob in probs for h in EXACT_HS)
+    return _digest(text.encode("utf-8"))
+
+
 def print_hashes():
     for name, args in STUDIES:
         print("%-12s %s" % (name, study_hash(args)), flush=True)
@@ -171,6 +195,7 @@ def print_hashes():
     print("%-12s %s" % ("members", members_hash()))
     print("%-12s %s" % ("cli", cli_hash()))
     print("%-12s %s" % ("reports", reports_hash()))
+    print("%-12s %s" % ("exact", exact_hash()))
 
 
 if __name__ == "__main__":
