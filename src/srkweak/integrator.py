@@ -26,28 +26,23 @@ with stage values (all sums over j < i)
 Evaluations are shared and skipped aggressively: each drift value
 a(H0_i), each diffusion column b^k(H_i^k) and each mixed value
 b^k(Hh_i^l) is computed at most once per step, and only when some
-nonzero coefficient actually references it.  Since the first stage
-satisfies H_1^k = Hh_1^l = y with zero nodes, the mixed values of
-stage one are the plain columns b^k(t, y) and are reused rather than
-re-evaluated.
+nonzero coefficient actually references it.  The mixed values of
+stage one, where H_1^k = Hh_1^l = y at zero nodes, are the plain
+columns b^k(t, y), reused rather than re-evaluated.
 
-Which values a step evaluates is decided once per tableau for m = 1
-and once for every m >= 2, since it depends on m only through whether
-the mixed values exist: usage_plan() derives the need flags of a
-StepPlan from the coefficients and keeps the plan on the tableau, so
-it lives exactly as long as the tableau.  A tableau that recorded a
-structural violation when it was built is refused with
-TableauValueError instead of being stepped.  The step reads the
-coefficients from the tableau itself, skipping zero entries.
-evaluation_cost() reads the same plan to report the per-step
-evaluation and random-variable counts, and the stepper is
-instrumentable to match them exactly.
+usage_plan() derives the need flags of a StepPlan once per tableau
+for m = 1 and once for every m >= 2 (they depend on m only through
+whether the mixed values exist) and keeps the plan on the tableau, so
+it lives as long as the tableau; a tableau that recorded a structural
+violation when it was built is refused with TableauValueError.
+evaluation_cost() reads the same plan for the per-step evaluation and
+random-variable counts, which an instrumented step matches exactly.
 
 The step keeps every diffusion column b^k(H_i^k) and every mixed
 value b^k(Hh_i^l) as an array of its own with the shape of the state.
 Each stage value, each sum_r b^r(H_i^r) Ihat_r and the update y' is
-one linear combination, formed by _lincomb as start + sum of c * v
-over its nonzero terms, added left to right in a fixed order:
+one linear combination, start + sum of c * v over its nonzero terms,
+added left to right in a fixed order:
 
   - H0_i adds, for each j in turn, its drift term and then its noise
     term;
@@ -62,41 +57,43 @@ over its nonzero terms, added left to right in a fixed order:
     product, since starting at 0.0 would turn a -0.0 into +0.0.
 
 Floating-point addition is not associative, so this order is part
-of the output: it is the order every earlier version of the step
-used, and a frozen copy in the tests checks it bit for bit.  A nested
-sum is formed only when the outer sum reaches it, and each product
-is left unnamed, so that a step holds no array longer than the order
-needs (an array held longer raises the step's peak heap; each page
-the heap grows into again after glibc handed its top back to the
-kernel faults in afresh, most with worker threads, which is why
-`srkweak study` fixes glibc's trim threshold: see the cli docstring).
-Once a sum is an array _lincomb made, each later term of the same
-shape is added into it in place: the same additions, one allocation
-fewer.  A weight of exactly 1.0 (EM's beta1, every
-beta3/beta4 sum) adds v itself, as 1.0 * v == v bit for bit.  The
-weights Ihat_(k,k)/sqrt(h) and Ihat_(k,l)/sqrt(h) are slices of the
-new array WeakIncrementBatch.ihat_pair(), divided in place by sqrt(h):
-the one formula for the mixed integrals.  All stepping code
-broadcasts over leading axes of the state, so a whole batch of
-trajectories advances in one call with identical results to stepping
-them one by one.  A drift or diffusion value must broadcast to the
-shape of the state it was given: a scalar, or a constant of shape
-(d,), is accepted, and any other shape is refused with ValueError
-before it could blow up the batch.
-A functional f is held to the same rule, _checked, with the states'
-shape less its last axis: f maps (..., d) to (...), or to a scalar.
+of the output, and a frozen copy of the first stepper in the tests
+checks it bit for bit.  Once a sum is an array the step made, each
+later term of the same shape is added into it in place: the same
+additions, one allocation fewer.  A weight of exactly 1.0 (EM's
+beta1, every beta3/beta4 sum) adds v itself, as 1.0 * v == v bit for
+bit.  The weights Ihat_(k,k)/sqrt(h) and Ihat_(k,l)/sqrt(h) are
+slices of the new array WeakIncrementBatch.ihat_pair(), divided in
+place by sqrt(h): the one formula for the mixed integrals.
+
+The step is not interpreted: _generate() writes this order out as
+straight-line Python, compiled once per (StepPlan.pattern, m), the
+nonzero pattern of the eleven coefficient arrays, and shared through a
+bounded cache by every tableau of that pattern (the 14 families and 6
+named schemes have 11).  Each call reads the coefficients from the
+tableau, as lists of only the arrays it uses, and tests weights for
+1.0 and shapes for equality.  Each value, nested sum, stage point and
+product is dropped after its last use: a step holds as few arrays as
+the order allows, since each one more raises the peak heap, whose
+pages fault in afresh (see the cli docstring on glibc's thresholds).
+
+All stepping code broadcasts over leading axes of the state, so a
+whole batch of trajectories advances in one call with identical
+results to stepping them one by one.  A drift or diffusion value must
+broadcast to the shape of the state it was given: a scalar, or a
+constant of shape (d,), is accepted, and any other shape is refused
+with ValueError before it could blow up the batch.  A functional f is
+held to the same rule, _checked, with the states' shape less its last
+axis: f maps (..., d) to (...), or to a scalar.
 
 terminal_values() stores a batch of M states as an (M, d) array in
-Fortran order, so each state component is contiguous over the paths,
-as are the Ihat_k and the signs that draw() returns.  Every value * weight
-product then runs over contiguous memory, and numpy's elementwise
-operations carry the layout from one stage to the next.  The drift
-and diffusion callbacks receive these path-contiguous states; one
-that writes with out= into np.empty_like(y) keeps the layout, and
-any layout gives identical numbers.  Divergence costs one reduction
-per step: a finite sum of the states means every entry is finite, so
-only a sum that is not (an inf, a NaN or an overflow), or a path
-frozen earlier, takes the exact per-path test.
+Fortran order, so each component is contiguous over the paths, as are
+draw()'s Ihat_k and signs: every value * weight product runs over
+contiguous memory, and numpy carries the layout from stage to stage
+into the callbacks (see SdeProblem; any layout gives identical
+numbers).  Divergence costs one reduction per step: only a sum of the
+states that is not finite, or a path frozen earlier, takes the exact
+per-path test.
 """
 
 from __future__ import annotations
@@ -111,6 +108,9 @@ from .tableau import (_MATRIX_KEYS, _VECTOR_KEYS, _check_int, _is_finite,
                       _require_valid)
 
 _MAX_TREE_ELEMENTS = 1 << 20  # atoms times d on a support tree's last level
+_STEP_CACHE_SIZE = 64  # generated steps kept, the oldest evicted first
+_STEPS = {}  # (StepPlan.pattern, m) -> generated step, oldest first
+_PATTERNS = {}  # every pattern seen, as the one int its plans share
 
 
 @dataclass(frozen=True)
@@ -199,8 +199,10 @@ class StepPlan:
         B0, by a needed drift stage.
 
     needs_ihat says whether a step reads the increments Ihat_k at all,
-    needs_offdiag whether it reads the sign variates V_kl.  The
-    coefficients themselves stay on the tableau.
+    needs_offdiag whether it reads the sign variates V_kl.  pattern
+    keys the generated step: a bit per entry of alpha..beta4 and the
+    s x s A0..B2, set if nonzero, below a top bit that fixes s; plans
+    of one pattern share the int.  The coefficients stay on the tableau.
     """
 
     need_a: tuple
@@ -209,13 +211,15 @@ class StepPlan:
     need_bdot: tuple
     needs_ihat: bool
     needs_offdiag: bool
+    pattern: int
 
 
 def _compile(tab, m):
     s = tab.s
-    alpha, beta1, beta2, beta3, beta4 = (getattr(tab, k).tolist()
-                                         for k in _VECTOR_KEYS)
-    A0, A1, A2, B0, B1, B2 = (getattr(tab, k).tolist() for k in _MATRIX_KEYS)
+    alpha, beta1, beta2, beta3, beta4 = vectors = [
+        getattr(tab, k).tolist() for k in _VECTOR_KEYS]
+    A0, A1, A2, B0, B1, B2 = matrices = [
+        getattr(tab, k).tolist() for k in _MATRIX_KEYS]
     need_a = [bool(v) for v in alpha]
     need_b = [bool(b1) or bool(b2) for b1, b2 in zip(beta1, beta2)]
     mixed = m >= 2
@@ -235,11 +239,14 @@ def _compile(tab, m):
     need_bdot = [bool(beta1[j]) or any(need_a[i] and B0[i][j]
                                        for i in range(j + 1, s))
                  for j in range(s)]
+    flat = sum(vectors + sum(matrices, []), [])  # the rows, end to end
+    mask = sum(1 << n for n, x in enumerate(flat) if x) | 1 << len(flat)
     return StepPlan(
         need_a=tuple(need_a), need_b=tuple(need_b),
         need_bhat=tuple(need_bhat), need_bdot=tuple(need_bdot),
         needs_ihat=any(need_bdot) or any(beta2) or any(need_bhat),
-        needs_offdiag=mixed and any(beta4))
+        needs_offdiag=mixed and any(beta4),
+        pattern=_PATTERNS.setdefault(mask, mask))
 
 
 def usage_plan(tab, m):
@@ -291,27 +298,6 @@ def evaluation_cost(tab, m):
                           random_draws=int(draws))
 
 
-def _lincomb(start, terms):
-    """Return start + the sum of c * v over the (c, v) terms, in order; a v
-    that is a list of terms is their sum, formed only at its turn.  With
-    start None the sum starts at the first product (0.0 + -0.0 is +0.0).
-    Only an array made here is added into in place, never start."""
-    own = False
-    for c, v in terms:
-        if type(v) is list:
-            v = _lincomb(None, v)
-        if start is None:
-            start, own = c * v, True
-            continue
-        if not (type(c) is float and c == 1.0):  # 1.0 * v == v, bit for bit
-            v = c * v
-        if own and start.shape == v.shape:
-            start += v
-        else:
-            start, own = start + v, True
-    return start
-
-
 def _checked(name, value, point, want=None):
     """Return value as a float array if it broadcasts to want (point's)."""
     value, shape = np.asarray(value, dtype=float), point.shape
@@ -322,6 +308,103 @@ def _checked(name, value, point, want=None):
             name, value.shape, shape,
             "" if want == shape else "; it must broadcast to %r" % (want,)))
     return value
+
+
+def _generate(tab, plan, m):
+    """Compile step(tab, prob, t, h, y, inc) for the pattern of a plan
+    and m: the summation order above, term by term."""
+    nz = {k: getattr(tab, k).tolist() for k in _VECTOR_KEYS + _MATRIX_KEYS}
+    pairs = [(k, l) for k in range(m) for l in range(m) if k != l]
+    lines, head, last = [], {}, {}  # head: what the step binds first
+    sources = dict({"i%d" % k: "inc.Ihat[..., %d, None]" % k for k in
+                    range(m)}, sqrth="sqrt(h)", drift="prob.drift",
+                   column="prob.diffusion_column")
+
+    def use(name, *index):  # name[index], name bound at the step's top
+        head.setdefault(name, sources.get(name, "tab.%s.tolist()" % name))
+        return name + "".join("[%d]" % i for i in index)
+
+    def lincomb(name, start, terms):
+        """Emit name = start + the (c, v, kind) terms, returning what holds
+        it; kind: "float" (c may be 1.0), "one" or "array", and a list v
+        is a nested sum, formed at its turn."""
+        for c, v, kind in terms:
+            if type(v) is list:
+                v = lincomb("n%d" % len(lines), None, v)
+            if kind == "float":
+                lines.append("c = " + c)
+                c, term = "c", "(%s if c == 1.0 else c * %s)" % (v, v)
+            else:
+                term = v if kind == "one" else "%s * %s" % (c, v)
+            if start is None:  # the first product, never v itself
+                new = ["%s = %s * %s" % (name, c, v)]
+            elif start != name:  # start is not ours to add into
+                new = ["%s = %s + %s" % (name, start, term)]
+            else:
+                new = ["p = " + term, "if %s.shape == p.shape:" % name,
+                       "    %s += p" % name, "else:",
+                       "    %s = %s + p" % (name, name), "del p"]
+            last[v] = len(lines)  # the latest line to read v, so far
+            lines.extend(new)
+            start = name
+        return start
+
+    def value(i, k, l):  # b^k(H_i^k) if k == l, else b^k(Hh_i^l)
+        return "b%d_%d_%d" % (i, k, l if i else k)  # Hh_1^l = H_1^k = y
+
+    def weight(i, k, l):  # beta3_i Ihat_k + beta4_i Ihat_(k,l)/sqrt(h)
+        w = "%s * %s" % (use("beta3", i), use("i%d" % k))
+        return ("(%s + %s * P[..., %d, %d, None])" % (w, use("beta4", i), k, l)
+                if nz["beta4"][i] else w)
+
+    def evaluate(i, A, B, node, keys):  # the diffusion values of stage i
+        u = lincomb("u", "y", [(use(A, i, j) + " * h", "a%d" % j, "float")
+                               for j in range(i) if nz[A][i][j]])
+        points = [lincomb("x%d" % l, u, [
+            (use(B, i, j) + " * " + use("sqrth"), value(j, l, l), "float")
+            for j in range(i) if nz[B][i][j]]) for l in range(m)]
+        lines.append("tn = t + %s * h" % use(node, i))
+        for k, l in keys:
+            x = points[l]
+            lines.append('%s = _checked("diffusion_column", %s(tn, %s, %d),'
+                         ' %s)' % (value(i, k, l), use("column"), x, k, x))
+        lines.extend("del " + x for x in sorted({u, *points} - {"y"}))
+
+    for i in range(tab.s):
+        if plan.need_a[i]:
+            x = lincomb("x", "y", [
+                (use(key, i, j) + times, v + str(j), "float")
+                for j in range(i) for key, times, v in (
+                    ("A0", " * h", "a"), ("B0", "", "d")) if nz[key][i][j]])
+            lines.append('a%d = _checked("drift", %s(t + %s * h, %s), %s)'
+                         % (i, use("drift"), use("c0", i), x, x))
+            lines.extend(["del x"] * (x != "y"))  # no point outlives its use
+        if plan.need_b[i]:
+            evaluate(i, "A1", "B1", "c1v", [(k, k) for k in range(m)])
+        if i and plan.need_bhat[i]:  # stage one reuses b^k(y)
+            evaluate(i, "A2", "B2", "c2v", pairs)
+        if plan.need_bdot[i]:
+            lincomb("d%d" % i, None, [(use("i%d" % k), value(i, k, k),
+                                       "array") for k in range(m)])
+
+    if any(nz["beta2"]) or plan.needs_offdiag:
+        lines += ["P = inc.ihat_pair()", "P /= " + use("sqrth")]
+    terms = [(use(key, i) + times, v + str(i), "float") for key, times, v
+             in (("alpha", " * h", "a"), ("beta1", "", "d"))
+             for i in range(tab.s) if nz[key][i]]
+    terms += [(use("beta2", i), [("P[..., %d, %d, None]" % (k, k),
+                                  value(i, k, k), "array") for k in range(m)],
+               "float") for i in range(tab.s) if nz["beta2"][i]]
+    terms += [("1.0", [(weight(i, k, l), value(i, k, l), "array")
+                       for k, l in pairs], "one")
+              for i in range(tab.s) if plan.need_bhat[i]]
+    lines.append("return " + lincomb("out", "y", terms))
+    for at, v in sorted(((at, v) for v, at in last.items()), reverse=True):
+        lines.insert(at + 1, "del " + v)  # each value goes after its last use
+    namespace = {"_checked": _checked, "sqrt": math.sqrt, "__builtins__": {}}
+    exec("def step(tab, prob, t, h, y, inc):\n    " + "\n    ".join(
+        ["%s = %s" % kv for kv in head.items()] + lines), namespace)
+    return namespace["step"]
 
 
 def srk_step(tab, prob, ctx):
@@ -347,73 +430,17 @@ def srk_step(tab, prob, ctx):
     if inc.m != m:
         raise ValueError("increments for m = %d do not fit a problem with "
                          "m = %d" % (inc.m, m))
-    t, h, y = ctx.t, inc.h, np.asarray(ctx.y, dtype=float)
+    y = np.asarray(ctx.y, dtype=float)
     if y.shape[-1:] != (prob.d,):
         raise ValueError("a state of shape %r does not fit a problem with "
                          "d = %d" % (y.shape, prob.d))
     plan = usage_plan(tab, m)
-    alpha, beta1, beta2, A0, A1, B0, B1, c0, c1 = (
-        tab.alpha.tolist(), tab.beta1.tolist(), tab.beta2.tolist(),
-        tab.A0.tolist(), tab.A1.tolist(), tab.B0.tolist(), tab.B1.tolist(),
-        tab.c0.tolist(), tab.c1v.tolist())
-    sqrth, s = math.sqrt(h), tab.s
-    ihat = [inc.Ihat[..., k, None] for k in range(m)]  # Ihat_k, (..., 1)
-    # a(H0_i), b^k(H_i^k) by k, sum_r b^r(H_i^r) Ihat_r, b^k(Hh_i^l) by pair
-    a_val, b_val, b_dot, bhat = [None] * s, [None] * s, [None] * s, [None] * s
-    kinds = [(A1, B1, c1, plan.need_b, list(zip(range(m), range(m))), b_val)]
-    if any(plan.need_bhat):  # only then are A2, B2, c2 and beta3/4 read
-        A2, B2, c2 = tab.A2.tolist(), tab.B2.tolist(), tab.c2v.tolist()
-        beta3, beta4 = tab.beta3.tolist(), tab.beta4.tolist()
-        pairs = [(k, l) for k in range(m) for l in range(m) if k != l]
-        kinds.append((A2, B2, c2, (False,) + plan.need_bhat[1:], pairs, bhat))
-
-    for i in range(s):
-        if plan.need_a[i]:
-            terms = []
-            for j in range(i):
-                if A0[i][j]:
-                    terms.append((A0[i][j] * h, a_val[j]))
-                if B0[i][j]:
-                    terms.append((B0[i][j], b_dot[j]))
-            h0 = _lincomb(y, terms)
-            a_val[i] = _checked("drift", prob.drift(t + c0[i] * h, h0), h0)
-        for A, B, c, need, keys, vals in kinds:
-            if need[i]:
-                drift, noise = [], []
-                for j in range(i):
-                    if A[i][j]:
-                        drift.append((A[i][j] * h, a_val[j]))
-                    if B[i][j]:
-                        noise.append((B[i][j] * sqrth, b_val[j]))
-                base = _lincomb(y, drift)
-                points = ([_lincomb(base, [(w, v[l]) for w, v in noise])
-                           for l in range(m)] if noise else [base] * m)
-                vals[i] = [_checked("diffusion_column", prob.diffusion_column(
-                    t + c[i] * h, points[l], k), points[l]) for k, l in keys]
-        if plan.need_bdot[i]:
-            b_dot[i] = _lincomb(None, zip(ihat, b_val[i]))
-        h0 = base = points = None  # no stage point outlives its stage
-    if plan.need_bhat[0]:  # Hh_1^l = H_1^k = y at node 0: reuse b^k(y)
-        bhat[0] = [b_val[0][k] for k, l in pairs]
-
-    if any(beta2) or plan.needs_offdiag:
-        ipair = inc.ihat_pair()  # a new array: Ihat_(k,l)/sqrt(h) in place
-        ipair /= sqrth
-        ikk = [ipair[..., k, k, None] for k in range(m)]
-    by_alpha, by_beta1, by_beta2, by_beta34 = [], [], [], []
-    for i in range(s):
-        if alpha[i]:
-            by_alpha.append((alpha[i] * h, a_val[i]))
-        if beta1[i]:
-            by_beta1.append((beta1[i], b_dot[i]))
-        if beta2[i]:
-            by_beta2.append((beta2[i], list(zip(ikk, b_val[i]))))
-        if plan.need_bhat[i]:
-            w3, w4 = beta3[i], beta4[i]
-            weights = [w3 * ihat[k] + w4 * ipair[..., k, l, None] if w4
-                       else w3 * ihat[k] for k, l in pairs]
-            by_beta34.append((1.0, list(zip(weights, bhat[i]))))
-    return _lincomb(y, by_alpha + by_beta1 + by_beta2 + by_beta34)
+    step = _STEPS.get((plan.pattern, m))
+    if step is None:  # generated on first use; past the bound the oldest go
+        step = _STEPS.setdefault((plan.pattern, m), _generate(tab, plan, m))
+        for key in list(_STEPS)[:-_STEP_CACHE_SIZE]:  # one atomic snapshot
+            _STEPS.pop(key, None)
+    return step(tab, prob, ctx.t, inc.h, y, inc)
 
 
 def terminal_values(tab, prob, n_steps, n_paths, stream):
@@ -465,8 +492,9 @@ def exact_expectation(tab, prob, f, h, n_steps):
     """Compute E f(Y) after n_steps steps of size h from (t0, x0)
     exactly, by expanding the finite support tree of the increment law.
 
-    Each level is one vectorised step: every state is repeated once per
-    atom and the atoms are tiled over the states.  The weights multiply
+    Each level is one vectorised step: the root steps x0 on the support
+    itself, and each later level repeats every state once per atom and
+    tiles the atoms over the states.  The weights multiply
     support_batch's probabilities and sum to 1 only up to rounding, to
     1 - 2.2e-16 after four levels at m = 2.  A last level of more than
     2^20 state elements (atoms times d) is refused before any step runs.
@@ -483,6 +511,7 @@ def exact_expectation(tab, prob, f, h, n_steps):
       float, the exact expectation over the increment law
     """
     _check_int("n_steps", n_steps, 1, ValueError)
+    n_steps = int(n_steps)  # a NumPy integer would wrap in k ** n_steps
     batch, probs = support_batch(prob.m, h)
     k = len(probs)
     # k >= 3, so more than 20 steps always exceed the cap
@@ -490,14 +519,16 @@ def exact_expectation(tab, prob, f, h, n_steps):
         raise ValueError("%d steps have %d^%d support atoms, which times "
                          "d = %d exceeds the cap of 2^20 state elements"
                          % (n_steps, k, n_steps, prob.d))
-    y, weights, t = prob.x0[None, :], np.ones(1), prob.t0
+    y, inc, weights = np.broadcast_to(prob.x0, (k, prob.d)), batch, probs
+    t = prob.t0
     for n in range(n_steps):
-        inc = WeakIncrementBatch(h, np.tile(batch.Ihat, (len(y), 1)),
-                                 np.tile(batch.signs, (len(y), 1)))
-        y = srk_step(tab, prob, StepContext(
-            t=t, y=np.repeat(y, k, axis=0), increments=inc))
+        if n:
+            inc = WeakIncrementBatch(h, np.tile(batch.Ihat, (len(y), 1)),
+                                     np.tile(batch.signs, (len(y), 1)))
+            y = np.repeat(y, k, axis=0)
+            weights = (weights[:, None] * probs).ravel()
+        y = srk_step(tab, prob, StepContext(t=t, y=y, increments=inc))
         t = prob.t0 + (n + 1) * h
-        weights = (weights[:, None] * probs).ravel()
     vals = _checked("f", f(y), y, weights.shape)
     return float(weights @ vals if vals.shape == weights.shape
                  else vals.item())  # a constant f is its own expectation

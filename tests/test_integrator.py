@@ -14,8 +14,8 @@ from srkweak import integrator, tableau
 from srkweak.conditions import evaluate_all
 from srkweak.families import (FAMILY_IDS, NAMED_SCHEMES, FamilyParams,
                               make_family, named_scheme)
-from srkweak.increments import (CountingStream, draw, substream,
-                                support_batch)
+from srkweak.increments import (CountingStream, WeakIncrementBatch, draw,
+                                substream, support_batch)
 from srkweak.integrator import (EvaluationCost, SdeProblem, StepContext,
                                 evaluation_cost, exact_expectation,
                                 exact_one_step_expectation, srk_step,
@@ -558,6 +558,20 @@ def test_exact_expectation_refuses_a_tree_past_the_cap(monkeypatch):
     assert steps == []
 
 
+def test_exact_expectation_caps_a_numpy_step_count(monkeypatch):
+    # 18 ** np.int64(15) * 2 wraps to a negative np.int64; the count is
+    # taken as an int first, and the tree of 18^15 atoms is refused
+    steps = []
+    monkeypatch.setattr(integrator, "srk_step",
+                        lambda *args: steps.append(args))
+    prob = problem_2d()
+    with pytest.raises(ValueError, match=r"^15 steps have 18\^15 support "
+                       r"atoms, which times d = 2 exceeds the cap"):
+        exact_expectation(named_scheme("EM"), prob, prob.f, 0.25,
+                          np.int64(15))
+    assert steps == []
+
+
 @pytest.mark.parametrize("n_steps", [0, -1, 1.5, True, None])
 def test_exact_expectation_refuses_a_bad_step_count(n_steps):
     prob = problem_linear()
@@ -905,58 +919,145 @@ def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
-def _reference_lincomb(start, terms):
-    # the sum as first written: start + c * v for every term
-    for c, v in terms:
-        if type(v) is list:
-            v = _reference_lincomb(None, v)
-        start = c * v if start is None else start + c * v
-    return start
+def _linear_problem(m):
+    # values that pass signed zeros, infinities and subnormals through
+    # to the sums, where sin and cos would turn most of them into NaN
+    return SdeProblem(
+        d=3, m=m, drift=lambda t, y: -0.5 * y,
+        diffusion_column=lambda t, y, j: (j + 1.5) * y[..., ::-1],
+        x0=np.array([0.3, -0.7, 1.1]))
 
 
-def test_lincomb_unit_weight_adds_v_bitwise():
-    # 1.0 * v == v in every bit: signed zeros, infinities, NaN and
-    # subnormals keep their bits through the shortcut
-    _lincomb = integrator._lincomb
-    v = _SPECIAL[:, None]
-    for start in (np.zeros_like(v), -np.zeros_like(v), v[::-1].copy(),
-                  np.full_like(v, np.nan), np.full_like(v, 5e-324)):
-        before = _bits(start)
-        with np.errstate(all="ignore"):
-            got = _lincomb(start, [(1.0, v)])
-            want = _reference_lincomb(start, [(1.0, v)])
-        assert _bits(got) == _bits(want)
-        assert _bits(start) == before and got is not start
-    # with no start the first product is still a new array
-    got = _lincomb(None, [(1.0, v)])
-    assert got is not v and _bits(got) == _bits(1.0 * v)
-    assert np.array_equal(np.signbit(got), np.signbit(v))
+def test_step_on_special_states_matches_frozen_reference_bitwise():
+    # the frozen reference on states of signed zeros, infinities, NaN
+    # and subnormals: the 1.0 shortcuts and the in-place adds keep every
+    # bit, and neither the state nor the increments are written
+    rng = np.random.default_rng(23)
+    tabs = [named_scheme(name) for name in NAMED_SCHEMES]
+    tabs += [draw_member(fid, rng) for fid in FAMILY_IDS]
+    tabs += [_sparse_tableau(rng, s) for s in range(1, 6) for _ in range(10)]
+    ys = np.concatenate([_SPECIAL, -_SPECIAL[::-1]]).reshape(8, 3)
+    for m in (1, 2, 3):
+        inc = draw(m, 0.25, substream(m), size=(8,))
+        inputs = [_bits(ys), _bits(inc.Ihat), _bits(inc.signs)]
+        for prob in (_linear_problem(m), _mixing_problem(m)):
+            for y in (ys, np.asfortranarray(ys)):
+                ctx = StepContext(t=0.5, y=y, increments=inc)
+                for tab in tabs:
+                    with np.errstate(all="ignore"):
+                        want = _reference_step(tab, prob, ctx)
+                        got = srk_step(tab, prob, ctx)
+                    assert _bits(got) == _bits(want), (tab.name, m)
+        assert [_bits(ys), _bits(inc.Ihat), _bits(inc.signs)] == inputs
 
 
-def test_lincomb_in_place_sums_match_reference_bitwise():
-    _lincomb = integrator._lincomb
-    rng = np.random.default_rng(5)
-    y = rng.standard_normal((12, 1))
-    v = _SPECIAL[:, None]
-    w = rng.standard_normal((12, 1)) * 1e-310
-    const = np.array([-0.0])  # a (d,) constant, as a callback may return
-    weight = rng.standard_normal((12, 1))
-    cases = [
-        (y, [(2.0, v), (1.0, w), (-0.5, v)]),
-        (None, [(1.0, w), (2.0, v), (weight, w)]),
-        # a constant start may not take a batch term in place
-        (None, [(3.0, const), (1.0, v), (2.0, w)]),
-        (const, [(1.0, const), (0.5, v)]),
-        (y, [(1.0, [(weight, v), (weight, w)]), (1.0, [(2.0, w)])]),
-    ]
-    inputs = [_bits(a) for a in (y, v, w, const, weight)]
-    for start, terms in cases:
-        with np.errstate(all="ignore"):
-            got = _lincomb(start, terms)
-            want = _reference_lincomb(start, terms)
-        assert got.shape == want.shape and _bits(got) == _bits(want)
-    # neither start nor any term was written
-    assert [_bits(a) for a in (y, v, w, const, weight)] == inputs
+def test_em_unit_beta1_adds_b_dot_itself():
+    # 1.0 * v == v bit for bit, so EM's beta1 = 1 adds sum_k b^k Ihat_k
+    # as it is: the only products the increments enter are b^1 Ihat_1
+    log = []
+
+    class Logged(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            plain = [x.view(np.ndarray) if isinstance(x, Logged) else x
+                     for x in inputs]
+            out = getattr(ufunc, method)(*plain, **kwargs)
+            if "out" not in kwargs:
+                out = out.view(Logged)
+            log.append((ufunc.__name__, inputs, out))
+            return out
+
+    tab, prob = named_scheme("EM"), problem_linear(power=1)
+    assert tab.beta1.tolist() == [1.0]
+    inc = WeakIncrementBatch(0.25, np.array([[0.7], [-0.3]]).view(Logged))
+    ctx = StepContext(t=0.0, y=np.array([[1.0], [2.0]]), increments=inc)
+    got = srk_step(tab, prob, ctx)
+    (_, _, b_dot), = [entry for entry in log if entry[0] == "multiply"]
+    assert [(name, any(x is b_dot for x in inputs))
+            for name, inputs, _ in log] == [("multiply", False),
+                                            ("add", True)]
+    plain = StepContext(t=0.0, y=ctx.y, increments=WeakIncrementBatch(
+        0.25, inc.Ihat.view(np.ndarray)))
+    assert _bits(got) == _bits(_reference_step(tab, prob, plain))
+
+
+def test_one_generated_step_per_pattern():
+    # members of one family share their pattern's int and its step
+    rng = np.random.default_rng(6)
+    a, b = draw_member("CASE_A", rng), draw_member("CASE_A", rng)
+    for m in (1, 2, 3):
+        prob = _mixing_problem(m)
+        ctx = StepContext(t=0.0, y=prob.x0,
+                          increments=support_batch(m, 0.25)[0])
+        srk_step(a, prob, ctx)
+        plan_a, plan_b = usage_plan(a, m), usage_plan(b, m)
+        assert plan_a is not plan_b and plan_b.pattern is plan_a.pattern
+        step = integrator._STEPS[plan_a.pattern, m]
+        srk_step(b, prob, ctx)
+        assert integrator._STEPS[plan_b.pattern, m] is step
+
+
+def test_generated_steps_are_bounded_by_their_patterns(monkeypatch):
+    monkeypatch.setattr(integrator, "_STEPS", {})
+    rng = np.random.default_rng(9)
+    tabs = [named_scheme(name) for name in NAMED_SCHEMES]
+    tabs += [draw_member(fid, rng) for fid in FAMILY_IDS]
+    keys = set()
+    for m in (1, 2, 3):
+        prob = _mixing_problem(m)
+        ctx = StepContext(t=0.0, y=prob.x0,
+                          increments=support_batch(m, 0.25)[0])
+        for tab in tabs:
+            srk_step(tab, prob, ctx)
+            keys.add((usage_plan(tab, m).pattern, m))
+    assert set(integrator._STEPS) == keys
+    assert len(keys) < len(tabs) * 3  # patterns are shared
+    # past the bound the oldest steps go
+    monkeypatch.setattr(integrator, "_STEPS", {})
+    monkeypatch.setattr(integrator, "_STEP_CACHE_SIZE", 4)
+    prob = _mixing_problem(1)
+    ctx = StepContext(t=0.0, y=prob.x0,
+                      increments=support_batch(1, 0.25)[0])
+    for s in range(1, 6):
+        for _ in range(4):
+            tab = _sparse_tableau(rng, s)
+            srk_step(tab, prob, ctx)
+            assert len(integrator._STEPS) <= 4
+            assert (usage_plan(tab, 1).pattern, 1) in integrator._STEPS
+
+
+def test_racing_threads_generate_steps_that_match_serial(monkeypatch):
+    # more threads than cores take the first steps of fresh patterns at
+    # once; every result is the serial one, bit for bit
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rng = np.random.default_rng(10)
+        prob = _mixing_problem(2)
+        ctx = StepContext(t=0.5, y=np.asfortranarray(
+            rng.normal(size=(8, 3))), increments=draw(2, 0.25, substream(2),
+                                                      size=(8,)))
+        for s in range(2, 6):
+            monkeypatch.setattr(integrator, "_STEPS", {})
+            tab = _sparse_tableau(rng, s)
+            got = []
+            start = threading.Barrier(6, timeout=10)
+
+            def worker():
+                start.wait()
+                got.append(srk_step(tab, prob, ctx))
+
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert len(got) == 6 and len(integrator._STEPS) == 1
+            want = srk_step(tab, prob, ctx)
+            assert _bits(want) == _bits(_reference_step(tab, prob, ctx))
+            assert all(_bits(g) == _bits(want) for g in got)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _reference_terminal_values(tab, prob, n_steps, n_paths, stream):
