@@ -85,22 +85,27 @@ def _add_source_options(p):
     _add_param_options(p)
 
 
-def _family_params(args, family_id):
-    kwargs = {}
-    for name in _PARAM_OPTS + ("lam", "sign_branch"):
-        val = getattr(args, name)
-        if val is not None:
-            kwargs[name] = val
-    return FamilyParams(family=family_id, **kwargs)
+def _given_params(args):
+    """The family parameters given on the command line, by field name."""
+    return {name: getattr(args, name)
+            for name in _PARAM_OPTS + ("lam", "sign_branch")
+            if getattr(args, name) is not None}
 
 
 def _resolve_tableau(args):
-    """Return the selected tableau; refuse it if validate() faults it."""
+    """Return the selected tableau; refuse it if validate() faults it,
+    and refuse a family parameter given without --family, which nothing
+    would read."""
+    given = _given_params(args)
+    if given and not args.family:
+        name = next(iter(given))
+        raise UsageError("--%s applies only to a --family tableau" % {
+            "lam": "lambda", "sign_branch": "sign-branch"}.get(name, name))
     if args.scheme:
         tab, source = named_scheme(args.scheme), "scheme " + args.scheme
     elif args.family:
         fid = family_id_from_cli(args.family)
-        tab = make_family(_family_params(args, fid))
+        tab = make_family(FamilyParams(family=fid, **given))
         source = "the %s member" % fid
     elif args.file:
         try:
@@ -167,7 +172,7 @@ def _cmd_check(args):
 
 def _cmd_family(args):
     fid = family_id_from_cli(args.id)
-    tab = make_family(_family_params(args, fid))
+    tab = make_family(FamilyParams(family=fid, **_given_params(args)))
     if args.name:
         tab = tab.with_name(args.name)
     if args.verify:

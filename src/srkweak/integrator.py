@@ -30,11 +30,11 @@ nonzero coefficient actually references it.  The mixed values of
 stage one, where H_1^k = Hh_1^l = y at zero nodes, are the plain
 columns b^k(t, y), reused rather than re-evaluated.
 
-usage_plan() derives the need flags of a StepPlan once per tableau
-for m = 1 and once for every m >= 2 (they depend on m only through
-whether the mixed values exist) and keeps the plan on the tableau, so
-it lives as long as the tableau; a tableau that recorded a structural
-violation when it was built is refused with TableauValueError.
+usage_plan() derives the need flags of a StepPlan once per nonzero
+pattern, which a tableau records when it is built, for m = 1 and once
+for every m >= 2 (they depend on m only through whether the mixed
+values exist); a tableau that recorded a structural violation is
+refused with TableauValueError on every call, before any cache lookup.
 evaluation_cost() reads the same plan for the per-step evaluation and
 random-variable counts, which an instrumented step matches exactly.
 
@@ -67,15 +67,17 @@ slices of the new array WeakIncrementBatch.ihat_pair(), divided in
 place by sqrt(h): the one formula for the mixed integrals.
 
 The step is not interpreted: _generate() writes this order out as
-straight-line Python, compiled once per (StepPlan.pattern, m), the
-nonzero pattern of the eleven coefficient arrays, and shared through a
-bounded cache by every tableau of that pattern (the 14 families and 6
-named schemes have 11).  Each call reads the coefficients from the
-tableau, as lists of only the arrays it uses, and tests weights for
-1.0 and shapes for equality.  Each value, nested sum, stage point and
-product is dropped after its last use: a step holds as few arrays as
-the order allows, since each one more raises the peak heap, whose
-pages fault in afresh (see the cli docstring on glibc's thresholds).
+straight-line Python, compiled by a first srk_step once per (pattern,
+m) and shared by every tableau of that pattern (the 14 families and 6
+named schemes have 11).  Plans and steps sit in two caches of at most
+_CACHE_SIZE entries, the oldest evicted first; their keys are values,
+so neither keeps a tableau alive, and nothing is written to a tableau.
+Each call reads the coefficients from the tableau, as lists of only
+the arrays it uses, and tests weights for 1.0 and shapes for equality.
+Each value, nested sum, stage point and product is dropped after its
+last use: a step holds as few arrays as the order allows, since each
+one more raises the peak heap, whose pages fault in afresh (see the
+cli docstring on glibc's thresholds).
 
 All stepping code broadcasts over leading axes of the state, so a
 whole batch of trajectories advances in one call with identical
@@ -108,9 +110,9 @@ from .tableau import (_MATRIX_KEYS, _VECTOR_KEYS, _check_int, _is_finite,
                       _require_valid)
 
 _MAX_TREE_ELEMENTS = 1 << 20  # atoms times d on a support tree's last level
-_STEP_CACHE_SIZE = 64  # generated steps kept, the oldest evicted first
-_STEPS = {}  # (StepPlan.pattern, m) -> generated step, oldest first
-_PATTERNS = {}  # every pattern seen, as the one int its plans share
+_CACHE_SIZE = 64  # entries kept in each cache below, the oldest go first
+_PLANS = {}  # (tab._pattern, m >= 2) -> StepPlan, oldest first
+_STEPS = {}  # (tab._pattern, m) -> generated step, oldest first
 
 
 @dataclass(frozen=True)
@@ -186,8 +188,8 @@ class EvaluationCost:
 @dataclass(frozen=True, slots=True)
 class StepPlan:
     """What a step of a tableau evaluates for m Wiener components: the
-    need flags, derived once from the coefficients.  One plan serves
-    every m >= 2.
+    need flags, derived once per nonzero pattern of the coefficients
+    and shared by its tableaux.  One plan serves every m >= 2.
 
     Flags, one per stage i:
       need_a[i]: the drift value a(H0_i) is used somewhere.
@@ -199,10 +201,8 @@ class StepPlan:
         B0, by a needed drift stage.
 
     needs_ihat says whether a step reads the increments Ihat_k at all,
-    needs_offdiag whether it reads the sign variates V_kl.  pattern
-    keys the generated step: a bit per entry of alpha..beta4 and the
-    s x s A0..B2, set if nonzero, below a top bit that fixes s; plans
-    of one pattern share the int.  The coefficients stay on the tableau.
+    needs_offdiag whether it reads the sign variates V_kl.  The
+    coefficients stay on the tableau.
     """
 
     need_a: tuple
@@ -211,15 +211,13 @@ class StepPlan:
     need_bdot: tuple
     needs_ihat: bool
     needs_offdiag: bool
-    pattern: int
 
 
 def _compile(tab, m):
     s = tab.s
-    alpha, beta1, beta2, beta3, beta4 = vectors = [
+    alpha, beta1, beta2, beta3, beta4 = [
         getattr(tab, k).tolist() for k in _VECTOR_KEYS]
-    A0, A1, A2, B0, B1, B2 = matrices = [
-        getattr(tab, k).tolist() for k in _MATRIX_KEYS]
+    A0, A1, A2, B0, B1, B2 = [getattr(tab, k).tolist() for k in _MATRIX_KEYS]
     need_a = [bool(v) for v in alpha]
     need_b = [bool(b1) or bool(b2) for b1, b2 in zip(beta1, beta2)]
     mixed = m >= 2
@@ -239,23 +237,31 @@ def _compile(tab, m):
     need_bdot = [bool(beta1[j]) or any(need_a[i] and B0[i][j]
                                        for i in range(j + 1, s))
                  for j in range(s)]
-    flat = sum(vectors + sum(matrices, []), [])  # the rows, end to end
-    mask = sum(1 << n for n, x in enumerate(flat) if x) | 1 << len(flat)
     return StepPlan(
         need_a=tuple(need_a), need_b=tuple(need_b),
         need_bhat=tuple(need_bhat), need_bdot=tuple(need_bdot),
         needs_ihat=any(need_bdot) or any(beta2) or any(need_bhat),
-        needs_offdiag=mixed and any(beta4),
-        pattern=_PATTERNS.setdefault(mask, mask))
+        needs_offdiag=mixed and any(beta4))
+
+
+def _cached(cache, key, make, tab, m):
+    """cache[key], made by make(tab, m) on a miss; racing first calls
+    all get the one stored, and past _CACHE_SIZE the oldest go."""
+    value = cache.get(key)
+    if value is None:
+        value = cache.setdefault(key, make(tab, m))
+        for old in list(cache)[:-_CACHE_SIZE]:  # one atomic snapshot
+            cache.pop(old, None)
+    return value
 
 
 def usage_plan(tab, m):
     """Return the step plan of a tableau for m Wiener components.
 
-    Each tableau keeps its own plans: one for m = 1 and one shared by
-    every m >= 2, since _compile reads m only through m >= 2.  A plan
-    is compiled only if the tableau recorded no structural violation
-    when it was built: a defective one is never stepped, and none is
+    Plans are compiled on first use and shared by every tableau of one
+    nonzero pattern: one for m = 1 and one for every m >= 2, since
+    _compile reads m only through m >= 2.  A tableau that recorded a
+    structural violation when it was built is refused, and none is
     checked again.
 
     Raises:
@@ -263,11 +269,8 @@ def usage_plan(tab, m):
       TableauValueError: if the tableau has structural violations
     """
     _check_int("m", m, 1, ValueError)
-    plan = tab._plans.get(m >= 2)
-    if plan is None:
-        _require_valid(tab, "step")
-        plan = tab._plans.setdefault(m >= 2, _compile(tab, m))
-    return plan
+    _require_valid(tab, "step")
+    return _cached(_PLANS, (tab._pattern, m >= 2), _compile, tab, m)
 
 
 def evaluation_cost(tab, m):
@@ -310,9 +313,10 @@ def _checked(name, value, point, want=None):
     return value
 
 
-def _generate(tab, plan, m):
-    """Compile step(tab, prob, t, h, y, inc) for the pattern of a plan
+def _generate(tab, m):
+    """Compile step(tab, prob, t, h, y, inc) for the pattern of a tableau
     and m: the summation order above, term by term."""
+    plan = usage_plan(tab, m)
     nz = {k: getattr(tab, k).tolist() for k in _VECTOR_KEYS + _MATRIX_KEYS}
     pairs = [(k, l) for k in range(m) for l in range(m) if k != l]
     lines, head, last = [], {}, {}  # head: what the step binds first
@@ -434,12 +438,8 @@ def srk_step(tab, prob, ctx):
     if y.shape[-1:] != (prob.d,):
         raise ValueError("a state of shape %r does not fit a problem with "
                          "d = %d" % (y.shape, prob.d))
-    plan = usage_plan(tab, m)
-    step = _STEPS.get((plan.pattern, m))
-    if step is None:  # generated on first use; past the bound the oldest go
-        step = _STEPS.setdefault((plan.pattern, m), _generate(tab, plan, m))
-        for key in list(_STEPS)[:-_STEP_CACHE_SIZE]:  # one atomic snapshot
-            _STEPS.pop(key, None)
+    _require_valid(tab, "step")
+    step = _cached(_STEPS, (tab._pattern, m), _generate, tab, m)
     return step(tab, prob, ctx.t, inc.h, y, inc)
 
 

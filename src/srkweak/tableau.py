@@ -15,9 +15,9 @@ stage i may only reference stages j < i.
 Tableaux are immutable plain data.  Construction normalises all entries
 to read-only float arrays and recomputes the node vectors from the
 stage matrices, so stored nodes can never disagree with the matrices.
-It also records the structural defects (explicitness, non-finite
-entries, a node sum that overflows), in one pass that cannot go stale
-as the arrays are read-only.
+It also records, in one pass that cannot go stale as the arrays are
+read-only, the structural defects (explicitness, non-finite entries, a
+node sum that overflows) and the nonzero pattern the engine caches by.
 validate() reports them instead of raising, so that a defective tableau
 can still be inspected; serialize(), the stepping engine and
 make_family refuse one by that record.
@@ -116,11 +116,10 @@ class CoefficientTableau:
     c0: np.ndarray = field(init=False, repr=False, default=None)
     c1v: np.ndarray = field(init=False, repr=False, default=None)
     c2v: np.ndarray = field(init=False, repr=False, default=None)
-    # step plans by m >= 2, filled by integrator.usage_plan; a copy
-    # starts with none of its own
-    _plans: dict = field(init=False, repr=False, default_factory=dict)
-    # the Violations of validate(), found once by _structure
+    # the Violations of validate() and the nonzero pattern, found
+    # once by _structure
     _violations: tuple = field(init=False, repr=False, default=())
+    _pattern: int = field(init=False, repr=False, default=0)
 
     def __post_init__(self):
         _check_int("stage count s", self.s, 1, TableauShapeError)
@@ -140,7 +139,9 @@ class CoefficientTableau:
                 c = getattr(self, key) @ e  # shape (s,)
                 c.setflags(write=False)
                 object.__setattr__(self, node, c)
-        object.__setattr__(self, "_violations", _structure(self))
+        violations, pattern = _structure(self)
+        object.__setattr__(self, "_violations", violations)
+        object.__setattr__(self, "_pattern", pattern)
 
     def __eq__(self, other):
         if not isinstance(other, CoefficientTableau):
@@ -188,16 +189,21 @@ class OrderClaim:
 
 
 def _structure(t):
-    """validate()'s Violations of t, as a tuple: one plain pass over the
-    entries as floats (x - x is 0.0 only for a finite x) that formats a
-    detail only for a violating entry; j is 0 in a vector.  When every
-    entry passes, a node that is not finite, a row sum past the float
-    range, is recorded last."""
-    out = []
+    """(validate()'s Violations of t, as a tuple, t's nonzero pattern)
+    in one plain pass over the entries as floats (x - x is 0.0 only for
+    a finite x) that formats a detail only for a violating entry; j is 0
+    in a vector.  When every entry passes, a node that is not finite, a
+    row sum past the float range, is recorded last.  The pattern sets a
+    bit per nonzero entry (a NaN is, a -0.0 is not) of alpha..beta4 and
+    the s x s A0..B2, rows end to end, under a top bit that fixes s."""
+    out, pattern, bit = [], 0, 1
     for key in _VECTOR_KEYS + _MATRIX_KEYS:
         matrix = key in _MATRIX_KEYS
         for i, row in enumerate(getattr(t, key).tolist(), 1):
             for j, x in enumerate(row, 1) if matrix else [(0, row)]:
+                if x:
+                    pattern |= bit
+                bit <<= 1
                 if x - x:
                     kind, note = "non-finite", ""
                 elif x and j >= i:
@@ -214,7 +220,7 @@ def _structure(t):
                     out.append(Violation(
                         "non-finite", node, i, 0, "%s[%d] = %r, the sum of "
                         "row %d of %s" % (node, i, x, i, key)))
-    return tuple(out)
+    return tuple(out), pattern | bit
 
 
 def validate(t):

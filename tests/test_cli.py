@@ -277,6 +277,27 @@ def test_cost_rejects_bad_component_count(capsys, m):
     assert err == "error: m must be an integer >= 1, got %s\n" % m
 
 
+@pytest.mark.parametrize("command", [["check"], ["cost", "--m", "1"]])
+@pytest.mark.parametrize("option,value", [
+    ("--c3", "0.5"), ("--c11", "1"), ("--lambda", "2"),
+    ("--sign-branch", "-1"), ("--sign-branch", "1")])
+def test_family_parameter_without_a_family_exits_1(tmp_path, capsys,
+                                                   command, option, value):
+    # nothing reads a family parameter of a named scheme or a file, so
+    # it is refused rather than silently dropped
+    path = tmp_path / "rdi2wm.json"
+    path.write_text(serialize(named_scheme("RDI2WM")), encoding="utf-8")
+    for source in (["--scheme", "RDI2WM"], ["--file", str(path)]):
+        code = main(command + source + [option, value])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == "error: %s applies only to a --family tableau\n" % option
+    code = main(command + ["--family", "case-a", "--c3", "0.5",
+                           "--sign-branch", "1"])
+    assert code == 0 and capsys.readouterr()[1] == ""
+
+
 def test_enumerate_two_components(capsys):
     code = main(["enumerate", "--m", "2", "--h", "0.5"])
     out, _ = capsys.readouterr()

@@ -1,5 +1,6 @@
 import gc
 import math
+import pickle
 import re
 import sys
 import threading
@@ -21,8 +22,8 @@ from srkweak.integrator import (EvaluationCost, SdeProblem, StepContext,
                                 exact_one_step_expectation, srk_step,
                                 terminal_values, usage_plan)
 from srkweak.problems import problem_2d, problem_linear, problem_nonlinear
-from srkweak.tableau import (CoefficientTableau, TableauValueError, serialize,
-                             validate)
+from srkweak.tableau import (MAX_STAGES, CoefficientTableau,
+                             TableauValueError, serialize, validate)
 
 KEYS = ("alpha", "beta1", "beta2", "beta3", "beta4",
         "A0", "A1", "A2", "B0", "B1", "B2")
@@ -845,8 +846,7 @@ def test_plans_live_and_die_with_their_tableau():
     terminal_values(tab, problem_2d(), 1, 2, substream(0))
     assert usage_plan(tab, 2) is usage_plan(tab, 3)
     copy = tab.with_name("copy")
-    assert usage_plan(copy, 2) is not usage_plan(tab, 2)
-    assert usage_plan(copy, 2) == usage_plan(tab, 2)
+    assert usage_plan(copy, 2) is usage_plan(tab, 2)
     alive = weakref.ref(tab)
     del tab
     gc.collect()
@@ -981,7 +981,7 @@ def test_em_unit_beta1_adds_b_dot_itself():
 
 
 def test_one_generated_step_per_pattern():
-    # members of one family share their pattern's int and its step
+    # members of one family share their pattern, its plans and its step
     rng = np.random.default_rng(6)
     a, b = draw_member("CASE_A", rng), draw_member("CASE_A", rng)
     for m in (1, 2, 3):
@@ -989,11 +989,11 @@ def test_one_generated_step_per_pattern():
         ctx = StepContext(t=0.0, y=prob.x0,
                           increments=support_batch(m, 0.25)[0])
         srk_step(a, prob, ctx)
-        plan_a, plan_b = usage_plan(a, m), usage_plan(b, m)
-        assert plan_a is not plan_b and plan_b.pattern is plan_a.pattern
-        step = integrator._STEPS[plan_a.pattern, m]
+        assert a._pattern == b._pattern
+        assert usage_plan(a, m) is usage_plan(b, m)
+        step = integrator._STEPS[a._pattern, m]
         srk_step(b, prob, ctx)
-        assert integrator._STEPS[plan_b.pattern, m] is step
+        assert integrator._STEPS[b._pattern, m] is step
 
 
 def test_generated_steps_are_bounded_by_their_patterns(monkeypatch):
@@ -1008,12 +1008,12 @@ def test_generated_steps_are_bounded_by_their_patterns(monkeypatch):
                           increments=support_batch(m, 0.25)[0])
         for tab in tabs:
             srk_step(tab, prob, ctx)
-            keys.add((usage_plan(tab, m).pattern, m))
+            keys.add((tab._pattern, m))
     assert set(integrator._STEPS) == keys
     assert len(keys) < len(tabs) * 3  # patterns are shared
     # past the bound the oldest steps go
     monkeypatch.setattr(integrator, "_STEPS", {})
-    monkeypatch.setattr(integrator, "_STEP_CACHE_SIZE", 4)
+    monkeypatch.setattr(integrator, "_CACHE_SIZE", 4)
     prob = _mixing_problem(1)
     ctx = StepContext(t=0.0, y=prob.x0,
                       increments=support_batch(1, 0.25)[0])
@@ -1022,7 +1022,7 @@ def test_generated_steps_are_bounded_by_their_patterns(monkeypatch):
             tab = _sparse_tableau(rng, s)
             srk_step(tab, prob, ctx)
             assert len(integrator._STEPS) <= 4
-            assert (usage_plan(tab, 1).pattern, 1) in integrator._STEPS
+            assert (tab._pattern, 1) in integrator._STEPS
 
 
 def test_racing_threads_generate_steps_that_match_serial(monkeypatch):
@@ -1058,6 +1058,132 @@ def test_racing_threads_generate_steps_that_match_serial(monkeypatch):
             assert all(_bits(g) == _bits(want) for g in got)
     finally:
         sys.setswitchinterval(interval)
+
+
+def _formula_pattern(tab):
+    # a bit per entry, set if nonzero, of the eleven arrays' rows end
+    # to end, below a top bit that fixes s
+    flat = [x for key in KEYS for row in getattr(tab, key).tolist()
+            for x in (row if key.startswith(("A", "B")) else [row])]
+    return sum(1 << n for n, x in enumerate(flat) if x) | 1 << len(flat)
+
+
+def test_recorded_pattern_matches_its_formula():
+    rng = np.random.default_rng(13)
+    tabs = [named_scheme(name) for name in NAMED_SCHEMES]
+    tabs += [draw_member(fid, rng) for fid in FAMILY_IDS for _ in range(20)]
+    tabs += [_sparse_tableau(rng, s) for s in range(1, 6) for _ in range(20)]
+    tabs += [CoefficientTableau(s=s, **{k: np.zeros((s,) if k in KEYS[:5]
+                                                    else (s, s))
+                                        for k in KEYS})
+             for s in range(1, MAX_STAGES + 1)]
+    for tab in tabs:
+        assert tab._pattern == _formula_pattern(tab), tab.name
+    # tableaux of different s never share a pattern
+    stages = {}
+    for tab in tabs:
+        assert stages.setdefault(tab._pattern, tab.s) == tab.s
+    # a -0.0 entry is a zero
+    base = named_scheme("RDI2WM")
+    arrays = {k: np.array(getattr(base, k)) for k in KEYS}
+    arrays["beta4"][0], arrays["B2"][2, 1] = -0.0, -0.0
+    signed = CoefficientTableau(s=3, **arrays)
+    arrays["beta4"][0], arrays["B2"][2, 1] = 0.0, 0.0
+    assert signed._pattern == CoefficientTableau(s=3, **arrays)._pattern
+    assert signed._pattern == _formula_pattern(signed)
+
+
+def test_planning_and_stepping_leave_the_tableau_as_built():
+    # plans and steps are cached by the tableau's pattern, not on it
+    tab = draw_member("CASE_212", np.random.default_rng(14))
+    built = dict(vars(tab))
+    state = pickle.dumps(built)
+    for m in (1, 2, 3):
+        usage_plan(tab, m)
+        evaluation_cost(tab, m)
+        prob = _mixing_problem(m)
+        srk_step(tab, prob, StepContext(
+            t=0.0, y=prob.x0, increments=support_batch(m, 0.25)[0]))
+    assert vars(tab).keys() == built.keys()
+    assert all(vars(tab)[k] is v for k, v in built.items())
+    assert pickle.dumps(vars(tab)) == state
+
+
+def test_caches_stay_bounded_over_fresh_patterns():
+    rng = np.random.default_rng(15)
+    prob = _mixing_problem(1)
+    ctx = StepContext(t=0.0, y=prob.x0, increments=support_batch(1, 0.25)[0])
+    seen = set()
+    while len(seen) < 200:
+        tab = _sparse_tableau(rng, int(rng.integers(3, 6)))
+        if tab._pattern not in seen:
+            seen.add(tab._pattern)
+            srk_step(tab, prob, ctx)
+            evaluation_cost(tab, 2)
+    sizes = {name: len(value) for name, value in vars(integrator).items()
+             if isinstance(value, dict) and not name.startswith("__")}
+    assert sizes and max(sizes.values()) <= integrator._CACHE_SIZE, sizes
+
+
+def test_a_defective_tableau_is_refused_whatever_its_pattern_has_cached():
+    # a NaN sets the same bit as the finite entry it replaces, so the
+    # defective tableau shares RDI2WM's pattern and, with it, cached
+    # plans and steps; the record of its construction still refuses it
+    base = named_scheme("RDI2WM")
+    arrays = {k: np.array(getattr(base, k)) for k in KEYS}
+    assert arrays["A0"][1, 0] != 0.0
+    arrays["A0"][1, 0] = np.nan
+    bad = CoefficientTableau(s=3, **arrays)
+    assert bad._pattern == base._pattern
+    prob = _mixing_problem(2)
+    ctx = StepContext(t=0.0, y=prob.x0, increments=support_batch(2, 0.25)[0])
+    for m in (1, 2):
+        usage_plan(base, m)
+        evaluation_cost(base, m)
+    srk_step(base, prob, ctx)
+    for call in (lambda: usage_plan(bad, 2), lambda: evaluation_cost(bad, 2),
+                 lambda: srk_step(bad, prob, ctx)):
+        with pytest.raises(TableauValueError, match=r"A0\[2\]\[1\] = nan"):
+            call()
+
+
+def test_racing_threads_share_one_plan_of_a_fresh_pattern():
+    # more threads than cores ask for the first plans of patterns no
+    # tableau has had yet; each must get the one plan the cache keeps
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rng = np.random.default_rng(16)
+        for _ in range(10):
+            tab = _sparse_tableau(rng, 5)
+            assert (tab._pattern, False) not in integrator._PLANS
+            got = []
+            start = threading.Barrier(6, timeout=10)
+
+            def worker(m):
+                start.wait()
+                got.append((m, usage_plan(tab, m)))
+
+            threads = [threading.Thread(target=worker, args=(1 + i % 2,))
+                       for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert len(got) == 6
+            assert all(plan is usage_plan(tab, m) for m, plan in got)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_cost_generates_no_step():
+    # the cost model reads the plan only: the generated step grows as
+    # s m^2 and is made by a first step alone
+    before = dict(integrator._STEPS)
+    got = evaluation_cost(named_scheme("RDI2WM"), 1000)
+    assert got == EvaluationCost(2, 2001000, 500500)
+    assert integrator._STEPS == before
 
 
 def _reference_terminal_values(tab, prob, n_steps, n_paths, stream):
