@@ -17,32 +17,50 @@ for k != l.
 
 Only V_kl for l < k is random, so a batch holds just those m(m-1)/2
 signs, and WeakIncrementBatch.ihat_pair() alone applies V_kk = -h and
-V_lk = -V_kl.  Sampling draws exactly one uniform per variate from a
-counter-based generator (Philox), in a fixed documented order: first
+V_lk = -V_kl.  Sampling reads exactly one 64-bit word per variate from
+a counter-based generator (Philox), in a fixed documented order: first
 the m three-point variates, then the signs in row-major order.  Schemes
 that never touch the off-diagonal Ihat_(k,l) skip the sign draws
 (with_offdiag=False), which keeps the random-variable count equal to
 what the step actually needs.
 
+A word is mapped by integer thresholds: Ihat_k is -sqrt(3 h) for a
+word below T1 = ceil((1/6) 2^53) 2^11, +sqrt(3 h) for a word at or
+above T5 = ceil((5/6) 2^53) 2^11, and 0 otherwise; V_kl is +h for a
+word below 2^63 and -h otherwise.  numpy's Generator.random() makes
+the uniform (word >> 11) 2^-53 of the same word, and these tests agree
+exactly with u < 1/6, u >= 5/6 and u < 1/2 on it: u >= c holds just
+when word >> 11 >= ceil(c 2^53), that is, when word >= ceil(c 2^53)
+2^11, where c is the double 1/6, 5/6 or 1/2.  So the increments are
+those of the uniforms, bit for bit, without forming a double per word.
+(T1 is not int((1/6) 2^64), which is 1536 words lower.)  A stream
+must give such words: draw() reads a _RowWindow or a CountingStream
+through its words(), and a numpy Generator through its bit generator's
+random_raw() when its random() is (raw word >> 11) 2^-53, as for
+Philox, PCG64, PCG64DXSM and SFC64.  Any other stream is refused with
+IncrementError before a word is read: MT19937's raw words have 32
+bits, all below T1, and a stream with only random() has no words.
+
 draw() returns Ihat and the signs in Fortran order, so that with a
 leading path axis each Ihat[..., k] and each sign is contiguous over
 the paths; the stepper multiplies them into path-contiguous states.
-The uniforms themselves are drawn in C order, so the layout does not
-change which uniform feeds which variate.
+The words themselves are drawn in C order, and the mapping's last pass
+over Ihat writes it in Fortran order, so the layout does not change
+which word feeds which variate.
 
 A batch of n paths draws each block as one (n, k) C-ordered array, so
-path i reads the k uniforms in row i of the block.  _RowWindow hands
-a part of the paths, rows [lo, hi), exactly the rows the whole batch
-would have drawn: Philox yields 4 doubles per counter, and its
-advance() moves the counter directly, so any offset in the stream is
-reached by one advance and at most 3 discarded doubles.  Parts of a
-batch can then be stepped one after another, each on its own copy of
-the batch stream, and give the same numbers as the whole batch.
+path i reads the k words in row i of the block.  _RowWindow hands a
+part of the paths, rows [lo, hi), exactly the rows the whole batch
+would have drawn: Philox yields 4 words per counter, and its advance()
+moves the counter directly, so any offset in the stream is reached by
+one advance and at most 3 discarded words.  Parts of a batch can then
+be stepped one after another, each on its own copy of the batch
+stream, and give the same numbers as the whole batch.
 
 The joint support is finite, of size 3^m 2^(m(m-1)/2), so expectations
 after a few steps can be computed exactly by enumeration; support_batch()
 returns it as one stacked batch with its probabilities for m <= 4,
-built through the same uniform-to-increment mapping as draw().  The
+built through the same word-to-increment mapping as draw().  The
 support is built once per (m, h) and kept in a small private cache;
 its arrays are read-only and the batch is frozen, so every caller can
 share it.
@@ -62,8 +80,13 @@ from .tableau import Error, _check_int, _is_finite
 MAX_ENUM_M = 4
 # supports kept by support_batch, the least recently used evicted first
 _SUPPORT_CACHE_SIZE = 16
-# doubles per Philox counter: one 64-bit word of the 4x64 output each
-_PHILOX_DOUBLES = 4
+# 64-bit words per Philox counter: its 4x64 output
+_PHILOX_WORDS = 4
+# the least words whose uniform (word >> 11) 2^-53 is >= 1/6, >= 5/6
+# and >= 1/2; int((1/6) 2^64) would be 1536 words short of _T1
+_T1 = np.uint64(math.ceil(1.0 / 6.0 * 2.0 ** 53) << 11)
+_T5 = np.uint64(math.ceil(5.0 / 6.0 * 2.0 ** 53) << 11)
+_HALF = np.uint64(1 << 63)
 
 
 class IncrementError(Error):
@@ -97,28 +120,32 @@ def derive_seed(seed, *path):
 
 
 class CountingStream:
-    """Wrap a generator and count the uniform variates drawn from it."""
+    """Wrap a stream and count the 64-bit words drawn from it.
+
+    stream is anything draw() reads: a Generator of the bit generators
+    it accepts, a _RowWindow or another CountingStream.  words(size)
+    hands out the stream's next words and counts one per word, so the
+    count is the number of variates drawn.
+    """
 
     def __init__(self, stream):
         self.stream = stream
         self.count = 0
 
-    def random(self, size=None):
-        if size is not None:
-            self.count += int(np.prod(size))
-        else:
-            self.count += 1
-        return self.stream.random(size)
+    def words(self, size):
+        words = _word_reader(self.stream)(size)
+        self.count += words.size
+        return words
 
 
 class _RowWindow:
-    """Rows [lo, hi) of the uniforms a batch of n paths draws.
+    """Rows [lo, hi) of the words a batch of n paths draws.
 
-    Each random((hi - lo, ...)) call returns rows [lo, hi) of the next
-    (n, ...) C-ordered block that n paths would draw from the stream
-    as given, bit for bit.  The stream is positioned only when a read
-    does not start where the last one ended, so a window over the
-    whole batch never seeks.
+    Each words((hi - lo, ...)) call returns rows [lo, hi) of the next
+    (n, ...) C-ordered block of 64-bit words that n paths would draw
+    from the stream as given, bit for bit.  The stream is positioned
+    only when a read does not start where the last one ended, so a
+    window over the whole batch never seeks.
 
     Args:
       stream: numpy Generator backed by Philox, owned by the window
@@ -133,15 +160,15 @@ class _RowWindow:
         if not 0 <= lo < hi <= n:
             raise IncrementError("rows [%r, %r) are not a part of %r rows"
                                  % (lo, hi, n))
-        self._stream = stream
-        self._start = stream.bit_generator.state
-        # doubles of the start state's last counter not yet handed out
-        self._buffered = _PHILOX_DOUBLES - self._start["buffer_pos"]
+        self._bitgen = stream.bit_generator
+        self._start = self._bitgen.state
+        # words of the start state's last counter not yet handed out
+        self._buffered = _PHILOX_WORDS - self._start["buffer_pos"]
         self._n, self._lo, self._rows = n, lo, hi - lo
         self._block = 0  # where the next block starts in the batch stream
         self._at = 0  # where the stream stands, counted from the start
 
-    def random(self, size):
+    def words(self, size):
         shape = (size,) if np.ndim(size) == 0 else tuple(size)
         if shape[:1] != (self._rows,):
             raise IncrementError("this window reads %d rows, asked for %r"
@@ -152,16 +179,41 @@ class _RowWindow:
             self._seek(first)
         self._block += self._n * k
         self._at = first + self._rows * k
-        return self._stream.random(shape)
+        return self._bitgen.random_raw(shape)
 
     def _seek(self, offset):
-        bitgen = self._stream.bit_generator
+        bitgen = self._bitgen
         bitgen.state = self._start
         past = offset - self._buffered
         if past >= 0:  # advance() also empties the buffer
-            bitgen.advance(past // _PHILOX_DOUBLES)
-            offset = past % _PHILOX_DOUBLES
-        self._stream.random(offset)
+            bitgen.advance(past // _PHILOX_WORDS)
+            offset = past % _PHILOX_WORDS
+        bitgen.random_raw(offset, output=False)
+
+
+def _word_reader(stream):
+    """Return the words(size) reader of a stream draw() accepts.
+
+    A stream with a words method (_RowWindow, CountingStream) is read
+    through it; a Generator whose random() is (raw word >> 11) 2^-53
+    through its bit generator's random_raw.  Any other stream is
+    refused before a word is read: MT19937's raw words have 32 bits,
+    all below _T1, and a stream with only random() has no words.
+    """
+    words = getattr(stream, "words", None)
+    if words is not None:
+        return words
+    # np.random is read here, not at import: numpy loads it lazily
+    if isinstance(stream, np.random.Generator):
+        bitgen = stream.bit_generator
+        if isinstance(bitgen, (np.random.Philox, np.random.PCG64,
+                               np.random.PCG64DXSM, np.random.SFC64)):
+            return bitgen.random_raw
+        stream = bitgen
+    raise IncrementError(
+        "increments are drawn from 64-bit words, which a %s stream does "
+        "not give; use a Generator backed by Philox, PCG64, PCG64DXSM or "
+        "SFC64" % type(stream).__name__)
 
 
 @dataclass(frozen=True)
@@ -215,22 +267,22 @@ def _check_m_h(m, h):
 
 
 def _increments(h, u, w):
-    """Map uniforms to (Ihat, signs), read-only and in Fortran order.
+    """Map 64-bit words to (Ihat, signs), read-only and in Fortran order.
 
-    u (..., m): u < 1/6 gives -sqrt(3 h), u >= 5/6 +sqrt(3 h), else 0.
-    w (..., m(m-1)/2), one per V_kl, l < k, in row-major order: w < 1/2
-    gives +h, else -h; w None gives signs None.
+    u (..., m): a word >= _T5 gives +sqrt(3 h), a word < _T1 gives
+    -sqrt(3 h), any other +0.0.  w (..., m(m-1)/2), one per V_kl,
+    l < k, in row-major order: a word < 2^63 gives +h, else -h; w None
+    gives signs None.
     """
-    # 1 for u >= 5/6, -1 for u < 1/6, else +0.0 (never -0.0), scaled;
-    # formed in the uniforms' C order, then laid out once
-    ihat = (u >= 5.0 / 6.0).astype(float)
-    ihat -= u < 1.0 / 6.0
+    # 1, -1 or 0 as int8, then one pass into Fortran order; the scaling
+    # gives +0.0, never -0.0
+    ihat = (u >= _T5).view(np.int8) - (u < _T1).view(np.int8)
+    ihat = ihat.astype(float, order="F")
     ihat *= math.sqrt(3.0 * h)
-    ihat = np.asfortranarray(ihat)
     ihat.setflags(write=False)
     signs = None
     if w is not None:
-        signs = np.asfortranarray(np.where(w < 0.5, h, -h))
+        signs = np.asfortranarray(np.where(w < _HALF, h, -h))
         signs.setflags(write=False)
     return ihat, signs
 
@@ -238,15 +290,21 @@ def _increments(h, u, w):
 def draw(m, h, stream, size=None, with_offdiag=True):
     """Sample one weak increment batch.
 
-    Consumption order from the stream, one uniform per variate: the m
-    three-point variates first, then, if with_offdiag holds, the
+    Consumption order from the stream, one 64-bit word per variate: the
+    m three-point variates first, then, if with_offdiag holds, the
     m(m-1)/2 two-point sign variates for V_kl, l < k, in row-major order
-    (none for m = 1); _increments() maps them to values.
+    (none for m = 1); _increments() maps them to values by the integer
+    thresholds of the module docstring.  The increments are those that
+    the uniforms of random() on the same stream would give, bit for bit.
 
     Args:
       m: number of driving Wiener components, >= 1
       h: step size, > 0
-      stream: generator with a random(size) method
+      stream: a numpy Generator backed by Philox, PCG64, PCG64DXSM or
+        SFC64, or an object with a words(size) method returning that
+        many uint64 words (_RowWindow, CountingStream); any other
+        stream, MT19937 included, raises IncrementError before a word
+        is read
       size: leading shape for independent realisations, an int n
         meaning (n,); None gives a single scalar realisation
       with_offdiag: draw the sign variates V_kl, l < k; schemes that
@@ -264,8 +322,9 @@ def draw(m, h, stream, size=None, with_offdiag=True):
         for n in shape:
             _check_int("each size entry", n, 0, IncrementError)
         shape = tuple(int(n) for n in shape)
-    u = stream.random(shape + (m,))
-    w = stream.random(shape + (m * (m - 1) // 2,)) if with_offdiag else None
+    read = _word_reader(stream)
+    u = read(shape + (m,))
+    w = read(shape + (m * (m - 1) // 2,)) if with_offdiag else None
     return WeakIncrementBatch(h, *_increments(h, u, w))
 
 
@@ -274,7 +333,8 @@ def support_batch(m, h):
 
     Atoms are listed by their digits, the m three-point digits first,
     then the sign digits, the last varying fastest; each digit is the
-    uniform (0, 1/2 or 1; 0 or 1 for a sign) that _increments() maps.
+    64-bit word (0, 2^63 or 2^64 - 1; 0 or 2^64 - 1 for a sign) that
+    _increments() maps.
 
     Args:
       m: number of driving Wiener components, 1 <= m <= MAX_ENUM_M
@@ -300,8 +360,9 @@ def _support(m, h):
     npairs = m * (m - 1) // 2
     digits = np.array(list(itertools.product(
         *[range(3)] * m, *[range(2)] * npairs)))
-    u = np.array([0.0, 0.5, 1.0])[digits[:, :m]]
-    w = np.array([0.0, 1.0])[digits[:, m:]]
+    words = np.array([0, 1 << 63, (1 << 64) - 1], dtype=np.uint64)
+    u = words[digits[:, :m]]
+    w = words[2 * digits[:, m:]]
     batch = WeakIncrementBatch(h, *_increments(h, u, w))
     point_probs = np.array([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0])
     probs = np.ones(len(digits))

@@ -90,12 +90,12 @@ axis: f maps (..., d) to (...), or to a scalar.
 
 terminal_values() stores a batch of M states as an (M, d) array in
 Fortran order, so each component is contiguous over the paths, as are
-draw()'s Ihat_k and signs: every value * weight product runs over
-contiguous memory, and numpy carries the layout from stage to stage
-into the callbacks (see SdeProblem; any layout gives identical
-numbers).  Divergence costs one reduction per step: only a sum of the
-states that is not finite, or a path frozen earlier, takes the exact
-per-path test.
+the Ihat_k and signs that draw() writes from its words: every value *
+weight product runs over contiguous memory, and numpy carries the
+layout from stage to stage into the callbacks (see SdeProblem; any
+layout gives identical numbers).  Divergence costs one reduction per
+step: only a sum of the states that is not finite, or a path frozen
+earlier, takes the exact per-path test.
 """
 
 from __future__ import annotations
@@ -519,7 +519,7 @@ def exact_expectation(tab, prob, f, h, n_steps):
         raise ValueError("%d steps have %d^%d support atoms, which times "
                          "d = %d exceeds the cap of 2^20 state elements"
                          % (n_steps, k, n_steps, prob.d))
-    y, inc, weights = np.broadcast_to(prob.x0, (k, prob.d)), batch, probs
+    y, inc, weights = np.repeat(prob.x0[None, :], k, axis=0), batch, probs
     t = prob.t0
     for n in range(n_steps):
         if n:

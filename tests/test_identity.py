@@ -1,4 +1,4 @@
-"""Tier-1 byte-identity gate: six of the eight hashes that
+"""Tier-1 byte-identity gate: seven of the nine hashes that
 tools/identity_hashes.py prints, pinned.
 
 The hash recipes are imported from that script, not copied, so the
@@ -76,3 +76,10 @@ def test_exact_one_step_expectations_are_bit_identical():
     # float.hex of the exact one-step expectation of the named schemes
     # and 3 random members per family on linear p = 1, 2 and system18
     assert identity_hashes.exact_hash() == "83a51646fc330300"
+
+
+def test_increment_draws_are_byte_identical():
+    # draw() for m = 1 to 4 through a substream, a CountingStream and
+    # row windows with lo > 0, and support_batch(): a change to the
+    # word order, the mapping or the layout moves this hash
+    assert identity_hashes.draws_hash() == "d1dce222459a6202"

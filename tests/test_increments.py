@@ -107,24 +107,45 @@ def test_draw_without_offdiag():
 
 
 class _FixedStream:
-    """Stand-in generator that hands out chosen uniforms cyclically."""
+    """Stand-in stream that hands out chosen 64-bit words cyclically:
+    as themselves through words(), and as numpy's uniforms of them,
+    (word >> 11) 2^-53, through random()."""
 
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
+    def __init__(self, words):
+        self.values = np.asarray(words, dtype=np.uint64)
         self.pos = 0
 
-    def random(self, size):
+    def words(self, size):
         n = int(np.prod(size))
         idx = np.arange(self.pos, self.pos + n) % len(self.values)
         self.pos += n
         return self.values[idx].reshape(size)
 
+    def random(self, size):
+        return (self.words(size) >> np.uint64(11)) * 2.0 ** -53
 
-# the three-point and sign thresholds and the ends of [0, 1), each with
-# its neighbour below, so every branch of the mappings is hit
-_EDGE_UNIFORMS = [0.0, np.nextafter(1 / 6, 0.0), 1 / 6, 0.25,
-                  np.nextafter(0.5, 0.0), 0.5, np.nextafter(5 / 6, 0.0),
-                  5 / 6, 1.0 - 2.0 ** -53, 0.75, 0.1, 0.9, 0.6]
+
+# the least words whose uniform is >= 1/6 and >= 5/6
+_T1 = 3074457345618259968
+_T5 = 15372286728091293696
+# each threshold with its neighbour below, three of the 1536 words in
+# [int((1/6) 2^64), T1) whose uniform is still below 1/6, the sign
+# threshold 2^63 with its neighbour below, the ends of the word range
+# and words inside each branch, so every branch of the mappings is hit;
+# the old edge uniforms 1/6 and nextafter(1/6, 0) are no word's uniform
+_EDGE_WORDS = [_T1 - 1, _T1, _T5 - 1, _T5, 3074457345618258432,
+               3074457345618259200, _T1 - 2048, 2 ** 63 - 1, 2 ** 63, 0,
+               2 ** 64 - 1, 2 ** 62, 2 ** 64 - 2 ** 61]
+
+
+def test_edge_words_sit_at_the_uniform_thresholds():
+    # the uniforms are multiples of 2^-53, and 1/6, a multiple of
+    # 2^-55, is none: T1 and T1 - 1 give its neighbours on that grid
+    u = _FixedStream(_EDGE_WORDS).random(len(_EDGE_WORDS))
+    assert u[0] < 1 / 6 < u[1] == u[0] + 2.0 ** -53
+    assert u[3] == 5 / 6 and u[2] == np.nextafter(5 / 6, 0.0)
+    assert (u[4:7] < 1 / 6).all() and u[8] == 0.5 > u[7]
+    assert u[9] == 0.0 and u[10] == 1.0 - 2.0 ** -53
 
 
 def _reference_draw(m, h, stream, shape, with_offdiag):
@@ -152,15 +173,59 @@ def test_draw_matches_reference_mapping_bitwise(m, with_offdiag, size):
     # signed zeros included: 0 * sqrt(3 h) must stay +0.0
     h = 0.3
     shape = () if size is None else size
-    got = draw(m, h, _FixedStream(_EDGE_UNIFORMS), size=size,
+    got = draw(m, h, _FixedStream(_EDGE_WORDS), size=size,
                with_offdiag=with_offdiag)
-    ihat, signs = _reference_draw(m, h, _FixedStream(_EDGE_UNIFORMS), shape,
+    ihat, signs = _reference_draw(m, h, _FixedStream(_EDGE_WORDS), shape,
                                   with_offdiag)
     assert _same_bits(got.Ihat, ihat)
     if with_offdiag:
         assert _same_bits(got.signs, signs)
     else:
         assert got.signs is None
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("with_offdiag", [True, False])
+def test_pcg64_draw_matches_its_own_uniforms_bitwise(m, with_offdiag):
+    # any accepted Generator, not only Philox, gives the increments
+    # of its own random() uniforms
+    got = draw(m, 0.3, np.random.default_rng(17), size=(1000,),
+               with_offdiag=with_offdiag)
+    ihat, signs = _reference_draw(m, 0.3, np.random.default_rng(17),
+                                  (1000,), with_offdiag)
+    assert _same_bits(got.Ihat, ihat)
+    if with_offdiag:
+        assert _same_bits(got.signs, signs)
+
+
+class _UniformsOnly:
+    """A stream with random(size) and nothing else."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def random(self, size=None):
+        self.calls += 1
+        return np.zeros(size)
+
+
+def test_streams_without_64_bit_words_are_refused():
+    # MT19937's raw words have 32 bits, all below T1: unrefused, every
+    # Ihat would be -sqrt(3 h); both refusals come before a word is read
+    mt = np.random.Generator(np.random.MT19937(0))
+    key, pos = mt.bit_generator.state["state"].values()
+    with pytest.raises(IncrementError, match="MT19937"):
+        draw(1, 0.5, mt, size=(4,))
+    counted = CountingStream(mt)
+    with pytest.raises(IncrementError, match="MT19937"):
+        draw(2, 0.5, counted, size=(4,))
+    assert counted.count == 0
+    after = mt.bit_generator.state["state"]
+    assert np.array_equal(after["key"], key) and after["pos"] == pos
+    uniforms = _UniformsOnly()
+    with pytest.raises(IncrementError, match="_UniformsOnly"):
+        draw(2, 0.5, uniforms, size=(4,))
+    assert uniforms.calls == 0
 
 
 def test_draw_is_path_contiguous():
@@ -327,7 +392,7 @@ def test_row_window_refusals():
     window = _RowWindow(substream(0), 5, 1, 3)
     for size in [(3, 2), (5,), 5, None]:
         with pytest.raises(IncrementError, match="reads 2 rows"):
-            window.random(size)
+            window.words(size)
     with pytest.raises(IncrementError, match="reads 2 rows"):
         draw(2, 0.5, window, size=(5,))
     for lo, hi in [(-1, 2), (2, 2), (0, 6)]:

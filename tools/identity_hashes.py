@@ -1,4 +1,4 @@
-"""Print the eight byte-identity hashes of srkweak's outputs.
+"""Print the nine byte-identity hashes of srkweak's outputs.
 
 A change that must not move any output bit is checked by running this
 script on both trees and comparing the lines:
@@ -40,7 +40,16 @@ Each hash is the first 16 hex digits of the sha256 of:
                 six named schemes and EXACT_MEMBERS random members of
                 each of the 14 families (draw_member, one
                 np.random.default_rng(2026)), on linear:p=1, linear:p=2
-                (m = 1) and system18 (m = 2) at each h in EXACT_HS.
+                (m = 1) and system18 (m = 2) at each h in EXACT_HS;
+  draws         the shape and bytes of Ihat and the signs of draw()
+                for m = 1 to 4, with and without signs, at each h in
+                DRAW_HS: DRAW_STEPS draws of DRAW_PATHS paths from one
+                substream, then from a CountingStream (its count
+                written after the bytes), each through a row window of
+                the DRAW_PATHS paths with lo > 0 (DRAW_ROWS), and
+                through a CountingStream over such a window; then
+                support_batch() with its probabilities for m = 1 to 4
+                at each h in DRAW_HS.
 
 The package is imported from the src/ directory next to this script,
 and draw_member from the tests/ directory, so each checkout hashes its
@@ -65,6 +74,8 @@ from srkweak.cli import main  # noqa: E402
 from srkweak.estimator import estimate, run_study  # noqa: E402
 from srkweak.families import (FAMILY_IDS, NAMED_SCHEMES,  # noqa: E402
                               named_scheme)
+from srkweak.increments import (CountingStream, _RowWindow,  # noqa: E402
+                                draw, substream, support_batch)
 from srkweak.integrator import exact_one_step_expectation  # noqa: E402
 from srkweak.problems import problem_from_cli  # noqa: E402
 from srkweak.tableau import serialize  # noqa: E402
@@ -188,6 +199,48 @@ def exact_hash():
     return _digest(text.encode("utf-8"))
 
 
+#: step sizes of the draws recipe, its paths and steps per stream, and
+#: the rows [lo, hi) its row windows read
+DRAW_HS = (1.0, 0.5, 0.125)
+DRAW_PATHS = 37
+DRAW_STEPS = 3
+DRAW_ROWS = (5, 22)
+
+
+def draws_hash():
+    def batch_bytes(batch):
+        arrays = (batch.Ihat, batch.signs)
+        return b"".join(b"none" if a is None else
+                        repr(a.shape).encode() + a.tobytes(order="A")
+                        for a in arrays)
+
+    lo, hi = DRAW_ROWS
+    blocks = []
+    for m in range(1, 5):
+        for with_offdiag in (True, False):
+            for i, h in enumerate(DRAW_HS):
+                key = (m, int(with_offdiag), i)
+                streams = [
+                    (substream(2030, *key), DRAW_PATHS),
+                    (CountingStream(substream(2031, *key)), DRAW_PATHS),
+                    (_RowWindow(substream(2032, *key), DRAW_PATHS, lo, hi),
+                     hi - lo),
+                    (CountingStream(_RowWindow(substream(2033, *key),
+                                               DRAW_PATHS, lo, hi)), hi - lo)]
+                for stream, rows in streams:
+                    for _ in range(DRAW_STEPS):
+                        blocks.append(batch_bytes(draw(
+                            m, h, stream, size=(rows,),
+                            with_offdiag=with_offdiag)))
+                    if isinstance(stream, CountingStream):
+                        blocks.append(b"count %d" % stream.count)
+    for m in range(1, 5):
+        for h in DRAW_HS:
+            batch, probs = support_batch(m, h)
+            blocks.append(batch_bytes(batch) + probs.tobytes())
+    return _digest(b"".join(blocks))
+
+
 def print_hashes():
     for name, args in STUDIES:
         print("%-12s %s" % (name, study_hash(args)), flush=True)
@@ -196,6 +249,7 @@ def print_hashes():
     print("%-12s %s" % ("cli", cli_hash()))
     print("%-12s %s" % ("reports", reports_hash()))
     print("%-12s %s" % ("exact", exact_hash()))
+    print("%-12s %s" % ("draws", draws_hash()))
 
 
 if __name__ == "__main__":
