@@ -134,7 +134,7 @@ _T5 = 15372286728091293696
 # and words inside each branch, so every branch of the mappings is hit;
 # the old edge uniforms 1/6 and nextafter(1/6, 0) are no word's uniform
 _EDGE_WORDS = [_T1 - 1, _T1, _T5 - 1, _T5, 3074457345618258432,
-               3074457345618259200, _T1 - 2048, 2 ** 63 - 1, 2 ** 63, 0,
+               3074457345618259200, _T1 - 2, 2 ** 63 - 1, 2 ** 63, 0,
                2 ** 64 - 1, 2 ** 62, 2 ** 64 - 2 ** 61]
 
 
@@ -144,6 +144,7 @@ def test_edge_words_sit_at_the_uniform_thresholds():
     u = _FixedStream(_EDGE_WORDS).random(len(_EDGE_WORDS))
     assert u[0] < 1 / 6 < u[1] == u[0] + 2.0 ** -53
     assert u[3] == 5 / 6 and u[2] == np.nextafter(5 / 6, 0.0)
+    assert int(1 / 6 * 2 ** 64) == _EDGE_WORDS[4] == _T1 - 1536
     assert (u[4:7] < 1 / 6).all() and u[8] == 0.5 > u[7]
     assert u[9] == 0.0 and u[10] == 1.0 - 2.0 ** -53
 
