@@ -12,18 +12,18 @@ batch means yields the variance estimate
     sigma2_mu = Var(batch means) / n_batches
 
 and a confidence interval mu_hat +/- t_{0.95, n_batches-1}
-sqrt(sigma2_mu).  For up to 101 batches (df <= 100) the quantile is
-read from _T95, scipy 1.17.1's own stdtrit values frozen bit for bit,
-so such a study imports no scipy and its output does not depend on the
-installed scipy version; only more batches import scipy.special.
+sqrt(sigma2_mu), whose quantile comes from a frozen table of scipy's
+values for up to 101 batches and from scipy past it (_t_quantile_95).
 Batches are independent by construction (each owns a dedicated
 counter-based stream), so results are identical for any thread count
 and any batch execution order.
 
-Every estimate runs its batches through one worker, which adds up
-weighted levels: a scheme is one level of weight 1, and EXEM, the
-extrapolation 2 u_{h/2} - u_h of Talay and Tubaro, is two levels of
-Euler-Maruyama, at h weighted -1 and at h/2 weighted 2.
+Every estimate runs its batches through one worker, _batch_means,
+which returns a (batches, levels) matrix of the levels' means of f and
+one of their divergence counts; estimate folds the weighted means into
+u_Mh and the interval.  A scheme is one level of weight 1, and EXEM,
+the extrapolation 2 u_{h/2} - u_h of Talay and Tubaro, is two levels
+of Euler-Maruyama, at h weighted -1 and at h/2 weighted 2.
 
 The temporaries of a step do not grow with the batch size.  A batch
 of n paths is stepped in equal parts of at most _CHUNK_ELEMENTS state
@@ -39,17 +39,8 @@ depend on the part size.  A part is one terminal_values call, not a
 slice inside its step loop, so each call still does evaluation_cost
 times steps callback calls.
 
-A step allocates its temporaries afresh, 200-460 KB each in the
-benchmark studies.  Under glibc's dynamic malloc thresholds these sit on the heap
-and glibc returns the heap top to the kernel whenever about twice that
-much is free, so each step faults its arrays back in.  `srkweak study`
-therefore fixes the mmap threshold at 32 and the trim threshold at 64
-times a full part's 256 KiB state array (8 and 16 MiB; see the cli
-docstring).  That is glibc-only and process-wide, and it keeps at most
-16 MiB of freed heap per malloc arena.  The functions here leave the
-allocator of their host process alone: a program that calls them can
-make the same two mallopt calls itself, or set MALLOC_MMAP_THRESHOLD_
-and MALLOC_TRIM_THRESHOLD_ in its environment.
+The functions here never call mallopt: the allocator policy belongs
+to the process, and `srkweak study` sets it (see the cli docstring).
 
 Schemes are compared through the fitted order, the least-squares
 slope of log2 |mu_hat| against log2 h.
@@ -210,6 +201,41 @@ def _resolve(scheme, m):
     return tab.name, ((tab, 1, 1.0),)
 
 
+def _batch_means(levels, prob, n_steps, sizes, seed, threads):
+    """(means, diverged): two (batches, levels) arrays, the mean of f
+    over the paths of level k in batch b that did not diverge (nan if
+    none is left) and the count of those that did.  Level k of _resolve
+    runs on substream (seed, k, b); its weight is not read.
+    """
+    def worker(b):
+        n = sizes[b]
+        parts = -(-n // max(1, _CHUNK_ELEMENTS // prob.d))
+        bounds = [n * c // parts for c in range(parts + 1)]
+        means, counts = [], []
+        for k, (tab, r, _) in enumerate(levels):
+            values = np.empty((n, prob.d), order="F")
+            div = np.empty(n, dtype=bool)
+            for lo, hi in zip(bounds, bounds[1:]):
+                values[lo:hi], div[lo:hi] = terminal_values(
+                    tab, prob, r * n_steps, hi - lo,
+                    _RowWindow(substream(seed, k, b), n, lo, hi))
+            # f may overflow on extreme but representable states
+            with np.errstate(over="ignore", invalid="ignore"):
+                kept = values[~div] if div.any() else values
+                means.append(math.nan if div.all() else float(np.mean(
+                    _checked("f", prob.f(kept), kept, kept.shape[:-1]))))
+            counts.append(int(div.sum()))
+        return means, counts
+
+    if threads == 1:
+        results = [worker(b) for b in range(len(sizes))]
+    else:
+        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+            results = list(pool.map(worker, range(len(sizes))))
+    means, counts = zip(*results)
+    return np.array(means), np.array(counts)
+
+
 def estimate(scheme, prob, h, M, seed, batches=DEFAULT_BATCHES, threads=1):
     """Estimate the weak error of a scheme on a problem at one step size.
 
@@ -240,39 +266,12 @@ def estimate(scheme, prob, h, M, seed, batches=DEFAULT_BATCHES, threads=1):
     _check_int("threads", threads, 1, EstimatorError)
     exact = float(prob.exact_functional(prob.t_end))
 
-    def worker(b):
-        # level k draws on substream (seed, k, b); the sum starts from
-        # the first term, since 0.0 + -0.0 would turn a -0.0 into +0.0
-        n = sizes[b]
-        parts = -(-n // max(1, _CHUNK_ELEMENTS // prob.d))
-        bounds = [n * c // parts for c in range(parts + 1)]
-        value, diverged = None, 0
-        for k, (tab, r, weight) in enumerate(levels):
-            values = np.empty((n, prob.d), order="F")
-            div = np.empty(n, dtype=bool)
-            for lo, hi in zip(bounds, bounds[1:]):
-                values[lo:hi], div[lo:hi] = terminal_values(
-                    tab, prob, r * n_steps, hi - lo,
-                    _RowWindow(substream(seed, k, b), n, lo, hi))
-            # f may overflow on extreme but representable states
-            with np.errstate(over="ignore", invalid="ignore"):
-                kept = values[~div] if div.any() else values
-                term = weight * (math.nan if div.all() else float(np.mean(
-                    _checked("f", prob.f(kept), kept, kept.shape[:-1]))))
-            value = term if value is None else value + term
-            diverged += int(div.sum())
-        return value, diverged
-
-    if threads == 1:
-        results = [worker(b) for b in range(len(sizes))]
-    else:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            results = list(pool.map(worker, range(len(sizes))))
-
-    batch_values = np.array([r[0] for r in results])
-    diverged = int(sum(r[1] for r in results))
+    means, counts = _batch_means(levels, prob, n_steps, sizes, seed, threads)
     weights = np.array(sizes, dtype=float) / float(M)
     with np.errstate(over="ignore", invalid="ignore"):
+        # the first level, then the others in order: 0.0 + -0.0 is +0.0
+        terms = [means[:, k] * w for k, (_, _, w) in enumerate(levels)]
+        batch_values = sum(terms[1:], terms[0])
         u = float(weights @ batch_values)
         mu = u - exact
         sigma2 = float(np.var(batch_values, ddof=1) / len(sizes))
@@ -281,7 +280,7 @@ def estimate(scheme, prob, h, M, seed, batches=DEFAULT_BATCHES, threads=1):
     return WeakErrorReport(scheme=label, problem=prob.name, h=float(h),
                            M=int(M), u_Mh=u, mu_hat=mu, sigma2_mu=sigma2,
                            ci_a=mu - half, ci_b=mu + half,
-                           diverged=diverged)
+                           diverged=int(counts.sum()))
 
 
 def fit_order(hs, mu_hats):

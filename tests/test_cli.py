@@ -50,6 +50,10 @@ def test_check_malformed_claim(capsys):
     _, err = capsys.readouterr()
     assert code == 1
     assert "claim must look like" in err
+    code = main(["check", "--scheme", "em", "--claim", "a,b"])
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert "claim must hold two integers, got 'a,b'" in err
 
 
 def test_check_malformed_claim_writes_no_report(capsys):
@@ -545,6 +549,16 @@ def test_study_empty_scheme_list(capsys):
     _, err = capsys.readouterr()
     assert code == 1
     assert "empty scheme list" in err
+
+
+def test_study_empty_step_size_list(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code = main(["study", "--problem", "nonlinear16", "--schemes", "em",
+                 "--h", ",", "--out-dir", str(out_dir)])
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert "empty step size list" in err
+    assert not out_dir.exists()
 
 
 def test_unknown_command(capsys):

@@ -180,6 +180,12 @@ def test_exem_counts_divergence_of_both_levels():
     rep = estimate("EXEM", prob, 0.25, 40, seed=0, batches=4)
     assert rep.diverged == 80
     assert math.isnan(rep.u_Mh)
+    # the worker counts each level in its own column
+    _, levels = estimator._resolve("EXEM", prob.m)
+    means, counts = estimator._batch_means(
+        levels, prob, estimator._steps_for(prob, 0.25), [10] * 4, 0, 1)
+    assert counts.tolist() == [[10, 10]] * 4
+    assert np.isnan(means).all()
 
 
 def test_estimate_refuses_f_of_the_wrong_shape():
@@ -297,6 +303,43 @@ def test_estimate_in_parts_equals_the_whole_batch(monkeypatch, scheme, chunk):
     parts = estimate(scheme, problem_2d(), 1.0, 60, seed=3, batches=3,
                      threads=2)
     assert parts == whole
+
+
+@pytest.mark.parametrize("chunk", [estimator._CHUNK_ELEMENTS, 3])
+@pytest.mark.parametrize("scheme", ["RDI2WM", "EXEM"])
+def test_report_folds_the_batch_mean_matrix(monkeypatch, scheme, chunk):
+    # the worker returns each level's own mean of f, and u_Mh and
+    # sigma2_mu are its weighted levels summed from the first on; 61
+    # paths in 4 batches split 16/15/15/15, and 3 elements at d = 2 are
+    # parts of one path
+    monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
+    prob, h, M, seed, batches = problem_2d(), 1.0, 61, 3, 4
+    n = estimator._steps_for(prob, h)
+    _, levels = estimator._resolve(scheme, prob.m)
+    sizes = [16, 15, 15, 15]
+    matrices = []
+    for threads in (1, 2):
+        means, counts = estimator._batch_means(levels, prob, n, sizes, seed,
+                                               threads)
+        assert means.shape == counts.shape == (batches, len(levels))
+        values = means[:, 0] * levels[0][2]
+        for k in range(1, len(levels)):
+            values = values + means[:, k] * levels[k][2]
+        u = float(np.array(sizes, dtype=float) / M @ values)
+        sigma2 = float(np.var(values, ddof=1) / batches)
+        rep = estimate(scheme, prob, h, M, seed=seed, batches=batches,
+                       threads=threads)
+        assert float.hex(rep.u_Mh) == float.hex(u)
+        assert float.hex(rep.sigma2_mu) == float.hex(sigma2)
+        assert rep.diverged == int(counts.sum()) == 0
+        matrices.append((means.tobytes(), counts.tolist()))
+    assert matrices[0] == matrices[1]
+    for b, size in enumerate(sizes):
+        for k, (tab, r, _) in enumerate(levels):
+            y, _ = terminal_values(tab, prob, r * n, size,
+                                   substream(seed, k, b))
+            assert float.hex(means[b, k]) == float.hex(float(np.mean(
+                prob.f(y))))
 
 
 def test_memory_does_not_grow_with_the_batch_size():

@@ -170,6 +170,13 @@ def test_consistency_check_rejects_bad_functional():
             diffusion_column=lambda t, y, j: y,
             x0=np.array([1.0]), exact_functional=lambda t: 1.0,
             name="bad", f=None)
+    with pytest.raises(ValueError, match="exact_functional must be callable"):
+        NamedProblem(
+            d=1, m=1,
+            drift=lambda t, y: y,
+            diffusion_column=lambda t, y, j: y,
+            x0=np.array([1.0]), exact_functional=1.0,
+            name="bad", f=lambda y: y[..., 0])
 
 
 def test_named_problem_refuses_f_of_the_wrong_shape():

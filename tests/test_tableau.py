@@ -311,6 +311,12 @@ def _doc(**over):
     return json.dumps(doc)
 
 
+#: a matrix row that is a number: numpy refuses the ragged array in
+#: words of its own, after srkweak's "A0 must be a numeric array ..."
+_MIXED_ROW = json.dumps(dict(json.loads(serialize(named_scheme("RDI1WM"))),
+                             A0=[1.0, [0.0, 0.0]]))
+
+
 @pytest.mark.parametrize("text", [
     "[]",
     "not json",
@@ -336,9 +342,12 @@ def _doc(**over):
     pytest.param("[" * 100000 + "]" * 100000, id="deep-json"),
     pytest.param(_doc(s=1.0), id="float-s"),
     pytest.param(_doc(s=17), id="s-17"),
+    pytest.param(_MIXED_ROW, id="mixed-matrix-row"),
 ])
 def test_deserialize_rejects_malformed(text):
-    with pytest.raises(TableauFormatError):
+    match = (r"^A0 must be a numeric array of shape \(2, 2\): "
+             if text == _MIXED_ROW else None)
+    with pytest.raises(TableauFormatError, match=match):
         deserialize(text)
 
 
