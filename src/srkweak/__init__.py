@@ -5,8 +5,9 @@ The package provides coefficient tableaux and their serialization,
 algebraic order conditions with order inference, parametrised scheme
 families with admissibility checking, the discrete weak increment
 law, a vectorised stepping engine with evaluation-count accounting,
-benchmark problems with known functional expectations, and Monte
-Carlo weak-error estimation with convergence-order fits.
+exact expectations over the finite support of that law, benchmark
+problems with known functional expectations, and Monte Carlo
+weak-error estimation with convergence-order fits.
 """
 
 from .tableau import (
@@ -66,9 +67,9 @@ from .integrator import (
     evaluation_cost,
     srk_step,
     terminal_values,
-    exact_expectation,
     exact_one_step_expectation,
 )
+from .exact import exact_expectation
 from .problems import (
     PROBLEM_IDS,
     UnknownProblemError,

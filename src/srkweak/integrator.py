@@ -105,11 +105,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .increments import WeakIncrementBatch, draw, support_batch
+from .increments import WeakIncrementBatch, draw
 from .tableau import (_MATRIX_KEYS, _VECTOR_KEYS, _check_int, _is_finite,
                       _require_valid)
 
-_MAX_TREE_ELEMENTS = 1 << 20  # atoms times d on a support tree's last level
 _CACHE_SIZE = 64  # entries kept in each cache below, the oldest go first
 _PLANS = {}  # (tab._pattern, m >= 2) -> StepPlan, oldest first
 _STEPS = {}  # (tab._pattern, m) -> generated step, oldest first
@@ -426,21 +425,26 @@ def srk_step(tab, prob, ctx):
 
     Raises:
       ValueError: if the state's last axis is not d, the increments are
-        not for the problem's m, or a drift or diffusion value
-        does not broadcast to its stage point
+        not for the problem's m, their step size h is not a finite
+        number > 0, or a drift or diffusion value does not broadcast to
+        its stage point
       TableauValueError: if the tableau has structural violations
     """
     inc, m = ctx.increments, prob.m
     if inc.m != m:
         raise ValueError("increments for m = %d do not fit a problem with "
                          "m = %d" % (inc.m, m))
+    h = inc.h
+    if not (_is_finite(h) and h > 0.0):
+        raise ValueError("the step size h must be a finite number > 0, "
+                         "got %r" % (h,))
     y = np.asarray(ctx.y, dtype=float)
     if y.shape[-1:] != (prob.d,):
         raise ValueError("a state of shape %r does not fit a problem with "
                          "d = %d" % (y.shape, prob.d))
     _require_valid(tab, "step")
     step = _cached(_STEPS, (tab._pattern, m), _generate, tab, m)
-    return step(tab, prob, ctx.t, inc.h, y, inc)
+    return step(tab, prob, ctx.t, h, y, inc)
 
 
 def terminal_values(tab, prob, n_steps, n_paths, stream):
@@ -488,52 +492,7 @@ def terminal_values(tab, prob, n_steps, n_paths, stream):
     return y, diverged
 
 
-def exact_expectation(tab, prob, f, h, n_steps):
-    """Compute E f(Y) after n_steps steps of size h from (t0, x0)
-    exactly, by expanding the finite support tree of the increment law.
-
-    Each level is one vectorised step: the root steps x0 on the support
-    itself, and each later level repeats every state once per atom and
-    tiles the atoms over the states.  The weights multiply
-    support_batch's probabilities and sum to 1 only up to rounding, to
-    1 - 2.2e-16 after four levels at m = 2.  A last level of more than
-    2^20 state elements (atoms times d) is refused before any step runs.
-
-    Args:
-      tab: CoefficientTableau
-      prob: SdeProblem with m <= 4
-      f: functional mapping states (..., d) to values (...) or a scalar;
-        any other shape raises ValueError
-      h: step size, > 0
-      n_steps: number of steps, >= 1
-
-    Returns:
-      float, the exact expectation over the increment law
-    """
-    _check_int("n_steps", n_steps, 1, ValueError)
-    n_steps = int(n_steps)  # a NumPy integer would wrap in k ** n_steps
-    batch, probs = support_batch(prob.m, h)
-    k = len(probs)
-    # k >= 3, so more than 20 steps always exceed the cap
-    if n_steps > 20 or k ** n_steps * prob.d > _MAX_TREE_ELEMENTS:
-        raise ValueError("%d steps have %d^%d support atoms, which times "
-                         "d = %d exceeds the cap of 2^20 state elements"
-                         % (n_steps, k, n_steps, prob.d))
-    y, inc, weights = np.repeat(prob.x0[None, :], k, axis=0), batch, probs
-    t = prob.t0
-    for n in range(n_steps):
-        if n:
-            inc = WeakIncrementBatch(h, np.tile(batch.Ihat, (len(y), 1)),
-                                     np.tile(batch.signs, (len(y), 1)))
-            y = np.repeat(y, k, axis=0)
-            weights = (weights[:, None] * probs).ravel()
-        y = srk_step(tab, prob, StepContext(t=t, y=y, increments=inc))
-        t = prob.t0 + (n + 1) * h
-    vals = _checked("f", f(y), y, weights.shape)
-    return float(weights @ vals if vals.shape == weights.shape
-                 else vals.item())  # a constant f is its own expectation
-
-
 def exact_one_step_expectation(tab, prob, f, h):
-    """E f(Y) after one step of size h: exact_expectation's n = 1."""
+    """E f(Y) after one step of size h: exact.exact_expectation's n = 1."""
+    from .exact import exact_expectation  # exact imports this module
     return exact_expectation(tab, prob, f, h, 1)

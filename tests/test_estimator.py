@@ -10,10 +10,11 @@ from srkweak.estimator import (DEFAULT_BATCHES, ERRORS_HEADER, EXTRAPOLATED,
                                WeakErrorReport, _t_quantile_95, estimate,
                                fit_order, run_study, write_errors_csv,
                                write_orders_csv)
+from srkweak.exact import exact_expectation
 from srkweak.families import UnknownSchemeError, named_scheme
 from srkweak.increments import substream
-from srkweak.integrator import (SdeProblem, exact_expectation,
-                                exact_one_step_expectation, terminal_values)
+from srkweak.integrator import (SdeProblem, exact_one_step_expectation,
+                                terminal_values)
 from srkweak.problems import (NamedProblem, problem_2d, problem_linear,
                               problem_nonlinear)
 from srkweak.tableau import (_MATRIX_KEYS, _VECTOR_KEYS, CoefficientTableau,

@@ -10,7 +10,7 @@ the per-layer metrics would silently read zero.
 
 from collections import defaultdict
 
-from srkweak import conditions, estimator, integrator
+from srkweak import conditions, estimator, exact, integrator
 from srkweak.cli import main
 from srkweak.families import named_scheme
 from srkweak.increments import substream
@@ -49,10 +49,11 @@ def test_library_calls_hooks_through_module_globals(monkeypatch, capsys):
     integrator.exact_one_step_expectation(named_scheme("EM"), prob, prob.f,
                                           0.25)
     assert len(calls["srk_step"]) == 9 + 1
-    integrator.exact_expectation(named_scheme("EM"), prob, prob.f, 0.25, 2)
+    exact.exact_expectation(named_scheme("EM"), prob, prob.f, 0.25, 2)
     assert len(calls["srk_step"]) == 10 + 2
     for _, _, ctx in calls["srk_step"][9:]:
         assert isinstance(ctx, StepContext)
+    assert "srk_step" not in vars(exact)  # the tree binds no step of its own
 
     assert main(["check", "--scheme", "em"]) == 0
     capsys.readouterr()

@@ -1,4 +1,4 @@
-"""Tier-1 byte-identity gate: seven of the nine hashes that
+"""Tier-1 byte-identity gate: eight of the ten hashes that
 tools/identity_hashes.py prints, pinned.
 
 The hash recipes are imported from that script, not copied, so the
@@ -83,3 +83,10 @@ def test_increment_draws_are_byte_identical():
     # row windows with lo > 0, and support_batch(): a change to the
     # word order, the mapping or the layout moves this hash
     assert identity_hashes.draws_hash() == "d1dce222459a6202"
+
+
+def test_exact_n_step_expectations_are_bit_identical():
+    # float.hex of the support tree of the named schemes at n = 2 and 3
+    # on linear p = 1, 2 and at n = 2 on system18, where the regression
+    # test of the exact weak errors allows 1e-12
+    assert identity_hashes.tree_hash() == "1d0ae77e831f1328"

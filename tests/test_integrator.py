@@ -13,14 +13,14 @@ import pytest
 from family_sampling import draw_member
 from srkweak import integrator, tableau
 from srkweak.conditions import evaluate_all
+from srkweak.exact import exact_expectation
 from srkweak.families import (FAMILY_IDS, NAMED_SCHEMES, FamilyParams,
                               make_family, named_scheme)
 from srkweak.increments import (CountingStream, WeakIncrementBatch, draw,
                                 substream, support_batch)
 from srkweak.integrator import (EvaluationCost, SdeProblem, StepContext,
-                                evaluation_cost, exact_expectation,
-                                exact_one_step_expectation, srk_step,
-                                terminal_values, usage_plan)
+                                evaluation_cost, exact_one_step_expectation,
+                                srk_step, terminal_values, usage_plan)
 from srkweak.problems import problem_2d, problem_linear, problem_nonlinear
 from srkweak.tableau import (MAX_STAGES, CoefficientTableau,
                              TableauValueError, serialize, validate)
@@ -399,6 +399,19 @@ def test_increment_mismatch_rejected():
     with pytest.raises(ValueError, match=r"^increments for m = 2 do not fit "
                        r"a problem with m = 1$"):
         srk_step(named_scheme("EM"), prob, StepContext(0.0, prob.x0, inc))
+
+
+@pytest.mark.parametrize("name", ["EM", "RDI2WM"])
+@pytest.mark.parametrize("h", [0.0, -0.25, math.nan, math.inf])
+def test_step_refuses_a_step_size_that_is_not_finite_and_positive(name, h):
+    # WeakIncrementBatch checks nothing: unchecked, EM stepped backwards
+    # at h = -0.25 and returned nan at h = nan, and RDI2WM raised a math
+    # domain error at h = -0.25 and divided by zero at h = 0
+    prob = problem_2d()
+    inc = WeakIncrementBatch(h, np.array([[1.0, -1.0]]), np.array([[0.5]]))
+    with pytest.raises(ValueError, match=r"^the step size h must be a "
+                       r"finite number > 0, got %s$" % re.escape(repr(h))):
+        srk_step(named_scheme(name), prob, StepContext(0.0, prob.x0, inc))
 
 
 @pytest.mark.parametrize("kwargs,match", [

@@ -213,3 +213,25 @@ def test_raw_agreement_judges_setup_by_its_unscaled_times():
     got = paired_bench.raw_agreement(block, "setup_s")
     assert got == {"raw_verdict": "FAIL", "raw_agrees": False,
                    "raw_other_winner_seeds": [2, 4, 6, 8, 10]}
+
+
+def test_self_s_per_probe_divides_each_run_by_its_own_probe():
+    # host phases slow the parent's runs 1x, 2x and 3x, layers and probe
+    # alike; the step's own time per probe is 16, 12 and 20 probes.
+    # Dividing by a probe time common to the runs would give 12
+    def run(seed, side, scale, step):
+        return {"seed": seed, "side": side, "metrics": {
+            "integrator.srk_step.self_s": scale * step,
+            "increments.draw.self_s": scale * 0.5,
+            "integrator.srk_step.calls": 2800,
+            "host.noise_probe_s": scale * 0.025}}
+    runs = [run(1, "parent", 1.0, 0.4), run(1, "change", 1.0, 0.3),
+            run(2, "change", 1.0, 0.3), run(2, "parent", 2.0, 0.3),
+            run(3, "parent", 3.0, 0.5), run(3, "change", 1.0, 0.3)]
+    got = paired_bench.self_s_per_probe(runs)
+    assert set(got) == {"parent", "change"}
+    assert set(got["parent"]) == {"integrator.srk_step.self_s",
+                                  "increments.draw.self_s"}
+    assert math.isclose(got["parent"]["integrator.srk_step.self_s"], 16.0)
+    assert math.isclose(got["parent"]["increments.draw.self_s"], 20.0)
+    assert math.isclose(got["change"]["integrator.srk_step.self_s"], 12.0)

@@ -1,4 +1,4 @@
-"""Print the nine byte-identity hashes of srkweak's outputs.
+"""Print the ten byte-identity hashes of srkweak's outputs.
 
 A change that must not move any output bit is checked by running this
 script on both trees and comparing the lines:
@@ -49,7 +49,12 @@ Each hash is the first 16 hex digits of the sha256 of:
                 the DRAW_PATHS paths with lo > 0 (DRAW_ROWS), and
                 through a CountingStream over such a window; then
                 support_batch() with its probabilities for m = 1 to 4
-                at each h in DRAW_HS.
+                at each h in DRAW_HS;
+  tree          float.hex of srkweak.exact_expectation of f, n steps of
+                size h, for the six named schemes on linear:p=1 and
+                linear:p=2 at each (n, h) in TREE_STEPS, then on
+                system18 at n = 2, h = 1/2: the exact recipe pins only
+                n = 1.
 
 The package is imported from the src/ directory next to this script,
 and draw_member from the tests/ directory, so each checkout hashes its
@@ -69,6 +74,7 @@ _ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "tests")]
 
 import numpy as np  # noqa: E402
+import srkweak  # noqa: E402
 from family_sampling import draw_member  # noqa: E402
 from srkweak.cli import main  # noqa: E402
 from srkweak.estimator import estimate, run_study  # noqa: E402
@@ -241,6 +247,21 @@ def draws_hash():
     return _digest(b"".join(blocks))
 
 
+#: (steps, h) of the tree recipe on the linear problems
+TREE_STEPS = ((2, 0.5), (2, 0.25), (3, 0.5), (3, 0.25))
+
+
+def tree_hash():
+    tabs = [named_scheme(name) for name in NAMED_SCHEMES]
+    cells = [(problem_from_cli(token), n, h)
+             for token in ("linear:p=1", "linear:p=2")
+             for n, h in TREE_STEPS] + [(problem_from_cli("system18"), 2, 0.5)]
+    text = "".join(
+        srkweak.exact_expectation(tab, prob, prob.f, h, n).hex() + "\n"
+        for tab in tabs for prob, n, h in cells)
+    return _digest(text.encode("utf-8"))
+
+
 def print_hashes():
     for name, args in STUDIES:
         print("%-12s %s" % (name, study_hash(args)), flush=True)
@@ -250,6 +271,7 @@ def print_hashes():
     print("%-12s %s" % ("reports", reports_hash()))
     print("%-12s %s" % ("exact", exact_hash()))
     print("%-12s %s" % ("draws", draws_hash()))
+    print("%-12s %s" % ("tree", tree_hash()))
 
 
 if __name__ == "__main__":

@@ -9,8 +9,13 @@ directory, so both run from the committed files only, as a fresh
 checkout would.  Pair i runs bench/run.py, unchanged, once on each side
 with seed seed0 + i, parent first when i is even and change first when
 it is odd, so a drift of the host is shared out evenly.  With --trace,
-one more pair runs with --trace 1 and its per-layer metrics go under
-"traced_runs".
+TRACED_PAIRS more pairs run with --trace 1, seeds seed0 + pairs onwards,
+parent first in the first of them and then alternating.  Every traced
+run goes under "traced_runs" with its check counts and per-layer
+metrics, and next to them, per side, the median over its traced runs
+of each layer's self_s divided by that run's median probe time: one
+host phase moves every layer of a run together, and the probe moves
+with them.
 
 --aa pairs the parent with a second export of itself: its spread is the
 noise floor that a claimed gain has to clear.
@@ -48,6 +53,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 END_TO_END = ("wall_s", "work_per_s", "setup_s", "peak_rss_mb")
+#: pairs run with --trace 1 under --trace
+TRACED_PAIRS = 3
 #: share of the pairs a claimed metric must win
 CLAIM_WIN_SHARE = 0.9
 RULE = ("change better on at least %d%% of the pairs (9 of 10) and the "
@@ -75,6 +82,10 @@ NOTES = {
                     "bench/run.py run: the run itself and every process it "
                     "waited for, the 5 set-up interpreters that time "
                     "setup_s included",
+    "self_s_per_probe": "per side, the median over its traced runs of "
+                        "each *.self_s divided by that run's "
+                        "host.noise_probe_s, the median of its probe "
+                        "times; the *.self_s themselves are unscaled",
 }
 
 
@@ -152,6 +163,19 @@ def raw_agreement(block, metric):
                                         "lower"))
     return {"raw_verdict": raw_verdict, "raw_agrees": raw_verdict == verdict,
             "raw_other_winner_seeds": flipped}
+
+
+def self_s_per_probe(runs):
+    """Per side, the median over its traced runs ({"side", "metrics"})
+    of each *.self_s divided by the run's own host.noise_probe_s."""
+    out = {}
+    for side in ("parent", "change"):
+        ratios = [{k: v / r["metrics"]["host.noise_probe_s"]
+                   for k, v in r["metrics"].items() if k.endswith(".self_s")}
+                  for r in runs if r["side"] == side]
+        out[side] = {k: statistics.median(x[k] for x in ratios)
+                     for k in ratios[0]}
+    return out
 
 
 def parse_run(text):
@@ -276,7 +300,8 @@ def main(argv=None):
     ap.add_argument("--seed0", type=int, required=True)
     ap.add_argument("--claim", help="end-to-end metric claimed better")
     ap.add_argument("--trace", action="store_true",
-                    help="add one traced pair for the per-layer metrics")
+                    help="add %d traced pairs for the per-layer metrics"
+                    % TRACED_PAIRS)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
     if args.aa == bool(args.change):
@@ -336,15 +361,21 @@ def main(argv=None):
         record["workloads"][wl] = summarize(runs, bounds)
         save()
         if args.trace:
-            seed = args.seed0 + args.pairs
+            traced = []
+            for i in range(TRACED_PAIRS):
+                seed = args.seed0 + args.pairs + i
+                for side in order[i % 2]:
+                    out = parse_run(_bench(trees[side], wl, seed,
+                                           args.seconds, 1)[0])[2]
+                    traced.append({
+                        "seed": seed, "side": side, "checks": out["attempted"],
+                        "failed": out["failed"], "metrics": {
+                            k: v["value"] for k, v in out["metrics"].items()}})
             record["traced_runs"] = {
-                "command": "python3 bench/run.py --workload %s --seed %d "
-                           "--seconds %g --trace 1" % (wl, seed, args.seconds)}
-            for side in order[0]:
-                out = parse_run(_bench(trees[side], wl, seed, args.seconds,
-                                       1)[0])[2]
-                record["traced_runs"][side] = {
-                    k: v["value"] for k, v in out["metrics"].items()}
+                "command": "python3 bench/run.py --workload %s --seed <seed> "
+                           "--seconds %g --trace 1" % (wl, args.seconds),
+                "self_s_per_probe": self_s_per_probe(traced),
+                "runs": traced}
         if args.claim is not None:
             summary = record["workloads"][wl]["metrics"][args.claim]
             record["claim"] = {
