@@ -404,9 +404,9 @@ def test_increment_mismatch_rejected():
 @pytest.mark.parametrize("name", ["EM", "RDI2WM"])
 @pytest.mark.parametrize("h", [0.0, -0.25, math.nan, math.inf])
 def test_step_refuses_a_step_size_that_is_not_finite_and_positive(name, h):
-    # WeakIncrementBatch checks nothing: unchecked, EM stepped backwards
-    # at h = -0.25 and returned nan at h = nan, and RDI2WM raised a math
-    # domain error at h = -0.25 and divided by zero at h = 0
+    # WeakIncrementBatch checks nothing, so the step must: EM would step
+    # backwards at h = -0.25 and return nan at h = nan, and RDI2WM would
+    # raise a math domain error at h = -0.25 and divide by zero at h = 0
     prob = problem_2d()
     inc = WeakIncrementBatch(h, np.array([[1.0, -1.0]]), np.array([[0.5]]))
     with pytest.raises(ValueError, match=r"^the step size h must be a "
