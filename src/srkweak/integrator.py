@@ -72,8 +72,10 @@ m) and shared by every tableau of that pattern (the 14 families and 6
 named schemes have 11).  Plans and steps sit in two caches of at most
 _CACHE_SIZE entries, the oldest evicted first; their keys are values,
 so neither keeps a tableau alive, and nothing is written to a tableau.
-Each call reads the coefficients from the tableau, as lists of only
-the arrays it uses, and tests weights for 1.0 and shapes for equality.
+Each call reads the coefficients from the tableau as one list,
+tab._flat.tolist(), at positions fixed when the step was generated
+(the pattern fixes s), and tests weights for 1.0 and shapes for
+equality.
 Each value, nested sum, stage point and product is dropped after its
 last use: a step holds as few arrays as the order allows, since each
 one more raises the peak heap, whose pages fault in afresh (see the
@@ -107,7 +109,7 @@ import numpy as np
 
 from .increments import WeakIncrementBatch, draw
 from .tableau import (_MATRIX_KEYS, _VECTOR_KEYS, _check_int, _is_finite,
-                      _require_valid)
+                      _position, _require_valid)
 
 _CACHE_SIZE = 64  # entries kept in each cache below, the oldest go first
 _PLANS = {}  # (tab._pattern, m >= 2) -> StepPlan, oldest first
@@ -323,8 +325,11 @@ def _generate(tab, m):
                     range(m)}, sqrth="sqrt(h)", drift="prob.drift",
                    column="prob.diffusion_column")
 
-    def use(name, *index):  # name[index], name bound at the step's top
-        head.setdefault(name, sources.get(name, "tab.%s.tolist()" % name))
+    def use(name, *index):  # name[index], bound at the step's top
+        if name not in sources:  # a tableau entry, read from its one list
+            head.setdefault("flat", "tab._flat.tolist()")
+            return "flat[%d]" % _position(tab.s, name, *index)
+        head.setdefault(name, sources[name])
         return name + "".join("[%d]" % i for i in index)
 
     def lincomb(name, start, terms):

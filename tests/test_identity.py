@@ -1,4 +1,4 @@
-"""Tier-1 byte-identity gate: eight of the ten hashes that
+"""Tier-1 byte-identity gate: nine of the eleven hashes that
 tools/identity_hashes.py prints, pinned.
 
 The hash recipes are imported from that script, not copied, so the
@@ -90,3 +90,9 @@ def test_exact_n_step_expectations_are_bit_identical():
     # on linear p = 1, 2 and at n = 2 on system18, where the regression
     # test of the exact weak errors allows 1e-12
     assert identity_hashes.tree_hash() == "1d0ae77e831f1328"
+
+
+def test_tableau_structure_records_are_byte_identical():
+    # the nonzero pattern, the validate() details and the node bits of
+    # the named schemes, random members and planted defects at every s
+    assert identity_hashes.structure_hash() == "ea798d40b5f6a1d7"

@@ -8,10 +8,10 @@ import pytest
 from family_sampling import draw_member
 from srkweak.families import FAMILY_IDS, NAMED_SCHEMES, named_scheme
 from srkweak.integrator import usage_plan
-from srkweak.tableau import (_MATRIX_KEYS, _VECTOR_KEYS, CoefficientTableau,
-                             TableauFormatError, TableauShapeError,
-                             TableauValueError, Violation, deserialize,
-                             serialize, validate)
+from srkweak.tableau import (_MATRIX_KEYS, _VECTOR_KEYS, MAX_STAGES,
+                             CoefficientTableau, TableauFormatError,
+                             TableauShapeError, TableauValueError, Violation,
+                             deserialize, serialize, validate)
 
 
 def _fields(s, **over):
@@ -88,6 +88,38 @@ def test_non_array_input_rejected(over):
     with pytest.raises(TableauShapeError, match="%s must be a numeric array"
                        % key):
         CoefficientTableau(**_fields(2, **over))
+
+
+#: entries that numpy reads as numbers: "1" and b"1" as 1.0, a bool as
+#: 0.0 or 1.0, None as nan
+_NON_NUMBERS = {"str": "1", "bytes": b"1", "bool": True,
+                "numpy-bool": np.False_, "None": None}
+
+
+@pytest.mark.parametrize("form", ["alone", "mixed", "array"])
+@pytest.mark.parametrize("entry", list(_NON_NUMBERS.values()),
+                         ids=list(_NON_NUMBERS))
+def test_non_number_entries_rejected(entry, form):
+    # in a vector and in a matrix, alone, among floats (where numpy infers
+    # float64 for a bool) and as numpy's own array of such entries
+    def vector(x):
+        return {"alone": [x], "mixed": [0.5, x, 0.25],
+                "array": np.array([x])}[form]
+
+    s = len(vector(0.0))
+    for key, value in (("alpha", vector(entry)),
+                       ("beta4", vector(entry)),
+                       ("A0", [vector(0.0)] * (s - 1) + [vector(entry)]),
+                       ("B2", [vector(entry)] + [vector(0.0)] * (s - 1))):
+        with pytest.raises(TableauShapeError, match=r"^%s must be a numeric "
+                           r"array of shape \(%d," % (key, s)):
+            CoefficientTableau(**_fields(s, **{key: value}))
+    # ints and numpy's numeric scalars in the same places are numbers
+    for number in (1, np.int64(1), np.float32(1.0), np.float64(1.0)):
+        t = CoefficientTableau(**_fields(
+            s, alpha=vector(number), B2=[vector(number)] + [vector(0.0)]
+            * (s - 1)))
+        assert t.alpha.tolist() == [float(x) for x in vector(number)]
 
 
 def test_equality_and_naming():
@@ -227,9 +259,11 @@ def test_opposite_infinities_in_one_row_build_without_a_warning():
 
 def test_a_node_sum_that_overflows_is_recorded():
     # finite entries whose row sum overflows: c0[3] = 1e308 + 1e308
-    A0 = named_scheme("RDI2WM").A0.copy()
-    A0[2] = [1e308, 1e308, 0.0]
-    t = dataclasses.replace(named_scheme("RDI2WM"), A0=A0)
+    rdi2 = named_scheme("RDI2WM")
+    arrays = {key: getattr(rdi2, key) for key in _VECTOR_KEYS + _MATRIX_KEYS}
+    arrays["A0"] = rdi2.A0.copy()
+    arrays["A0"][2] = [1e308, 1e308, 0.0]
+    t = CoefficientTableau(s=3, name=rdi2.name, **arrays)
     assert t.c0[2] == np.inf
     assert validate(t) == [Violation(
         "non-finite", "c0", 3, 0, "c0[3] = inf, the sum of row 3 of A0")]
@@ -292,8 +326,41 @@ def test_serialize_matches_json_dumps():
     tabs.append(CoefficientTableau(**_fields(
         2, alpha=[-0.0, 5e-324], beta2=[1e308, 1.0 / 3.0],
         A0=[[0.0, 0.0], [1e22, 0.0]], B1=[[0.0, 0.0], [-1e-7, 0.0]])))
+    for s in range(1, MAX_STAGES + 1):  # every stage count's template
+        t = CoefficientTableau(s=s, **{
+            key: rng.normal(size=s) if key in _VECTOR_KEYS
+            else np.tril(rng.normal(size=(s, s)), -1)
+            for key in _VECTOR_KEYS + _MATRIX_KEYS})
+        tabs += [t, t.with_name("random s = %d" % s)]
     for t in tabs:
         assert serialize(t) == _json_dumps_text(t), t.name
+
+
+def test_a_tableau_stores_one_flat_array():
+    tab = draw_member("CASE_212", np.random.default_rng(33))
+    arrays = [v for v in vars(tab).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 1 and arrays[0] is tab._flat
+    for key in _VECTOR_KEYS + _MATRIX_KEYS + ("c0", "c1v", "c2v"):
+        view = getattr(tab, key)
+        assert np.shares_memory(view, tab._flat), key
+        with pytest.raises(ValueError):
+            view[(0,) * view.ndim] = 1.0
+    for change in (lambda: setattr(tab, "name", "x"),
+                   lambda: setattr(tab, "alpha", tab.beta1),
+                   lambda: setattr(tab, "other", 1),
+                   lambda: delattr(tab, "s")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            change()
+    with pytest.raises(TypeError):
+        hash(tab)
+    copy = tab.with_name("copy")
+    assert copy.name == "copy" and copy._pattern == tab._pattern
+    assert copy._flat.tobytes() == tab._flat.tobytes()
+    arrays = [getattr(tab, key) for key in _VECTOR_KEYS + _MATRIX_KEYS]
+    assert CoefficientTableau(tab.s, *arrays, tab.name) == tab
+    assert repr(tab) == "CoefficientTableau(s=%d, %s, name=%r)" % (
+        tab.s, ", ".join("%s=%r" % (key, a) for key, a in zip(
+            _VECTOR_KEYS + _MATRIX_KEYS, arrays)), tab.name)
 
 
 def test_serialized_document_shape():

@@ -1,4 +1,4 @@
-"""Print the ten byte-identity hashes of srkweak's outputs.
+"""Print the eleven byte-identity hashes of srkweak's outputs.
 
 A change that must not move any output bit is checked by running this
 script on both trees and comparing the lines:
@@ -54,7 +54,14 @@ Each hash is the first 16 hex digits of the sha256 of:
                 size h, for the six named schemes on linear:p=1 and
                 linear:p=2 at each (n, h) in TREE_STEPS, then on
                 system18 at n = 2, h = 1/2: the exact recipe pins only
-                n = 1.
+                n = 1;
+  structure     the nonzero pattern (hex), the validate() details and
+                float.hex of the nodes c0, c1v, c2v of the six named
+                schemes, STRUCTURE_MEMBERS random members of each family
+                (draw_member, one np.random.default_rng(2033)), one
+                tableau per s = 1 ... MAX_STAGES with nan, +-inf and
+                nonzero entries on or above a diagonal planted, and
+                RDI2WM with a row of A0 whose sum overflows.
 
 The package is imported from the src/ directory next to this script,
 and draw_member from the tests/ directory, so each checkout hashes its
@@ -84,7 +91,8 @@ from srkweak.increments import (CountingStream, _RowWindow,  # noqa: E402
                                 draw, substream, support_batch)
 from srkweak.integrator import exact_one_step_expectation  # noqa: E402
 from srkweak.problems import problem_from_cli  # noqa: E402
-from srkweak.tableau import serialize  # noqa: E402
+from srkweak.tableau import (MAX_STAGES, CoefficientTableau,  # noqa: E402
+                             serialize, validate)
 
 STUDIES = (
     ("criterion-9", ["--problem", "nonlinear16", "--schemes", "em,rdi2wm,exem",
@@ -262,6 +270,50 @@ def tree_hash():
     return _digest(text.encode("utf-8"))
 
 
+#: random members per family in the structure recipe
+STRUCTURE_MEMBERS = 3
+
+
+def _planted(s, rng):
+    """A random s-stage tableau, about half its entries zero, with a nan,
+    an inf, a -inf and a nonzero entry on or above a stage matrix's
+    diagonal, each at a random place."""
+    keys = srkweak.tableau._VECTOR_KEYS + srkweak.tableau._MATRIX_KEYS
+    arrays = {}
+    for key in keys:
+        shape = (s,) if key.startswith(("alpha", "beta")) else (s, s)
+        arrays[key] = rng.normal(size=shape) * (rng.random(shape) < 0.5)
+        if len(shape) == 2:
+            arrays[key] = np.tril(arrays[key], -1)
+    for value in (np.nan, np.inf, -np.inf):
+        arr = arrays[keys[rng.integers(len(keys))]]
+        arr[tuple(rng.integers(s, size=arr.ndim))] = value
+    i = int(rng.integers(s))
+    arrays[keys[5 + rng.integers(6)]][i, rng.integers(i, s)] = 0.5
+    return CoefficientTableau(s=s, **arrays)
+
+
+def structure_hash():
+    rng = np.random.default_rng(2033)
+    tabs = [named_scheme(name) for name in NAMED_SCHEMES]
+    tabs += [draw_member(fid, rng) for fid in FAMILY_IDS
+             for _ in range(STRUCTURE_MEMBERS)]
+    tabs += [_planted(s, rng) for s in range(1, MAX_STAGES + 1)]
+    rdi2 = named_scheme("RDI2WM")
+    arrays = {key: np.array(getattr(rdi2, key)) for key in
+              srkweak.tableau._VECTOR_KEYS + srkweak.tableau._MATRIX_KEYS}
+    arrays["A0"][2] = [1e308, 1e308, 0.0]
+    tabs.append(CoefficientTableau(s=3, **arrays))
+    text = "".join(
+        "%x\n%s\n%s\n" % (tab._pattern,
+                           "\n".join(v.detail for v in validate(tab)),
+                           " ".join(x.hex() for node in (tab.c0, tab.c1v,
+                                                         tab.c2v)
+                                    for x in node.tolist()))
+        for tab in tabs)
+    return _digest(text.encode("utf-8"))
+
+
 def print_hashes():
     for name, args in STUDIES:
         print("%-12s %s" % (name, study_hash(args)), flush=True)
@@ -272,6 +324,7 @@ def print_hashes():
     print("%-12s %s" % ("exact", exact_hash()))
     print("%-12s %s" % ("draws", draws_hash()))
     print("%-12s %s" % ("tree", tree_hash()))
+    print("%-12s %s" % ("structure", structure_hash()))
 
 
 if __name__ == "__main__":
