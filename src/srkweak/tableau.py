@@ -223,7 +223,7 @@ class CoefficientTableau:
             raise TableauShapeError("name must be a string or None")
         e = np.ones(s)
         with np.errstate(over="ignore", invalid="ignore"):
-            parts += [A @ e for A in parts[5:8]]  # c0, c1v, c2v
+            parts += [A @ e for A in parts[5:8]]  # c0..c2v from A0..A2
         flat = np.concatenate(parts, axis=None)
         flat.setflags(write=False)
         for key, value in (("s", s), ("name", name), ("_flat", flat)):
@@ -296,10 +296,10 @@ def _structure(t):
     in one plain pass over the flat entries as floats, skipping the
     zeros, which always pass (x - x is 0.0 only for a finite x), that
     locates and formats a detail only for a violating entry; j is 0 in a
-    vector.  When every entry passes,
-    a node that is not finite, a row sum past the float range, is
-    recorded last.  The pattern sets bit n for a nonzero flat entry n (a
-    NaN is, a -0.0 is not) of alpha..B2, under a top bit that fixes s."""
+    vector.  When every entry passes, a node that is not finite, a row
+    sum past the float range, is recorded last.  The pattern sets bit n
+    for a nonzero flat entry n (a NaN is, a -0.0 is not) of alpha..B2,
+    under a top bit that fixes s."""
     s, values = t.s, t._flat.tolist()
     n, upper = _coefficient_count(s), _UPPER[s]
     out, pattern = [], 0

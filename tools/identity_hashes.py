@@ -91,8 +91,9 @@ from srkweak.increments import (CountingStream, _RowWindow,  # noqa: E402
                                 draw, substream, support_batch)
 from srkweak.integrator import exact_one_step_expectation  # noqa: E402
 from srkweak.problems import problem_from_cli  # noqa: E402
-from srkweak.tableau import (MAX_STAGES, CoefficientTableau,  # noqa: E402
-                             serialize, validate)
+from srkweak.tableau import (_MATRIX_KEYS, _VECTOR_KEYS,  # noqa: E402
+                             MAX_STAGES, CoefficientTableau, serialize,
+                             validate)
 
 STUDIES = (
     ("criterion-9", ["--problem", "nonlinear16", "--schemes", "em,rdi2wm,exem",
@@ -278,18 +279,18 @@ def _planted(s, rng):
     """A random s-stage tableau, about half its entries zero, with a nan,
     an inf, a -inf and a nonzero entry on or above a stage matrix's
     diagonal, each at a random place."""
-    keys = srkweak.tableau._VECTOR_KEYS + srkweak.tableau._MATRIX_KEYS
+    keys = _VECTOR_KEYS + _MATRIX_KEYS
     arrays = {}
     for key in keys:
-        shape = (s,) if key.startswith(("alpha", "beta")) else (s, s)
+        shape = (s,) if key in _VECTOR_KEYS else (s, s)
         arrays[key] = rng.normal(size=shape) * (rng.random(shape) < 0.5)
-        if len(shape) == 2:
+        if key in _MATRIX_KEYS:
             arrays[key] = np.tril(arrays[key], -1)
     for value in (np.nan, np.inf, -np.inf):
         arr = arrays[keys[rng.integers(len(keys))]]
         arr[tuple(rng.integers(s, size=arr.ndim))] = value
     i = int(rng.integers(s))
-    arrays[keys[5 + rng.integers(6)]][i, rng.integers(i, s)] = 0.5
+    arrays[_MATRIX_KEYS[rng.integers(6)]][i, rng.integers(i, s)] = 0.5
     return CoefficientTableau(s=s, **arrays)
 
 
@@ -300,8 +301,8 @@ def structure_hash():
              for _ in range(STRUCTURE_MEMBERS)]
     tabs += [_planted(s, rng) for s in range(1, MAX_STAGES + 1)]
     rdi2 = named_scheme("RDI2WM")
-    arrays = {key: np.array(getattr(rdi2, key)) for key in
-              srkweak.tableau._VECTOR_KEYS + srkweak.tableau._MATRIX_KEYS}
+    arrays = {key: np.array(getattr(rdi2, key))
+              for key in _VECTOR_KEYS + _MATRIX_KEYS}
     arrays["A0"][2] = [1e308, 1e308, 0.0]
     tabs.append(CoefficientTableau(s=3, **arrays))
     text = "".join(
